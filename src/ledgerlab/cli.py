@@ -304,24 +304,12 @@ def cmd_contract_check(args) -> int:
                 serialize.dump_contract_trace(induced)
             )
     if args.nonexpanding:
-        pairs = []
-        for i in range(len(traces)):
-            for j in range(i + 1, len(traces)):
-                pairs.append((traces[i], traces[j]))
-        checked = 0
-        violations = []
-        for idx, (a, b) in enumerate(pairs):
-            d_src = ultra_distance(a, b)
-            d_img = ultra_distance(induce_trace_map(sc, a), induce_trace_map(sc, b))
-            if d_src.exact and d_img.exact:
-                checked += 1
-                if d_img.value > d_src.value:
-                    violations.append(idx)
+        nonexp = check_non_expanding(sc.pi, sc.pi_defined, traces)
         verdicts.append(
-            {"check": "non-expanding", "clean": not violations,
-             "witness": violations[:5]}
+            {"check": "non-expanding", "clean": not nonexp.violations,
+             "witness": list(nonexp.violations[:5])}
         )
-        extra["pairs_checked"] = checked
+        extra["pairs_checked"] = nonexp.pairs_checked
     return _emit(
         _report("contract check", verdicts, _inputs_digest(*texts), **extra)
     )
@@ -455,6 +443,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except (KeyCollisionError, RuntimeError) as exc:
         print("internal invariant breach: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # anything else is a defect, not a verdict: keep it off exit 1
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

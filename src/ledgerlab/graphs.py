@@ -11,6 +11,7 @@ plus a successor function) for state spaces too large to materialize.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
@@ -200,37 +201,24 @@ def build_ledger_graph(
 
     Vertices satisfy check_tx; there is an edge (q,u,t) -> (q',u',t')
     exactly when u' = apply_tx(u,t), (q',u',t') is again checkable, and the
-    slot does not decrease.
+    slot does not decrease.  The graph is the part of
+    intensional_ledger_graph reachable from its initial vertices.
     """
-    initial_utxos = list(initial_utxos)
-    initial_slots = sorted(set(initial_slots))
-    txs = list(tx_universe)
-    slots = sorted(set(slot_universe))
-
-    initial = frozenset(
-        (q, u, t)
-        for q in initial_slots
-        for u in initial_utxos
-        for t in txs
-        if check_tx(q, u, t, additional_checks)
+    lazy = intensional_ledger_graph(
+        initial_utxos, initial_slots, tx_universe, slot_universe,
+        additional_checks,
     )
+    initial = frozenset(lazy.initial_vertices)
     vertices = set(initial)
     edges = set()
-    frontier = list(initial)
+    frontier = deque(initial)
     while frontier:
-        q, u, t = frontier.pop()
-        u2 = apply_tx(u, t)
-        for q2 in slots:
-            if q2 < q:
-                continue
-            for t2 in txs:
-                if not check_tx(q2, u2, t2, additional_checks):
-                    continue
-                w = (q2, u2, t2)
-                edges.add(((q, u, t), w))
-                if w not in vertices:
-                    vertices.add(w)
-                    frontier.append(w)
+        v = frontier.popleft()
+        for w in lazy.successors(v):
+            edges.add((v, w))
+            if w not in vertices:
+                vertices.add(w)
+                frontier.append(w)
     return SimpleGraph(frozenset(vertices), frozenset(edges), initial)
 
 
@@ -262,7 +250,7 @@ def intensional_ledger_graph(
     slot_universe: Iterable[Slot],
     additional_checks=None,
 ) -> IntensionalGraph:
-    """Lazy variant of build_ledger_graph; successors computed on demand."""
+    """Ledger transition graph with successors computed on demand."""
     initial_utxos = list(initial_utxos)
     initial_slots = sorted(set(initial_slots))
     txs = list(tx_universe)

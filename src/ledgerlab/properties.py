@@ -86,30 +86,25 @@ def check_well_founded(u0: UtxoSet, genesis_txs: Iterable[Tx]) -> CheckResult:
     return CheckResult(True)
 
 
+def _first_repeat(items: Sequence) -> Optional[Tuple[int, int]]:
+    """The lexicographically least pair i < j with items[i] == items[j]."""
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if items[i] == items[j]:
+                return (i, j)
+    return None
+
+
 def check_replay_protection(run: AnnotatedRun) -> Verdict:
     """No transaction may occur twice; reports the minimal pair (i, j)."""
-    txs = run.txs()
-    best = None
-    for i in range(len(txs)):
-        for j in range(i + 1, len(txs)):
-            if txs[i] == txs[j]:
-                if best is None or (i, j) < best:
-                    best = (i, j)
-    return Verdict(best is None, best)
+    pair = _first_repeat(run.txs())
+    return Verdict(pair is None, pair)
 
 
 def check_trivial_update_protection(run: AnnotatedRun) -> Verdict:
     """No ledger state may recur; reports the minimal pair (i, j)."""
-    if not run.steps:
-        return Verdict(True)
-    states = [run.initial] + [s.after for s in run.steps]
-    best = None
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if states[i] == states[j]:
-                if best is None or (i, j) < best:
-                    best = (i, j)
-    return Verdict(best is None, best)
+    pair = _first_repeat([run.initial] + [s.after for s in run.steps])
+    return Verdict(pair is None, pair)
 
 
 def check_disjointness(run: AnnotatedRun) -> Verdict:

@@ -43,6 +43,13 @@ def _load(text: str, kind: str) -> dict:
     return payload
 
 
+def _natural(value, what: str) -> int:
+    """A JSON integer, not a bool, in the hash serialization's range [0, 2^64)."""
+    if type(value) is not int or not 0 <= value < 2 ** 64:
+        raise FormatError("%s must be an integer in [0, 2^64): %r" % (what, value))
+    return value
+
+
 # --- value <-> jsonable -----------------------------------------------------
 
 def output_to_json(out: Output) -> dict:
@@ -57,7 +64,10 @@ def output_from_json(obj: dict) -> Output:
     try:
         return Output(
             address=bytes.fromhex(obj["address"]),
-            value={bytes.fromhex(t): q for t, q in obj["value"].items()},
+            value={
+                bytes.fromhex(t): _natural(q, "token quantity")
+                for t, q in obj["value"].items()
+            },
             datum=bytes.fromhex(obj["datum"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -70,7 +80,9 @@ def ref_to_json(ref: OutputRef) -> dict:
 
 def ref_from_json(obj: dict) -> OutputRef:
     try:
-        return OutputRef(bytes.fromhex(obj["tx_hash"]), obj["index"])
+        return OutputRef(
+            bytes.fromhex(obj["tx_hash"]), _natural(obj["index"], "output index")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad output ref: %s" % exc) from exc
 
@@ -96,7 +108,9 @@ def tx_from_json(obj: dict) -> Tx:
                 for i in obj["inputs"]
             ),
             outputs=tuple(output_from_json(o) for o in obj["outputs"]),
-            validity_interval=tuple(obj["validity_interval"]),
+            validity_interval=tuple(
+                _natural(b, "validity bound") for b in obj["validity_interval"]
+            ),
             additional_data=bytes.fromhex(obj["additional_data"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -161,10 +175,12 @@ def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
         lifts = obj["lifts"]
         annotations = None
         if lifts is not None:
-            annotations = tuple((slot, tx_from_json(tx)) for slot, tx in lifts)
+            annotations = tuple(
+                (_natural(slot, "slot"), tx_from_json(tx)) for slot, tx in lifts
+            )
         prefix = TracePrefix(states, annotations, bool(obj.get("truncated")))
         genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
-        slots = list(obj.get("initial_slots", []))
+        slots = [_natural(q, "slot") for q in obj.get("initial_slots", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad trace file: %s" % exc) from exc
     return prefix, genesis, slots
@@ -192,7 +208,9 @@ def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     obj = _load(text, "run")
     try:
         initial = utxo_from_json(obj["initial"])
-        steps = [(slot, tx_from_json(tx)) for slot, tx in obj["steps"]]
+        steps = [
+            (_natural(slot, "slot"), tx_from_json(tx)) for slot, tx in obj["steps"]
+        ]
         genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad run file: %s" % exc) from exc

@@ -7,6 +7,7 @@ shared observed length — never a silently truncated "exact" value.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,7 +126,6 @@ def check_ultrametric_axioms(samples: Sequence[TracePrefix]) -> UltrametricRepor
                     violations.append(("strong-triangle", (i, j, k)))
                 elif vals[1] != vals[2]:
                     violations.append(("isosceles", (i, j, k)))
-    # symmetry holds by construction; verified cheaply on one pair per triple
     return UltrametricReport(checked, skipped, tuple(violations))
 
 
@@ -162,30 +162,40 @@ class NonExpansionReport:
     violations: Tuple
 
 
-def map_trace(hom: PartialSieveHom, prefix: TracePrefix) -> TracePrefix:
-    """Apply a graph homomorphism to each state of a prefix."""
-    return TracePrefix(tuple(hom(s) for s in prefix.states))
+def map_trace(f: Callable, prefix: TracePrefix) -> TracePrefix:
+    """Apply a state map to each state of a prefix."""
+    return TracePrefix(tuple(f(s) for s in prefix.states))
 
 
 def check_non_expanding(
-    hom: PartialSieveHom,
-    trace_pairs: Sequence[Tuple[TracePrefix, TracePrefix]],
+    f: Callable,
+    defined: Callable[[object], bool],
+    traces: Sequence[TracePrefix],
 ) -> NonExpansionReport:
-    """Check d(f(a), f(b)) <= d(a, b) on pairs with exact source distance.
+    """Check d(f(a), f(b)) <= d(a, b) on every pair of traces.
 
-    Pairs containing a state outside the homomorphism domain are skipped
-    and reported; on traces reachable from initial vertices this cannot
-    happen because the domain is a sieve.
+    ``f`` is any state map with domain predicate ``defined``, such as
+    ``hom, hom.defined_at`` or a contract's ``pi, pi_defined``.  Each trace
+    is mapped once; pairs i < j are visited in ``itertools.combinations``
+    order and a violation is reported as its position in that order.  Pairs
+    containing a state outside the domain are skipped and reported; on
+    traces reachable from initial vertices this cannot happen because the
+    domain is a sieve.
     """
+    images = [
+        map_trace(f, t) if all(defined(s) for s in t.states) else None
+        for t in traces
+    ]
     checked = 0
     skipped = 0
     violations = []
-    for idx, (a, b) in enumerate(trace_pairs):
-        if any(not hom.defined_at(s) for s in a.states + b.states):
+    pairs = itertools.combinations(zip(traces, images), 2)
+    for idx, ((a, fa), (b, fb)) in enumerate(pairs):
+        if fa is None or fb is None:
             skipped += 1
             continue
         d_src = ultra_distance(a, b)
-        d_img = ultra_distance(map_trace(hom, a), map_trace(hom, b))
+        d_img = ultra_distance(fa, fb)
         if not (d_src.exact and d_img.exact):
             # the image can only differ where the sources differ, so an
             # inexact image distance is already below the source bound

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from conftest import gen_traces
-from ledgerlab import serialize
+from ledgerlab import cli, serialize
 from ledgerlab.cli import (
     EXIT_CLEAN,
+    EXIT_INTERNAL,
     EXIT_USAGE,
     EXIT_VIOLATION,
     main,
@@ -106,6 +107,22 @@ class TestTraceValidate:
     def test_missing_file_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "trace", "validate", "/no/such/file")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda lift: lift[1]["validity_interval"].__setitem__(0, 0.0),
+        lambda lift: lift.__setitem__(0, str(lift[0])),
+    ], ids=["float-validity-bound", "string-slot"])
+    def test_non_natural_number_is_a_parse_error(
+        self, trace_dir, tmp_path, capsys, corrupt
+    ):
+        payload = read_json((trace_dir / "trace_000.json").read_text())
+        corrupt(payload["lifts"][0])
+        path = tmp_path / "bad_number.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "trace", "validate", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestTraceDist:
@@ -296,6 +313,26 @@ class TestGraphDump:
             (out / "lambda.json").read_text()
         ) == summary["lambda_digest"]
 
+    @pytest.mark.parametrize("seed, depth, lam_digest, prime_digest", [
+        ("3", "3",
+         "69db2e6e366a93ce70c372246bc60b75ada03e4ac038b09278659d10bb3f21e0",
+         "7f19f4a929dfa28501d416a79e6ae313de79c1faac9bc970f8a545d3c3c6a323"),
+        ("1", "5",
+         "3ea4d47117f1b3a85b14fc278de5d4954f4bca33b6ace085bfa2125d7c35786a",
+         "fff2348314aa4c02c0785efc1489d4618b137346f33d8f5c3fd4232094d5e91c"),
+    ])
+    def test_pinned_digests(
+        self, tmp_path, capsys, seed, depth, lam_digest, prime_digest
+    ):
+        code, stdout, _ = run_cli(
+            capsys, "graph", "dump", "--seed", seed, "--depth", depth,
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_CLEAN
+        summary = read_json(stdout)
+        assert summary["lambda_digest"] == lam_digest
+        assert summary["lambda_prime_digest"] == prime_digest
+
     def test_deterministic(self, tmp_path, capsys):
         digests = []
         for name in ("g1", "g2"):
@@ -316,3 +353,12 @@ class TestUsage:
 
     def test_help_exits_clean(self, capsys):
         assert run_cli(capsys, "--help")[0] == EXIT_CLEAN
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def broken(args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "cmd_contract_list", broken)
+        code, _, err = run_cli(capsys, "contract", "list")
+        assert code == EXIT_INTERNAL
+        assert err == "internal error: ZeroDivisionError: boom\n"

@@ -17,7 +17,7 @@ from ledgerlab.contracts import (
 from ledgerlab.core import LedgerStep, OutputRef, TxInput, UtxoSet, hash_tx, mk_outs, step_ledger
 from ledgerlab.gen import make_scenario
 from ledgerlab.graphs import check_hom
-from ledgerlab.traces import ultra_distance
+from ledgerlab.traces import check_non_expanding, ultra_distance
 
 TOKEN = b"NFT"
 
@@ -244,6 +244,9 @@ class TestInducedTraces:
                 else:
                     assert d_img.value <= d_src.value
         assert checked > 0
+        report = check_non_expanding(nft.pi, nft.pi_defined, traces)
+        assert report.pairs_checked == checked
+        assert report.violations == ()
 
 
 class TestContractGraphs:

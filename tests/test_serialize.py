@@ -39,6 +39,17 @@ class TestValueRoundTrips:
         with pytest.raises(serialize.FormatError):
             serialize.output_from_json({"address": "zz"})
 
+    @pytest.mark.parametrize("read, obj", [
+        (serialize.ref_from_json, {"tx_hash": "00", "index": True}),
+        (serialize.output_from_json,
+         {"address": "", "value": {"54": 2 ** 64}, "datum": ""}),
+        (serialize.output_from_json,
+         {"address": "", "value": {"54": 1.0}, "datum": ""}),
+    ])
+    def test_non_natural_numbers_rejected(self, read, obj):
+        with pytest.raises(serialize.FormatError):
+            read(obj)
+
 
 class TestTraceFiles:
     def test_round_trip(self, scenario):

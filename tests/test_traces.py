@@ -191,20 +191,19 @@ class TestNonExpansion:
 
     def test_merge_only_shrinks(self):
         hom = self.make_hom()
-        # first pair: images differ at index 0, both distances exact;
-        # second pair: images agree everywhere, so only a bound is known
-        pairs = [
-            (plain("a", "b"), plain("b", "a")),
-            (plain("a", "b"), plain("a", "c")),
-        ]
-        report = check_non_expanding(hom, pairs)
-        assert report.pairs_checked == 1
+        # ab/ba and ba/ac: images differ at index 0, both distances exact;
+        # ab/ac: images agree everywhere, so only a bound is known
+        traces = [plain("a", "b"), plain("b", "a"), plain("a", "c")]
+        report = check_non_expanding(hom, hom.defined_at, traces)
+        assert report.pairs_checked == 2
         assert report.pairs_skipped == 1
         assert report.violations == ()
 
     def test_out_of_domain_pairs_are_skipped(self):
         hom = self.make_hom()
-        report = check_non_expanding(hom, [(plain("zz"), plain("a"))])
+        report = check_non_expanding(
+            hom, hom.defined_at, [plain("zz"), plain("a")]
+        )
         assert report.pairs_checked == 0
         assert report.pairs_skipped == 1
 
