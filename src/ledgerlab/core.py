@@ -21,6 +21,21 @@ Slot = int
 AdditionalChecks = Callable[[Slot, "UtxoSet", "Tx"], bool]
 
 
+def _in_domain(value, what: str, bound: Optional[int] = 2 ** 64):
+    """``value`` if ``tx_bytes`` can serialize it, else ValueError.
+
+    That is ``bytes`` when ``bound`` is None, else an int, not a bool, in
+    [0, bound): naturals are serialized as 8 bytes.
+    """
+    if bound is None:
+        ok = isinstance(value, bytes)
+    else:
+        ok = type(value) is int and 0 <= value < bound
+    if not ok:
+        raise ValueError("%s outside the tx_bytes domain: %r" % (what, value))
+    return value
+
+
 class KeyCollisionError(Exception):
     """A freshly created output reference already exists unspent.
 
@@ -37,10 +52,8 @@ class OutputRef:
     index: int
 
     def __post_init__(self):
-        if not isinstance(self.tx_hash, bytes):
-            raise TypeError("tx_hash must be bytes")
-        if not 0 <= self.index < MAX_INDEX:
-            raise ValueError("output index out of range: %r" % (self.index,))
+        _in_domain(self.tx_hash, "tx_hash", bound=None)
+        _in_domain(self.index, "output index", MAX_INDEX)
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,8 @@ class Output:
     """A ledger entry value: owner address, token bag, opaque datum.
 
     ``value`` maps token ids to positive quantities.  Zero quantities are
-    normalized away at construction; negative quantities are rejected.
+    normalized away at construction; quantities outside [0, 2^64) are
+    rejected.
     """
 
     address: bytes
@@ -56,12 +70,14 @@ class Output:
     datum: bytes = b""
 
     def __post_init__(self):
+        _in_domain(self.address, "address", bound=None)
+        _in_domain(self.datum, "datum", bound=None)
         pairs = self.value.items() if isinstance(self.value, Mapping) else self.value
         norm = []
         seen = set()
         for token, qty in pairs:
-            if qty < 0:
-                raise ValueError("negative token quantity: %r" % (qty,))
+            _in_domain(token, "token id", bound=None)
+            _in_domain(qty, "token quantity")
             if token in seen:
                 raise ValueError("duplicate token id in value map")
             seen.add(token)
@@ -101,7 +117,10 @@ class Tx:
         if len(set(refs)) != len(refs):
             raise ValueError("transaction inputs must have distinct output refs")
         start, end = self.validity_interval
-        if start < 0 or start > end:
+        _in_domain(start, "validity bound")
+        _in_domain(end, "validity bound")
+        _in_domain(self.additional_data, "additional_data", bound=None)
+        if start > end:
             raise ValueError("bad validity interval: %r" % (self.validity_interval,))
 
 
@@ -144,9 +163,6 @@ class UtxoSet:
 
     def items(self) -> Tuple[Tuple[OutputRef, Output], ...]:
         return self.entries
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
     def without(self, refs: Iterable[OutputRef]) -> "UtxoSet":
         drop = set(refs)
@@ -267,7 +283,7 @@ def check_tx(
     start, end = tx.validity_interval
     if not start <= slot < end:
         return CheckResult(False, "slot-out-of-interval")
-    for txin in sorted(tx.inputs, key=lambda i: i.output_ref):
+    for txin in tx.inputs:
         if utxo.get(txin.output_ref) != txin.output:
             return CheckResult(False, "missing-input")
     if additional_checks is not None and not additional_checks(slot, utxo, tx):
@@ -307,8 +323,16 @@ def step_ledger(
     tx: Tx,
     additional_checks: Optional[AdditionalChecks] = None,
 ) -> Union[LedgerStep, Rejection]:
-    """Validate and apply a single transaction."""
+    """Validate and apply a single transaction.
+
+    A created ref that is still unspent (possible only from a state that is
+    not well founded) is refused as ``created-collides``.
+    """
     verdict = check_tx(slot, utxo, tx, additional_checks)
     if not verdict:
         return Rejection(verdict.reason)
-    return LedgerStep(slot, utxo, tx, apply_tx(utxo, tx))
+    try:
+        after = apply_tx(utxo, tx)
+    except KeyCollisionError:
+        return Rejection("created-collides")
+    return LedgerStep(slot, utxo, tx, after)

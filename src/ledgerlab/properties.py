@@ -8,14 +8,16 @@ families are pairwise disjoint, which is what the checkers verify.
 """
 from __future__ import annotations
 
+import graphlib
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     CheckResult,
     LedgerStep,
+    OutputRef,
     Rejection,
     Slot,
     Tx,
@@ -156,73 +158,73 @@ def check_commutativity(run_a: AnnotatedRun, run_b: AnnotatedRun) -> Verdict:
 class TxPoset:
     """Dependency order on run indices: i < j when t_i spends what t_j made.
 
-    ``less_than`` is the generating relation (j in K_i); its transitive
-    closure is the partial order, and ``levels`` gives the longest
-    dependency-chain length down to the independent (level 0) indices.
+    ``less_than`` is the generating relation (j in K_i).  One pass in
+    topological order, which run order need not be, derives ``levels`` (the
+    longest dependency chain down to level 0) and each index's strict
+    down-set as an int bitset; the closure is read from the down-sets.
     """
 
     indices: Tuple[int, ...]
     less_than: frozenset
-    levels: Tuple[int, ...]
+    levels: Tuple[int, ...] = field(init=False)
+    _down: Dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def level(self, i: int) -> int:
-        return self.levels[i]
+    def __post_init__(self):
+        k_sets: Dict[int, List[int]] = {i: [] for i in self.indices}
+        for i, j in self.less_than:
+            k_sets[i].append(j)
+        try:
+            order = list(graphlib.TopologicalSorter(k_sets).static_order())
+        except graphlib.CycleError as exc:
+            raise RuntimeError("cyclic dependency relation: %r" % exc.args[1]) from None
+        down: Dict[int, int] = {}
+        level: Dict[int, int] = {}
+        for i in order:
+            level[i] = max((level[j] + 1 for j in k_sets[i]), default=0)
+            down[i] = 0
+            for j in k_sets[i]:
+                down[i] |= down[j] | 1 << j
+        object.__setattr__(self, "levels", tuple(level[i] for i in self.indices))
+        object.__setattr__(self, "_down", down)
 
     def closure(self) -> frozenset:
-        rel = set(self.less_than)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(tuple(rel), repeat=2):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-        return frozenset(rel)
+        return frozenset(
+            (i, j) for i in self.indices for j in self.indices if self._down[i] >> j & 1
+        )
 
     def hasse_edges(self) -> frozenset:
-        """Transitive reduction of the closure (the Hasse diagram)."""
-        clo = self.closure()
+        """Covers: (a, b) in ``less_than`` with b below no other m in K_a."""
+        below_k: Dict[int, int] = {}
+        for a, m in self.less_than:
+            below_k[a] = below_k.get(a, 0) | self._down[m]
         return frozenset(
-            (a, b)
-            for a, b in clo
-            if not any((a, m) in clo and (m, b) in clo for m in self.indices)
+            (a, b) for a, b in self.less_than if not below_k[a] >> b & 1
         )
 
     def comparable(self, i: int, j: int) -> bool:
-        clo = self.closure()
-        return (i, j) in clo or (j, i) in clo
+        return bool((self._down[i] >> j | self._down[j] >> i) & 1)
 
 
 def build_tx_poset(run: AnnotatedRun) -> TxPoset:
-    """Dependency poset and levels of a run's transactions.
+    """Dependency poset of a run's transactions.
 
-    K_i collects the indices whose created refs meet t_i's spent refs;
-    level(i) is 0 when K_i is empty, else the longest dependency chain.
+    K_i collects the indices whose created refs meet t_i's spent refs.  A
+    ref maps to every index that creates it, since a repeated transaction
+    creates the same refs twice.
     """
     n = len(run.steps)
-    created = [run.created_refs(i) for i in range(n)]
-    spent = [run.spent_refs(i) for i in range(n)]
-    k_sets = [
-        frozenset(j for j in range(n) if j != i and spent[i] & created[j])
+    creators: Dict[OutputRef, List[int]] = {}
+    for j in range(n):
+        for ref in run.created_refs(j):
+            creators.setdefault(ref, []).append(j)
+    relation = frozenset(
+        (i, j)
         for i in range(n)
-    ]
-    relation = frozenset((i, j) for i in range(n) for j in k_sets[i])
-
-    levels: List[Optional[int]] = [None] * n
-
-    def level_of(i: int, seen=()) -> int:
-        if i in seen:
-            raise RuntimeError("cyclic dependency relation on a valid run")
-        if levels[i] is None:
-            if not k_sets[i]:
-                levels[i] = 0
-            else:
-                levels[i] = 1 + max(level_of(j, seen + (i,)) for j in k_sets[i])
-        return levels[i]
-
-    for i in range(n):
-        level_of(i)
-    return TxPoset(tuple(range(n)), relation, tuple(levels))
+        for ref in run.spent_refs(i)
+        for j in creators.get(ref, ())
+        if j != i
+    )
+    return TxPoset(tuple(range(n)), relation)
 
 
 def canonical_presentation(poset: TxPoset) -> List[int]:
@@ -246,11 +248,6 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
     account for slot constraints.
     """
     start = tuple(canonical_presentation(poset))
-    clo = poset.closure()
-
-    def swappable(a: int, b: int) -> bool:
-        return (a, b) not in clo and (b, a) not in clo
-
     seen = {start}
     frontier = [start]
     capped = False
@@ -258,7 +255,7 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
         seq = frontier.pop()
         for k in range(len(seq) - 1):
             a, b = seq[k], seq[k + 1]
-            if not swappable(a, b):
+            if poset.comparable(a, b):
                 continue
             nxt = seq[:k] + (b, a) + seq[k + 2 :]
             if nxt not in seen:

@@ -11,7 +11,7 @@ import hashlib
 import json
 from typing import List, Sequence, Tuple
 
-from .core import LedgerStep, Output, OutputRef, Slot, Tx, TxInput, UtxoSet
+from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
 from .graphs import SimpleGraph
 from .traces import TracePrefix
 
@@ -43,13 +43,6 @@ def _load(text: str, kind: str) -> dict:
     return payload
 
 
-def _natural(value, what: str) -> int:
-    """A JSON integer, not a bool, in the hash serialization's range [0, 2^64)."""
-    if type(value) is not int or not 0 <= value < 2 ** 64:
-        raise FormatError("%s must be an integer in [0, 2^64): %r" % (what, value))
-    return value
-
-
 # --- value <-> jsonable -----------------------------------------------------
 
 def output_to_json(out: Output) -> dict:
@@ -64,10 +57,7 @@ def output_from_json(obj: dict) -> Output:
     try:
         return Output(
             address=bytes.fromhex(obj["address"]),
-            value={
-                bytes.fromhex(t): _natural(q, "token quantity")
-                for t, q in obj["value"].items()
-            },
+            value={bytes.fromhex(t): q for t, q in obj["value"].items()},
             datum=bytes.fromhex(obj["datum"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -80,9 +70,7 @@ def ref_to_json(ref: OutputRef) -> dict:
 
 def ref_from_json(obj: dict) -> OutputRef:
     try:
-        return OutputRef(
-            bytes.fromhex(obj["tx_hash"]), _natural(obj["index"], "output index")
-        )
+        return OutputRef(bytes.fromhex(obj["tx_hash"]), obj["index"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad output ref: %s" % exc) from exc
 
@@ -108,9 +96,7 @@ def tx_from_json(obj: dict) -> Tx:
                 for i in obj["inputs"]
             ),
             outputs=tuple(output_from_json(o) for o in obj["outputs"]),
-            validity_interval=tuple(
-                _natural(b, "validity bound") for b in obj["validity_interval"]
-            ),
+            validity_interval=obj["validity_interval"],
             additional_data=bytes.fromhex(obj["additional_data"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -134,15 +120,6 @@ def utxo_from_json(obj: list) -> UtxoSet:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad UTxO set: %s" % exc) from exc
-
-
-def step_to_json(step: LedgerStep) -> dict:
-    return {
-        "slot": step.slot,
-        "before": utxo_to_json(step.before),
-        "tx": tx_to_json(step.tx),
-        "after": utxo_to_json(step.after),
-    }
 
 
 # --- trace files ------------------------------------------------------------
@@ -176,11 +153,11 @@ def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
         annotations = None
         if lifts is not None:
             annotations = tuple(
-                (_natural(slot, "slot"), tx_from_json(tx)) for slot, tx in lifts
+                (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in lifts
             )
         prefix = TracePrefix(states, annotations, bool(obj.get("truncated")))
         genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
-        slots = [_natural(q, "slot") for q in obj.get("initial_slots", [])]
+        slots = [_in_domain(q, "slot") for q in obj.get("initial_slots", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad trace file: %s" % exc) from exc
     return prefix, genesis, slots
@@ -209,7 +186,7 @@ def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     try:
         initial = utxo_from_json(obj["initial"])
         steps = [
-            (_natural(slot, "slot"), tx_from_json(tx)) for slot, tx in obj["steps"]
+            (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in obj["steps"]
         ]
         genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
     except (KeyError, TypeError, ValueError) as exc:

@@ -78,6 +78,24 @@ def eight_tx():
     return genesis, u0, [t0, t1, t2, t3, t4, t5, t6, t7]
 
 
+@pytest.fixture
+def non_well_founded():
+    """A start state that already holds the ref t1 creates, and [t0, t1].
+
+    t0 spends that ref and t1 creates it again, so t0 depends on the later
+    t1: levels are [1, 0].  Applying t1 to the start state collides.
+    """
+    from ledgerlab.core import OutputRef
+
+    genesis = tx_of((), [out("g")])
+    g_ref = OutputRef(hash_tx(genesis), 0)
+    t1 = tx_of([TxInput(g_ref, genesis.outputs[0])], [out("r")])
+    r_ref = OutputRef(hash_tx(t1), 0)
+    u0 = UtxoSet({g_ref: genesis.outputs[0], r_ref: t1.outputs[0]})
+    t0 = tx_of([TxInput(r_ref, t1.outputs[0])], [out("s")])
+    return u0, [t0, t1]
+
+
 def random_graph(rng: random.Random, max_vertices: int = 12):
     """Seeded small simple graph with a nonempty sieve-closed initial set."""
     from ledgerlab.graphs import SimpleGraph

@@ -251,6 +251,57 @@ class TestPropsCanon:
         assert not report["capped"]
 
 
+class TestNonWellFoundedStart:
+    """A start state that already holds a ref some transaction creates."""
+
+    def write_run(self, tmp_path, u0, txs):
+        path = tmp_path / "nwf_run.json"
+        path.write_text(serialize.dump_run(u0, [(0, t) for t in txs]))
+        return str(path)
+
+    def test_validate_reports_collision(self, non_well_founded, tmp_path, capsys):
+        u0, (_, t1) = non_well_founded
+        path = tmp_path / "nwf_trace.json"
+        path.write_text(serialize.dump_trace(TracePrefix((u0, u0), ((0, t1),))))
+        code, stdout, _ = run_cli(capsys, "trace", "validate", str(path))
+        assert code == EXIT_VIOLATION
+        (verdict,) = read_json(stdout)["verdicts"]
+        assert verdict["witness"] == "step-0-created-collides"
+
+    def test_check_reports_collision(self, non_well_founded, tmp_path, capsys):
+        u0, (_, t1) = non_well_founded
+        path = self.write_run(tmp_path, u0, [t1])
+        code, stdout, _ = run_cli(capsys, "props", "check", "--run", path)
+        assert code == EXIT_VIOLATION
+        (verdict,) = read_json(stdout)["verdicts"]
+        assert verdict["check"] == "replay-valid"
+        assert verdict["witness"] == [0, "created-collides"]
+
+    def test_canon_levels_follow_dependencies(
+        self, non_well_founded, tmp_path, capsys
+    ):
+        u0, txs = non_well_founded
+        path = self.write_run(tmp_path, u0, txs)
+        code, stdout, _ = run_cli(capsys, "props", "canon", "--run", path)
+        assert code == EXIT_CLEAN
+        report = read_json(stdout)
+        assert report["levels"] == [1, 0]
+        assert report["canonical_presentation"] == [1, 0]
+
+    def test_enumerate_drops_colliding_order(
+        self, non_well_founded, tmp_path, capsys
+    ):
+        u0, txs = non_well_founded
+        path = self.write_run(tmp_path, u0, txs)
+        code, stdout, _ = run_cli(
+            capsys, "props", "canon", "--run", path, "--enumerate"
+        )
+        assert code == EXIT_CLEAN
+        report = read_json(stdout)
+        assert report["permutations"] == []
+        assert not report["capped"]
+
+
 class TestContractCommands:
     def test_list(self, capsys):
         code, stdout, _ = run_cli(capsys, "contract", "list")

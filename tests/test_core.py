@@ -70,6 +70,15 @@ class TestValues:
         with pytest.raises(ValueError):
             Output(address=b"x", value={b"a": -1})
 
+    @pytest.mark.parametrize("qty", [True, 1.0, 2 ** 64])
+    def test_output_rejects_quantity_outside_domain(self, qty):
+        with pytest.raises(ValueError):
+            Output(address=b"x", value={b"a": qty})
+
+    def test_output_rejects_str_address(self):
+        with pytest.raises(ValueError):
+            Output(address="x", value={b"a": 1})
+
     def test_output_rejects_duplicate_token(self):
         with pytest.raises(ValueError):
             Output(address=b"x", value=((b"a", 1), (b"a", 2)))
@@ -85,6 +94,8 @@ class TestValues:
             tx_of((), [out("r")], interval=(5, 4))
         with pytest.raises(ValueError):
             tx_of((), [out("r")], interval=(-1, 4))
+        with pytest.raises(ValueError):
+            tx_of((), [out("r")], interval=(0, 2 ** 64))
 
     def test_empty_interval_is_allowed_but_never_valid(self):
         tx = tx_of((), [out("r")], interval=(4, 4))
@@ -250,6 +261,8 @@ class TestApplyAndStep:
         rigged = u1.union(UtxoSet({OutputRef(h, 0): out("g0")}))
         with pytest.raises(KeyCollisionError):
             apply_tx(rigged, spend0)
+        outcome = step_ledger(5, rigged, spend0)
+        assert outcome == Rejection("created-collides")
 
     def test_step_ledger_valid(self, small_ledger):
         u0, _, spend0 = small_ledger

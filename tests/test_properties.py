@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import poset_oracle as oracle
 from conftest import gen_traces, out, tx_of
 from ledgerlab.core import (
     LedgerStep,
@@ -247,23 +250,23 @@ class TestPoset:
 
 class TestPermutations:
     def test_singleton(self):
-        poset = TxPoset((0,), frozenset(), (0,))
+        poset = TxPoset((0,), frozenset())
         perms = enumerate_valid_permutations(poset, cap=10)
         assert perms.sequences == ((0,),)
         assert not perms.capped
 
     def test_two_independent(self):
-        poset = TxPoset((0, 1), frozenset(), (0, 0))
+        poset = TxPoset((0, 1), frozenset())
         perms = enumerate_valid_permutations(poset, cap=10)
         assert set(perms.sequences) == {(0, 1), (1, 0)}
 
     def test_two_dependent(self):
-        poset = TxPoset((0, 1), frozenset([(1, 0)]), (0, 1))
+        poset = TxPoset((0, 1), frozenset([(1, 0)]))
         perms = enumerate_valid_permutations(poset, cap=10)
         assert perms.sequences == ((0, 1),)
 
     def test_cap_flags_truncation(self):
-        poset = TxPoset((0, 1, 2), frozenset(), (0, 0, 0))
+        poset = TxPoset((0, 1, 2), frozenset())
         perms = enumerate_valid_permutations(poset, cap=2)
         assert perms.capped
         assert len(perms.sequences) == 2
@@ -317,6 +320,64 @@ class TestPermutations:
                     continue
                 finals.add(replayed.final)
             assert finals == {run.final}
+
+
+@st.composite
+def acyclic_relations(draw, max_n=7):
+    """(n, less_than) on range(n); labels are shuffled, so j > i occurs."""
+    n = draw(st.integers(0, max_n))
+    label = draw(st.permutations(range(n)))
+    ranked = [(a, b) for a in range(n) for b in range(a)]
+    chosen = draw(st.sets(st.sampled_from(ranked))) if ranked else set()
+    return n, frozenset((label[a], label[b]) for a, b in chosen)
+
+
+class TestPosetOracle:
+    """The one-pass poset against the replaced fixed-point code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(acyclic_relations())
+    def test_matches_oracle(self, drawn):
+        n, less_than = drawn
+        poset = TxPoset(tuple(range(n)), less_than)
+        assert poset.levels == oracle.levels(n, less_than)
+        assert poset.closure() == oracle.closure(less_than)
+        assert poset.hasse_edges() == oracle.hasse_edges(n, less_than)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert poset.comparable(i, j) == oracle.comparable(less_than, i, j)
+        for cap in (1, 5, 10 ** 5):
+            perms = enumerate_valid_permutations(poset, cap)
+            expected = oracle.enumerate_valid_permutations(n, less_than, cap)
+            assert (perms.sequences, perms.capped) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(acyclic_relations(), st.data())
+    def test_cycle_raises(self, drawn, data):
+        n, less_than = drawn
+        clo = sorted(oracle.closure(less_than))
+        if not clo:
+            n, less_than, clo = max(n, 2), frozenset([(0, 1)]), [(0, 1)]
+        a, b = data.draw(st.sampled_from(clo))
+        cyclic = less_than | {(b, a)}
+        with pytest.raises(RuntimeError):
+            oracle.levels(n, cyclic)
+        with pytest.raises(RuntimeError):
+            TxPoset(tuple(range(n)), cyclic)
+
+    def test_k_sets_on_generated_runs(self, scenario):
+        for trace in gen_traces(scenario, depth=8, count=6, seed=41):
+            run = run_from_trace(scenario, trace)
+            expected = oracle.relation(oracle.k_sets(run))
+            assert build_tx_poset(run).less_than == expected
+
+    def test_repeated_tx_depends_on_every_creator(self):
+        u0 = mk_outs(tx_of((), [out("g")]))
+        t_a = tx_of((), [out("p")])
+        t_b = tx_of([TxInput(OutputRef(hash_tx(t_a), 0), out("p"))], [out("q")])
+        run = fabricate(u0, [(0, t_a, u0), (0, t_b, u0), (0, t_a, u0)])
+        poset = build_tx_poset(run)
+        assert poset.less_than == oracle.relation(oracle.k_sets(run))
+        assert poset.less_than == frozenset([(1, 0), (1, 2)])
 
 
 class TestReplayDriver:
