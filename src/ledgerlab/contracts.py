@@ -151,7 +151,7 @@ NOOP = "noop"
 
 
 def _nft_quantity(utxo: UtxoSet, token: bytes) -> int:
-    return sum(out.quantity(token) for _, out in utxo.items())
+    return sum(out.quantity(token) for out in utxo.values())
 
 
 def nft_contract(token: bytes = b"NFT") -> StructuredContract:

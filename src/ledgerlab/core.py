@@ -8,8 +8,8 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Tuple, Union
 
 MAX_INDEX = 2 ** 32
 
@@ -128,45 +128,52 @@ class Tx:
 class UtxoSet:
     """The ledger state: a finite map OutputRef -> Output.
 
-    Stored as a sorted tuple of pairs so that two sets with equal contents
-    compare and hash equal.
+    ``entries`` is a dict, so lookups and updates are dict operations and
+    equal contents compare and hash equal.  Only ``items()`` sorts.
     """
 
-    entries: Tuple[Tuple[OutputRef, Output], ...] = ()
+    entries: Mapping[OutputRef, Output] = field(default_factory=dict)
 
     def __post_init__(self):
-        pairs = (
-            self.entries.items()
-            if isinstance(self.entries, Mapping)
-            else self.entries
-        )
-        items = tuple(sorted(pairs, key=lambda kv: kv[0]))
-        refs = [ref for ref, _ in items]
-        if len(set(refs)) != len(refs):
-            raise ValueError("duplicate output ref in UTxO set")
-        object.__setattr__(self, "entries", items)
+        if isinstance(self.entries, Mapping):
+            entries = dict(self.entries)
+        else:
+            pairs = tuple(self.entries)
+            entries = dict(pairs)
+            if len(entries) != len(pairs):
+                raise ValueError("duplicate output ref in UTxO set")
+        object.__setattr__(self, "entries", entries)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.entries.items()))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __contains__(self, ref: OutputRef) -> bool:
-        return any(r == ref for r, _ in self.entries)
+        return ref in self.entries
 
     def get(self, ref: OutputRef) -> Optional[Output]:
-        for r, out in self.entries:
-            if r == ref:
-                return out
-        return None
+        return self.entries.get(ref)
 
-    def keys(self) -> frozenset:
-        return frozenset(r for r, _ in self.entries)
+    def keys(self) -> AbstractSet[OutputRef]:
+        """The refs as a set-like view; it compares equal to a frozenset."""
+        return self.entries.keys()
+
+    def values(self) -> Iterable[Output]:
+        return self.entries.values()
 
     def items(self) -> Tuple[Tuple[OutputRef, Output], ...]:
-        return self.entries
+        """The entries in canonical order: sorted by ref."""
+        return tuple(
+            sorted(self.entries.items(), key=lambda kv: (kv[0].tx_hash, kv[0].index))
+        )
 
     def without(self, refs: Iterable[OutputRef]) -> "UtxoSet":
-        drop = set(refs)
-        return UtxoSet(tuple(kv for kv in self.entries if kv[0] not in drop))
+        entries = dict(self.entries)
+        for ref in refs:
+            entries.pop(ref, None)
+        return UtxoSet(entries)
 
     def union(self, other: "UtxoSet") -> "UtxoSet":
         overlap = self.keys() & other.keys()
@@ -174,10 +181,7 @@ class UtxoSet:
             raise KeyCollisionError(
                 "output refs already present: %r" % (sorted(overlap)[:3],)
             )
-        return UtxoSet(self.entries + other.entries)
-
-
-EMPTY_UTXO = UtxoSet()
+        return UtxoSet({**self.entries, **other.entries})
 
 
 # --- canonical byte serialization (hashing only; see docs/format.md) -------
@@ -240,9 +244,7 @@ def to_map(start_ix: int, outs: Iterable[Output]) -> dict:
 def mk_outs(tx: Tx) -> UtxoSet:
     """UTxO entries created by a transaction, keyed (hash_tx(tx), index)."""
     h = hash_tx(tx)
-    return UtxoSet(
-        tuple((OutputRef(h, ix), out) for ix, out in to_map(0, tx.outputs).items())
-    )
+    return UtxoSet({OutputRef(h, ix): out for ix, out in to_map(0, tx.outputs).items()})
 
 
 def get_orefs(tx: Tx) -> frozenset:

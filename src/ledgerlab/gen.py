@@ -37,7 +37,6 @@ def make_genesis(
 ) -> Tuple[List[Tx], UtxoSet]:
     """Inputless genesis transactions and the well-founded state they found."""
     txs = []
-    utxo = UtxoSet()
     for k in range(max(1, (n_outputs + 1) // 2)):
         remaining = n_outputs - 2 * k
         outs = []
@@ -51,8 +50,7 @@ def make_genesis(
             additional_data=rng.randbytes(4),
         )
         txs.append(tx)
-        utxo = utxo.union(mk_outs(tx))
-    return txs, utxo
+    return txs, UtxoSet([pair for tx in txs for pair in mk_outs(tx).items()])
 
 
 def make_proposer(
@@ -70,7 +68,7 @@ def make_proposer(
     def propose(rng: random.Random, slot: int, utxo: UtxoSet) -> Optional[Tx]:
         if len(utxo) == 0:
             return None
-        refs = sorted(utxo.keys())
+        refs = [ref for ref, _ in utxo.items()]
         n_spend = rng.randint(1, min(max_spend, len(refs)))
         spent = rng.sample(refs, n_spend)
         inputs = frozenset(TxInput(r, utxo.get(r)) for r in spent)
@@ -78,7 +76,7 @@ def make_proposer(
         n_create = rng.randint(1, max_create)
         token_slot = -1
         if token is not None:
-            total = sum(out.quantity(token) for _, out in utxo.items())
+            total = sum(out.quantity(token) for out in utxo.values())
             held = sum(utxo.get(r).quantity(token) for r in spent)
             free = total - held
             if free == 0:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
-from .core import Slot, Tx, UtxoSet, apply_tx, check_tx
+from .core import LedgerStep, Slot, Tx, UtxoSet, check_tx, step_ledger
 
 
 class UnsupportedEnumerationError(Exception):
@@ -200,9 +200,10 @@ def build_ledger_graph(
     """Explicit transition graph over reachable (slot, utxo, tx) triples.
 
     Vertices satisfy check_tx; there is an edge (q,u,t) -> (q',u',t')
-    exactly when u' = apply_tx(u,t), (q',u',t') is again checkable, and the
-    slot does not decrease.  The graph is the part of
-    intensional_ledger_graph reachable from its initial vertices.
+    exactly when step_ledger takes (q,u,t) to u' (a refused step has no
+    edge), (q',u',t') is again checkable, and the slot does not decrease.
+    The graph is the part of intensional_ledger_graph reachable from its
+    initial vertices.
     """
     lazy = intensional_ledger_graph(
         initial_utxos, initial_slots, tx_universe, slot_universe,
@@ -234,9 +235,9 @@ def project_ledger_graph(
     states = frozenset(u for _, u, _ in lam.vertices)
     edges = set()
     for q, u, t in lam.vertices:
-        u2 = apply_tx(u, t)
-        if u2 in states:
-            edges.add((u, u2))
+        step = step_ledger(q, u, t)
+        if isinstance(step, LedgerStep) and step.after in states:
+            edges.add((u, step.after))
     initial = frozenset(u for _, u, _ in lam.initial)
     lam_prime = SimpleGraph(states, frozenset(edges), initial)
     phi = PartialSieveHom(lam, lam_prime, lam.vertices, lambda v: v[1])
@@ -262,7 +263,10 @@ def intensional_ledger_graph(
 
     def successors(v):
         q, u, t = v
-        u2 = apply_tx(u, t)
+        step = step_ledger(q, u, t, additional_checks)
+        if not isinstance(step, LedgerStep):
+            return frozenset()
+        u2 = step.after
         return frozenset(
             (q2, u2, t2)
             for q2 in slots

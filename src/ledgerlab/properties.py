@@ -132,7 +132,7 @@ def check_disjointness(run: AnnotatedRun) -> Verdict:
     for k, step in enumerate(run.steps):
         if not spent[k] <= step.before.keys():
             return Verdict(False, ("spent-not-present", k))
-        if created[k] & (step.before.keys() - spent[k]):
+        if (created[k] & step.before.keys()) - spent[k]:
             return Verdict(False, ("created-collides", k))
     return Verdict(True)
 
@@ -281,14 +281,17 @@ def replay_sequence(
     txs: Sequence[Tx],
     additional_checks=None,
 ) -> Union[AnnotatedRun, ReplayRejection]:
-    """Fold step_ledger over a transaction list from a starting state."""
+    """Fold step_ledger over a transaction list from a starting state.
+
+    A slot below the previous one refuses step k as ``slots-decreasing``.
+    """
     if len(slots) != len(txs):
         raise ValueError("need one slot per transaction")
-    if any(b < a for a, b in zip(slots, slots[1:])):
-        raise ValueError("slots must be non-decreasing")
     steps = []
     utxo = u0
     for k, (slot, tx) in enumerate(zip(slots, txs)):
+        if k and slot < slots[k - 1]:
+            return ReplayRejection(k, "slots-decreasing")
         outcome = step_ledger(slot, utxo, tx, additional_checks)
         if isinstance(outcome, Rejection):
             return ReplayRejection(k, outcome.reason)

@@ -55,9 +55,12 @@ def output_to_json(out: Output) -> dict:
 
 def output_from_json(obj: dict) -> Output:
     try:
+        value = obj["value"]
+        if not isinstance(value, dict):
+            raise TypeError("token value must be an object: %r" % (value,))
         return Output(
             address=bytes.fromhex(obj["address"]),
-            value={bytes.fromhex(t): q for t, q in obj["value"].items()},
+            value={bytes.fromhex(t): q for t, q in value.items()},
             datum=bytes.fromhex(obj["datum"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,6 +7,7 @@ shared observed length — never a silently truncated "exact" value.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -223,11 +224,15 @@ class SafetyMonitor:
 
 
 def monitor_trace(monitor: SafetyMonitor, prefix: TracePrefix) -> Optional[int]:
-    """Smallest index n whose (n+1)-state head is bad, or None if clean."""
-    for n in range(len(prefix)):
-        if monitor.bad_prefix(prefix.head(n + 1)):
-            return n
-    return None
+    """Smallest index n whose (n+1)-state head is bad, or None if clean.
+
+    Bad heads are irremediable, so badness is monotone in n and a binary
+    search needs O(log n) calls of ``bad_prefix``.
+    """
+    n = bisect.bisect_left(
+        range(len(prefix)), True, key=lambda n: monitor.bad_prefix(prefix.head(n + 1))
+    )
+    return n if n < len(prefix) else None
 
 
 def check_monitor_monotone(

@@ -251,6 +251,61 @@ class TestPropsCanon:
         assert not report["capped"]
 
 
+class TestDecreasingSlots:
+    """Steps whose slots go down are a violation in run and trace files."""
+
+    @pytest.fixture
+    def steps(self, run_file):
+        sc, prefix, _ = run_file
+        (_, first), *rest = prefix.annotations
+        return sc, prefix, [(50, first)] + rest
+
+    @pytest.mark.parametrize("command", ["check", "canon"])
+    def test_run_file(self, steps, command, tmp_path, capsys):
+        sc, _, steps = steps
+        path = tmp_path / "down_run.json"
+        path.write_text(serialize.dump_run(sc.initial_utxo, steps, sc.genesis_txs))
+        code, stdout, _ = run_cli(capsys, "props", command, "--run", str(path))
+        assert code == EXIT_VIOLATION
+        (verdict,) = read_json(stdout)["verdicts"]
+        assert verdict["check"] == "replay-valid"
+        assert verdict["witness"] == [1, "slots-decreasing"]
+
+    def test_trace_file_agrees(self, steps, tmp_path, capsys):
+        sc, prefix, steps = steps
+        path = tmp_path / "down_trace.json"
+        path.write_text(serialize.dump_trace(
+            TracePrefix(prefix.states, steps), sc.genesis_txs, [50]
+        ))
+        code, stdout, _ = run_cli(capsys, "trace", "validate", str(path))
+        assert code == EXIT_VIOLATION
+        verdicts = {v["check"]: v for v in read_json(stdout)["verdicts"]}
+        assert verdicts["valid-trace"]["witness"] == "slots-decreasing"
+
+
+@pytest.mark.parametrize("value", [[1], None], ids=["list", "null"])
+class TestNonObjectTokenValue:
+    """A token value that is not a JSON object is a parse error."""
+
+    def test_trace_validate(self, trace_dir, tmp_path, capsys, value):
+        payload = read_json((trace_dir / "trace_000.json").read_text())
+        payload["states"][0][0]["output"]["value"] = value
+        path = tmp_path / "bad_value.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "trace", "validate", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+
+    def test_props_check(self, run_file, tmp_path, capsys, value):
+        payload = read_json(run_file[2].read_text())
+        payload["initial"][0]["output"]["value"] = value
+        path = tmp_path / "bad_value_run.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "props", "check", "--run", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+
+
 class TestNonWellFoundedStart:
     """A start state that already holds a ref some transaction creates."""
 

@@ -1,0 +1,167 @@
+"""The exit-code contract holds for any input file.
+
+Generated trace and run files are mutated one edit at a time: a state entry
+dropped, repeated or moved; a number or token value map retyped or pushed
+out of range; two steps swapped; a list truncated.  Every command must then
+exit 0 (clean), 1 (violation) or 2 (usage or parse error), never 3, and
+print no traceback.  The unmutated files exit 0.
+"""
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ledgerlab import cli, serialize
+from ledgerlab.contracts import CONTRACTS
+from ledgerlab.gen import make_proposer, make_scenario
+from ledgerlab.traces import generate_valid_traces
+
+TOKEN = b"NFT"
+
+
+def _generated():
+    sc = make_scenario(7, n_outputs=5, token=TOKEN, token_present=True)
+    prefix = generate_valid_traces(
+        [sc.initial_utxo],
+        [sc.initial_slot],
+        make_proposer(token=TOKEN),
+        depth=5,
+        count=1,
+        seed=7,
+        additional_checks=CONTRACTS["nft"](TOKEN).additional_checks,
+    )[0]
+    return {
+        "trace": serialize.dump_trace(prefix, sc.genesis_txs, [sc.initial_slot]),
+        "run": serialize.dump_run(sc.initial_utxo, prefix.annotations, sc.genesis_txs),
+    }
+
+
+FILES = _generated()
+
+COMMANDS = {
+    "trace": [
+        ["trace", "validate", "{f}"],
+        ["trace", "monitor", "{f}", "--monitor", "duplicate-state"],
+        ["trace", "dist", "{f}", "{f}"],
+        ["contract", "check", "--name", "nft", "--token", TOKEN.hex(),
+         "--traces", "{f}", "--nonexpanding", "--induce", "--out", "{d}"],
+    ],
+    "run": [
+        ["props", "check", "--run", "{f}"],
+        ["props", "canon", "--run", "{f}"],
+        ["props", "canon", "--run", "{f}", "--enumerate", "--cap", "20"],
+    ],
+}
+
+BAD_NUMBERS = [None, True, "7", 7.0, [7], {"n": 7}, -1, 2 ** 32, 2 ** 64, -2 ** 70]
+BAD_VALUE_MAPS = [
+    None, [1], "00", 7, True, {"zz": 1}, {"00": -1}, {"00": 2 ** 64},
+    {"00": 1.5}, {"00": "1"}, {"00": None}, {"": 1},
+]
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _parent(payload, path):
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    return node, path[-1]
+
+
+def _is_state(path, node):
+    """A UTxO state: the run's ``initial`` or one of the trace's ``states``."""
+    return isinstance(node, list) and (
+        path == ("initial",) or (len(path) == 2 and path[0] == "states")
+    )
+
+
+@st.composite
+def mutated(draw, kind):
+    """A copy of the generated ``kind`` file with one edit, and its label."""
+    payload = json.loads(FILES[kind])
+    nodes = list(_nodes(payload))
+    edit = draw(st.sampled_from([
+        "drop-entry", "repeat-entry", "move-entry", "retype-number",
+        "retype-value-map", "swap-steps", "truncate-list",
+    ]))
+    if edit.endswith("-entry"):
+        states = [n for p, n in nodes if _is_state(p, n) and n]
+        entries = draw(st.sampled_from(states))
+        i = draw(st.integers(0, len(entries) - 1))
+        if edit == "drop-entry":
+            del entries[i]
+        elif edit == "repeat-entry":
+            entries.insert(draw(st.integers(0, len(entries))), copy.deepcopy(entries[i]))
+        else:
+            entries.insert(draw(st.integers(0, len(entries) - 1)), entries.pop(i))
+    elif edit == "retype-number":
+        paths = [p for p, n in nodes if type(n) is int]
+        node, key = _parent(payload, draw(st.sampled_from(paths)))
+        node[key] = draw(st.sampled_from(BAD_NUMBERS))
+    elif edit == "retype-value-map":
+        paths = [p for p, n in nodes if p and p[-1] == "value"]
+        node, key = _parent(payload, draw(st.sampled_from(paths)))
+        node[key] = draw(st.sampled_from(BAD_VALUE_MAPS))
+    elif edit == "swap-steps":
+        steps = payload["lifts" if kind == "trace" else "steps"]
+        i, j = draw(st.lists(
+            st.integers(0, len(steps) - 1), min_size=2, max_size=2, unique=True
+        ))
+        steps[i], steps[j] = steps[j], steps[i]
+    else:
+        lists = [n for _, n in nodes if isinstance(n, list) and n]
+        target = draw(st.sampled_from(lists))
+        del target[draw(st.integers(0, len(target) - 1)):]
+    return edit, json.dumps(payload)
+
+
+def run_all(kind, text, tmp_dir):
+    """Exit code and stderr of every ``kind`` command on the file ``text``."""
+    path = tmp_dir / ("%s.json" % kind)
+    path.write_text(text)
+    results = []
+    for template in COMMANDS[kind]:
+        argv = [a.format(f=path, d=tmp_dir / "out") for a in template]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        results.append((argv[:2], code, err.getvalue()))
+    return results
+
+
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("exit_codes")
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_generated_files_exit_clean(kind, tmp_dir):
+    for command, code, err in run_all(kind, FILES[kind], tmp_dir):
+        assert code == cli.EXIT_CLEAN, (command, err)
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_files_keep_the_exit_contract(kind, tmp_dir, data):
+    edit, text = data.draw(mutated(kind), label="edit")
+    for command, code, err in run_all(kind, text, tmp_dir):
+        assert code in (cli.EXIT_CLEAN, cli.EXIT_VIOLATION, cli.EXIT_USAGE), (
+            edit, command, err,
+        )
+        assert "Traceback" not in err

@@ -327,3 +327,22 @@ class TestLedgerGraphs:
         for v in lam.vertices:
             assert lazy.contains_vertex(v)
             assert lazy.successors(v) == lam.successors(v)
+
+    def test_refused_step_has_no_successor(self, non_well_founded):
+        from ledgerlab.core import Rejection, step_ledger
+
+        # u0 already holds the ref t1 creates, so t1 collides on u0
+        u0, (t0, t1) = non_well_founded
+        lam = build_ledger_graph([u0], [0], [t1], [0])
+        assert lam.vertices == lam.initial == frozenset([(0, u0, t1)])
+        assert lam.edges == frozenset()
+        assert project_ledger_graph(lam)[0].edges == frozenset()
+
+        # t0 then t1 recreate that ref, after which t0 collides
+        lam = build_ledger_graph([u0], [0], [t0, t1], [0])
+        refused = [v for v in lam.vertices if isinstance(step_ledger(*v), Rejection)]
+        assert len(lam.vertices) == 4 and len(refused) == 2
+        assert all(not lam.successors(v) for v in refused)
+        lam_prime, phi = project_ledger_graph(lam)
+        assert check_hom(phi)
+        assert len(lam_prime.vertices) == 3 and len(lam_prime.edges) == 2

@@ -388,12 +388,17 @@ class TestReplayDriver:
         assert run.final == u0
 
     def test_arity_and_monotonicity_validated(self):
-        u0 = mk_outs(tx_of((), [out("g")]))
+        genesis = tx_of((), [out("g")])
+        u0 = mk_outs(genesis)
         with pytest.raises(ValueError):
             replay_sequence(u0, [0], [])
-        t = tx_of([TxInput(OutputRef(b"h", 0), out("p"))], [out("q")])
-        with pytest.raises(ValueError):
-            replay_sequence(u0, [2, 1], [t, t])
+        t = tx_of(
+            [TxInput(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])], [out("q")]
+        )
+        # the slot is checked before the step, so this is not missing-input
+        assert replay_sequence(u0, [2, 1], [t, t]) == ReplayRejection(
+            1, "slots-decreasing"
+        )
 
     def test_rejection_carries_position_and_reason(self):
         genesis = tx_of((), [out("g")])

@@ -223,6 +223,23 @@ class TestMonitors:
     def test_first_bad_head_index(self):
         assert monitor_trace(self.dup_state, plain("a", "b", "a", "c")) == 2
 
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_bisect_agrees_with_linear_scan(self, length):
+        trace = plain(*range(length))
+        for first_bad in range(length + 1):  # first_bad == length: clean
+            calls = []
+
+            def bad(p, first_bad=first_bad):
+                calls.append(len(p))
+                return len(p) > first_bad
+
+            linear = next(
+                (n for n in range(length) if bad(trace.head(n + 1))), None
+            )
+            calls.clear()
+            assert monitor_trace(SafetyMonitor("m", bad), trace) == linear
+            assert len(calls) <= length.bit_length()
+
     def test_monotonicity_check(self):
         assert check_monitor_monotone(
             self.dup_state, [plain("a", "b", "a", "c")]
