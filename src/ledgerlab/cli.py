@@ -210,19 +210,21 @@ def _load_and_replay(path: str):
     slots = [slot for slot, _ in steps]
     txs = [tx for _, tx in steps]
     outcome = replay_sequence(initial, slots, txs)
-    return text, initial, steps, genesis, outcome
+    return text, initial, genesis, outcome
+
+
+def _replay_verdict(outcome) -> dict:
+    """The ``replay-valid`` verdict of ``props check`` and ``props canon``."""
+    rejected = isinstance(outcome, ReplayRejection)
+    return {"check": "replay-valid", "clean": not rejected,
+            "witness": [outcome.index, outcome.reason] if rejected else None}
 
 
 def cmd_props_check(args) -> int:
-    text, initial, steps, genesis, outcome = _load_and_replay(args.run)
-    verdicts = []
+    text, initial, genesis, outcome = _load_and_replay(args.run)
+    verdicts = [_replay_verdict(outcome)]
     if isinstance(outcome, ReplayRejection):
-        verdicts.append(
-            {"check": "replay-valid", "clean": False,
-             "witness": [outcome.index, outcome.reason]}
-        )
         return _emit(_report("props check", verdicts, _inputs_digest(text)))
-    verdicts.append({"check": "replay-valid", "clean": True, "witness": None})
     if genesis:
         wf = check_well_founded(initial, genesis)
         verdicts.append(
@@ -236,18 +238,15 @@ def cmd_props_check(args) -> int:
         verdict = checker(outcome)
         verdicts.append(
             {"check": name, "clean": verdict.clean,
-             "witness": repr(verdict.witness) if verdict.witness else None}
+             "witness": list(verdict.witness) if verdict.witness else None}
         )
     return _emit(_report("props check", verdicts, _inputs_digest(text)))
 
 
 def cmd_props_canon(args) -> int:
-    text, initial, steps, genesis, outcome = _load_and_replay(args.run)
+    text, initial, _, outcome = _load_and_replay(args.run)
+    verdicts = [_replay_verdict(outcome)]
     if isinstance(outcome, ReplayRejection):
-        verdicts = [
-            {"check": "replay-valid", "clean": False,
-             "witness": [outcome.index, outcome.reason]}
-        ]
         return _emit(_report("props canon", verdicts, _inputs_digest(text)))
     poset = build_tx_poset(outcome)
     presentation = canonical_presentation(poset)
@@ -268,7 +267,6 @@ def cmd_props_canon(args) -> int:
                 valid.append(list(seq))
         extra["permutations"] = valid
         extra["capped"] = perms.capped
-    verdicts = [{"check": "replay-valid", "clean": True, "witness": None}]
     return _emit(_report("props canon", verdicts, _inputs_digest(text), **extra))
 
 

@@ -171,23 +171,23 @@ def nft_contract(token: bytes = b"NFT") -> StructuredContract:
             return state
         return None
 
-    def kappa(tx: Tx):
+    def delta(tx: Tx) -> int:
         created = sum(out.quantity(token) for out in tx.outputs)
         consumed = sum(i.output.quantity(token) for i in tx.inputs)
-        delta = created - consumed
-        if delta > 0:
+        return created - consumed
+
+    def kappa(tx: Tx):
+        d = delta(tx)
+        if d > 0:
             return MINT
-        if delta < 0:
+        if d < 0:
             return BURN
         return NOOP
 
     def policy(slot, utxo, tx):
-        from .core import apply_tx
-
-        return (
-            _nft_quantity(utxo, token) <= 1
-            and _nft_quantity(apply_tx(utxo, tx), token) <= 1
-        )
+        # check_tx has matched every input, so held + delta is the count after
+        held = _nft_quantity(utxo, token)
+        return held <= 1 and held + delta(tx) <= 1
 
     return StructuredContract(
         name="nft",

@@ -57,11 +57,11 @@ def make_proposer(
     token: Optional[bytes] = None,
     max_spend: int = 3,
     max_create: int = 3,
-    interval: Tuple[int, int] = WIDE_INTERVAL,
 ) -> Callable[[random.Random, int, UtxoSet], Optional[Tx]]:
     """Build a random-transaction proposer for generate_valid_traces.
 
-    When ``token`` is set, the proposer keeps its total quantity at most 1,
+    Every proposal has the validity interval ``WIDE_INTERVAL``.  When
+    ``token`` is set, the proposer keeps its total quantity at most 1,
     occasionally minting, moving, or burning it.
     """
 
@@ -93,7 +93,7 @@ def make_proposer(
         return Tx(
             inputs=inputs,
             outputs=outputs,
-            validity_interval=interval,
+            validity_interval=WIDE_INTERVAL,
             additional_data=rng.randbytes(4),
         )
 

@@ -174,14 +174,13 @@ def enumerate_paths(
         raise ValueError("depth must be at least 1")
     if isinstance(graph, SimpleGraph):
         starts = graph.initial
-        succ = graph.successors
+    elif graph.initial_vertices is None:
+        raise UnsupportedEnumerationError(
+            "intensional graph has no finite initial-vertex enumeration"
+        )
     else:
-        if graph.initial_vertices is None:
-            raise UnsupportedEnumerationError(
-                "intensional graph has no finite initial-vertex enumeration"
-            )
         starts = graph.initial_vertices
-        succ = graph.successors
+    succ = graph.successors
     paths = [(v,) for v in starts]
     for _ in range(depth - 1):
         paths = [p + (w,) for p in paths for w in succ(p[-1])]

@@ -303,15 +303,10 @@ def replay_sequence(
 def assign_slots(txs: Sequence[Tx]) -> Optional[List[Slot]]:
     """Non-decreasing slots satisfying every validity interval, or None.
 
-    Prefers a single shared slot (the smallest one inside every interval);
-    otherwise greedily assigns the minimal non-decreasing sequence.
+    Greedily assigns the minimal non-decreasing sequence: each slot is the
+    start of its interval or the previous slot, whichever is later.  It
+    exists exactly when some non-decreasing assignment does.
     """
-    if not txs:
-        return []
-    lo = max(tx.validity_interval[0] for tx in txs)
-    hi = min(tx.validity_interval[1] for tx in txs)
-    if lo < hi:
-        return [lo] * len(txs)
     slots = []
     current = 0
     for tx in txs:

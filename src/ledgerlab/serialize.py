@@ -45,6 +45,14 @@ def _load(text: str, kind: str) -> dict:
 
 # --- value <-> jsonable -----------------------------------------------------
 
+def _hex(s: str) -> bytes:
+    """Decode a byte string; only canonical lowercase hex is accepted."""
+    b = bytes.fromhex(s)
+    if b.hex() != s:
+        raise ValueError("byte string is not lowercase hex: %r" % (s,))
+    return b
+
+
 def output_to_json(out: Output) -> dict:
     return {
         "address": out.address.hex(),
@@ -59,9 +67,9 @@ def output_from_json(obj: dict) -> Output:
         if not isinstance(value, dict):
             raise TypeError("token value must be an object: %r" % (value,))
         return Output(
-            address=bytes.fromhex(obj["address"]),
-            value={bytes.fromhex(t): q for t, q in value.items()},
-            datum=bytes.fromhex(obj["datum"]),
+            address=_hex(obj["address"]),
+            value={_hex(t): q for t, q in value.items()},
+            datum=_hex(obj["datum"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad output: %s" % exc) from exc
@@ -73,7 +81,7 @@ def ref_to_json(ref: OutputRef) -> dict:
 
 def ref_from_json(obj: dict) -> OutputRef:
     try:
-        return OutputRef(bytes.fromhex(obj["tx_hash"]), obj["index"])
+        return OutputRef(_hex(obj["tx_hash"]), obj["index"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad output ref: %s" % exc) from exc
 
@@ -100,7 +108,7 @@ def tx_from_json(obj: dict) -> Tx:
             ),
             outputs=tuple(output_from_json(o) for o in obj["outputs"]),
             validity_interval=obj["validity_interval"],
-            additional_data=bytes.fromhex(obj["additional_data"]),
+            additional_data=_hex(obj["additional_data"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad transaction: %s" % exc) from exc

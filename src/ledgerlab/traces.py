@@ -87,10 +87,8 @@ def floor_neg_log2(r: Fraction) -> int:
         raise ValueError("radius must be positive")
     if r > 1:
         return 0
-    n = 0
-    while Fraction(1, 2 ** (n + 1)) >= r:
-        n += 1
-    return n
+    # ⌊log2 x⌋ == ⌊log2 ⌊x⌋⌋ for x >= 1
+    return (r.denominator // r.numerator).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -255,17 +253,15 @@ def validate_trace_prefix(
     prefix: TracePrefix,
     initial_utxos: Iterable[UtxoSet],
     initial_slots: Iterable[Slot],
-    steps: Optional[Sequence[Tuple[Slot, Tx]]] = None,
     additional_checks=None,
 ) -> CheckResult:
-    """Re-validate a ledger trace prefix against its lift.
+    """Re-validate a ledger trace prefix against its lift ``annotations``.
 
     Checks: the first state and slot are valid initial ones, every step is
     a valid ledger transition landing on the recorded state, and the slots
-    never decrease.
+    never decrease.  A prefix with steps but no lift raises ValueError.
     """
-    if steps is None:
-        steps = prefix.annotations or ()
+    steps = prefix.annotations or ()
     if len(steps) != len(prefix) - 1:
         raise ValueError("need one (slot, tx) pair per step")
     if prefix.states[0] not in set(initial_utxos):
@@ -285,6 +281,10 @@ def validate_trace_prefix(
     return CheckResult(True)
 
 
+#: proposals tried per step before a generated trace is cut short
+MAX_RETRIES = 12
+
+
 def generate_valid_traces(
     initial_utxos: Sequence[UtxoSet],
     initial_slots: Sequence[Slot],
@@ -293,13 +293,12 @@ def generate_valid_traces(
     count: int,
     seed: int,
     additional_checks=None,
-    max_retries: int = 12,
 ) -> List[TracePrefix]:
     """Sample valid ledger trace prefixes, deterministically from a seed.
 
     ``propose`` suggests a candidate transaction for the current state;
-    rejected or failed proposals are retried, and if no valid transaction
-    is found the shorter prefix is returned with its ``truncated`` flag.
+    rejected or failed proposals are retried ``MAX_RETRIES`` times, and if
+    no valid transaction is found the prefix is cut short and ``truncated``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -312,8 +311,7 @@ def generate_valid_traces(
         annotations = []
         truncated = False
         while len(states) < depth:
-            placed = False
-            for _attempt in range(max_retries):
+            for _attempt in range(MAX_RETRIES):
                 # the first step must use a valid initial slot
                 advance = 0 if not annotations else rng.choice((0, 0, 0, 1, 2))
                 step_slot = slot + advance
@@ -326,9 +324,8 @@ def generate_valid_traces(
                 states.append(outcome.after)
                 annotations.append((step_slot, tx))
                 slot = step_slot
-                placed = True
                 break
-            if not placed:
+            else:
                 truncated = True
                 break
         traces.append(TracePrefix(tuple(states), tuple(annotations), truncated))

@@ -306,6 +306,36 @@ class TestNonObjectTokenValue:
         assert err.startswith("error:")
 
 
+def _upper_address(entry):
+    entry["output"]["address"] = entry["output"]["address"].upper()
+
+
+def _spaced_address(entry):
+    address = entry["output"]["address"]
+    entry["output"]["address"] = address[:2] + " " + address[2:]
+
+
+def _token_spelled_twice(entry):
+    entry["output"]["value"].update({"4e4654": 1, "4E4654": 1})
+
+
+@pytest.mark.parametrize("mutate", [
+    _upper_address, _spaced_address, _token_spelled_twice,
+], ids=["uppercase", "space", "two-spellings"])
+def test_byte_string_not_lowercase_hex_is_a_parse_error(
+    trace_dir, tmp_path, capsys, mutate
+):
+    payload = read_json((trace_dir / "trace_000.json").read_text())
+    entry = next(e for e in payload["states"][-1]
+                 if e["output"]["address"] != e["output"]["address"].upper())
+    mutate(entry)
+    path = tmp_path / "bad_hex.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, err = run_cli(capsys, "trace", "validate", str(path))
+    assert code == EXIT_USAGE
+    assert stdout == "" and err.startswith("error:")
+
+
 class TestNonWellFoundedStart:
     """A start state that already holds a ref some transaction creates."""
 
@@ -331,6 +361,17 @@ class TestNonWellFoundedStart:
         (verdict,) = read_json(stdout)["verdicts"]
         assert verdict["check"] == "replay-valid"
         assert verdict["witness"] == [0, "created-collides"]
+
+    def test_check_reports_disjointness_as_json(
+        self, non_well_founded, tmp_path, capsys
+    ):
+        u0, txs = non_well_founded
+        path = self.write_run(tmp_path, u0, txs)
+        code, stdout, _ = run_cli(capsys, "props", "check", "--run", path)
+        assert code == EXIT_VIOLATION
+        verdicts = {v["check"]: v for v in read_json(stdout)["verdicts"]}
+        assert verdicts["replay-valid"]["clean"]
+        assert verdicts["disjointness"]["witness"] == ["created-overlap", "u0", "c1"]
 
     def test_canon_levels_follow_dependencies(
         self, non_well_founded, tmp_path, capsys
@@ -448,6 +489,48 @@ class TestGraphDump:
             )
             digests.append(read_json(stdout)["lambda_digest"])
         assert digests[0] == digests[1]
+
+
+class TestPinnedBytes:
+    """Digests of CLI output that any change must reproduce byte for byte."""
+
+    @pytest.mark.parametrize("seed, cap, stdout_digest", [
+        (0, 50, "2158b4d7359920761b8eba76bcb7f15836adae43a9ce7b3d34f04a4f874086da"),
+        (0, 400, "c45ee46d6c111dffce8e8c6563b071e4b5a2638130ceec5c999eaca2251b0790"),
+        (1, 50, "396afbf69f2225b910f72d263beee0e75442ef14b0bcb79de069c7cc7dd9ef45"),
+        (1, 400, "25e6031f5937914260549d90553db597f0a2a2fbe4eab22e040a36868e833bcb"),
+        (2, 50, "9a5a7faacff27f35d14e40d11a56e197abdf519fd2afadd358eeaf5c529ef6f1"),
+        (2, 400, "fed78020f00ad1d4bd933c46ec7f14f77dc53897eb9ea620dcd76f2a05641410"),
+    ])
+    def test_props_canon_enumerate(self, tmp_path, capsys, seed, cap, stdout_digest):
+        sc = make_scenario(seed, n_outputs=40)
+        prefix = gen_traces(sc, depth=31, count=1, seed=seed)[0]
+        path = tmp_path / "run.json"
+        path.write_text(
+            serialize.dump_run(sc.initial_utxo, prefix.annotations, sc.genesis_txs)
+        )
+        code, stdout, _ = run_cli(
+            capsys, "props", "canon", "--run", str(path), "--enumerate",
+            "--cap", str(cap),
+        )
+        assert code == EXIT_CLEAN
+        assert serialize.digest(stdout) == stdout_digest
+
+    @pytest.mark.parametrize("seed, manifest_digest", [
+        (0, "2d6fd7f457ba0595cbd84320afa9322ab5179c5f599a33d36b737847d8c8296b"),
+        (1, "9a02755fe8ac0d7b14f1a30b792673239de051c4d30fa9bd049e3d5be72a8ae7"),
+        (2, "d623495737a95fa09f3ed318d16280b90bb5c9b42dd3ee9d2598b8202977d9a0"),
+        (3, "f15b6311675fc659660e2b5dc7c439db9fc348356d08c963eb1fa0b8e5ef1c43"),
+    ])
+    def test_trace_gen_with_token(self, tmp_path, capsys, seed, manifest_digest):
+        code, stdout, _ = run_cli(
+            capsys, "trace", "gen", "--seed", str(seed), "--depth", "10",
+            "--count", "10", "--outputs", "16", "--token", "4e4654",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_CLEAN
+        assert read_json(stdout) == {"manifest_digest": manifest_digest,
+                                     "written": 10}
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import gen_traces, out, tx_of
@@ -14,9 +16,20 @@ from ledgerlab.contracts import (
     induce_trace_map,
     nft_contract,
 )
-from ledgerlab.core import LedgerStep, OutputRef, TxInput, UtxoSet, hash_tx, mk_outs, step_ledger
-from ledgerlab.gen import make_scenario
-from ledgerlab.graphs import check_hom
+from ledgerlab.core import (
+    LedgerStep,
+    OutputRef,
+    Rejection,
+    TxInput,
+    UtxoSet,
+    apply_tx,
+    check_tx,
+    hash_tx,
+    mk_outs,
+    step_ledger,
+)
+from ledgerlab.gen import make_proposer, make_scenario
+from ledgerlab.graphs import build_ledger_graph, check_hom
 from ledgerlab.traces import check_non_expanding, ultra_distance
 
 TOKEN = b"NFT"
@@ -185,6 +198,38 @@ class TestContractOnTraces:
         for t in traces:
             for u in t.states:
                 assert nft.pi(u) <= 1
+
+
+class TestPolicy:
+    def test_agrees_with_the_applied_step(self, nft, token_scenario):
+        """The policy equals the bound on the state after apply_tx."""
+        rng = random.Random(5)
+        propose = make_proposer(token=TOKEN)
+        states = [u for t in nft_traces(token_scenario, nft, count=10, depth=6)
+                  for u in t.states]
+        seen = set()
+        for u in states:
+            for _ in range(10):
+                proposed = propose(rng, 0, u)
+                # the proposer keeps the bound; an extra minted unit may not
+                minted = tx_of(proposed.inputs, proposed.outputs
+                               + (out("m", token=TOKEN, token_qty=1),))
+                for tx in (proposed, minted):
+                    assert check_tx(0, u, tx)
+                    oracle = nft.pi(u) <= 1 and nft.pi(apply_tx(u, tx)) <= 1
+                    assert nft.additional_checks(0, u, tx) == oracle
+                    seen.add(oracle)
+        assert seen == {True, False}
+
+    def test_state_that_is_not_well_founded(self, non_well_founded):
+        """Checking a step whose created ref is still unspent never raises."""
+        u0, (_, t1) = non_well_founded
+        hook = CONTRACTS["nft"](b"NFT").additional_checks
+        assert check_tx(0, u0, t1, hook)
+        assert step_ledger(0, u0, t1, hook) == Rejection("created-collides")
+        graph = build_ledger_graph([u0], [0], [t1], [0], additional_checks=hook)
+        assert graph.vertices == {(0, u0, t1)}
+        assert graph.edges == frozenset()
 
 
 class TestInducedTraces:

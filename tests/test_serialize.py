@@ -51,6 +51,44 @@ class TestValueRoundTrips:
             read(obj)
 
 
+class TestHex:
+    @pytest.mark.parametrize("text, raw", [
+        ("", b""),
+        ("00ff", b"\x00\xff"),
+        ("4e4654", b"NFT"),
+    ])
+    def test_lowercase_hex_decodes(self, text, raw):
+        assert serialize._hex(text) == raw
+
+    @pytest.mark.parametrize("text", [
+        "4E4654", "4e465A", "de ad", " dead", "dead\n", "abc", "zz",
+    ])
+    def test_other_spellings_rejected(self, text):
+        with pytest.raises(ValueError):
+            serialize._hex(text)
+
+    def test_non_string_rejected(self):
+        with pytest.raises(TypeError):
+            serialize._hex(12)
+
+    @pytest.mark.parametrize("obj", [
+        {"address": "AB", "value": {}, "datum": ""},
+        {"address": "", "value": {"4E4654": 1}, "datum": ""},
+        {"address": "", "value": {}, "datum": "de ad"},
+    ])
+    def test_output_fields_rejected(self, obj):
+        with pytest.raises(serialize.FormatError):
+            serialize.output_from_json(obj)
+
+    def test_ref_and_tx_fields_rejected(self, sample_tx):
+        with pytest.raises(serialize.FormatError):
+            serialize.ref_from_json({"tx_hash": "AB", "index": 0})
+        obj = serialize.tx_to_json(sample_tx)
+        obj["additional_data"] = obj["additional_data"].upper()
+        with pytest.raises(serialize.FormatError):
+            serialize.tx_from_json(obj)
+
+
 class TestTraceFiles:
     def test_round_trip(self, scenario):
         prefix = gen_traces(scenario, depth=4, count=1, seed=7)[0]

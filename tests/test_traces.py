@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gen_traces, out, tx_of
 from ledgerlab.core import TxInput, mk_outs
@@ -92,6 +94,27 @@ class TestFloorNegLog2:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             floor_neg_log2(Fraction(0))
+
+    @staticmethod
+    def loop_oracle(r: Fraction) -> int:
+        """The largest n with 2^-n >= r, found by counting up."""
+        n = 0
+        while Fraction(1, 2 ** (n + 1)) >= r:
+            n += 1
+        return n
+
+    def test_powers_of_two(self):
+        for k in range(60):
+            r = Fraction(1, 2 ** k)
+            assert floor_neg_log2(r) == self.loop_oracle(r) == k
+            above = r * Fraction(2 ** 40 + 1, 2 ** 40)
+            assert floor_neg_log2(above) == max(k - 1, 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 2 ** 70), st.integers(0, 2 ** 70))
+    def test_agrees_with_loop(self, num, extra):
+        r = Fraction(num, num + extra)
+        assert floor_neg_log2(r) == self.loop_oracle(r)
 
 
 class TestAxioms:
@@ -301,11 +324,10 @@ class TestValidation:
         assert verdict.reason == "state-mismatch-at-%d" % (len(states) - 1,)
 
     def test_step_arity_mismatch(self, scenario):
-        p = TracePrefix((scenario.initial_utxo,), annotations=())
+        u = scenario.initial_utxo
+        p = TracePrefix((u, u), annotations=None)
         with pytest.raises(ValueError):
-            validate_trace_prefix(
-                p, [scenario.initial_utxo], [0], steps=[(0, None)]
-            )
+            validate_trace_prefix(p, [u], [0])
 
 
 class TestGeneration:
