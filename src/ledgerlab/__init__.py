@@ -9,7 +9,6 @@ protection, transaction commutativity, canonical ordering).
 from .core import (
     CheckResult,
     KeyCollisionError,
-    LedgerStep,
     Output,
     OutputRef,
     Rejection,
@@ -23,13 +22,11 @@ from .core import (
     hash_tx,
     mk_outs,
     step_ledger,
-    to_map,
 )
 
 __all__ = [
     "CheckResult",
     "KeyCollisionError",
-    "LedgerStep",
     "Output",
     "OutputRef",
     "Rejection",
@@ -43,7 +40,6 @@ __all__ = [
     "hash_tx",
     "mk_outs",
     "step_ledger",
-    "to_map",
 ]
 
 __version__ = "0.1.0"

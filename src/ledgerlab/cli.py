@@ -256,9 +256,10 @@ def cmd_props_canon(args) -> int:
     }
     if args.enumerate:
         perms = enumerate_valid_permutations(poset, args.cap)
+        run_txs = [tx for _, tx in outcome.annotations]
         valid = []
         for seq in perms.sequences:
-            txs = [outcome.steps[i].tx for i in seq]
+            txs = [run_txs[i] for i in seq]
             slots = assign_slots(txs)
             if slots is None:
                 continue

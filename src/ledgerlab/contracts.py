@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .core import CheckResult, LedgerStep, Tx, UtxoSet
+from .core import CheckResult, Tx, UtxoSet
 from .graphs import PartialSieveHom, SimpleGraph
 from .traces import TracePrefix
 
@@ -46,19 +46,19 @@ class StructuredContract:
 
 
 def check_step_correctness(
-    sc: StructuredContract, step: LedgerStep
+    sc: StructuredContract, before: UtxoSet, tx: Tx, after: UtxoSet
 ) -> CheckResult:
-    """The executable proof obligation for one ledger step.
+    """The executable proof obligation for one ledger step before -tx-> after.
 
     Vacuously true when the source state is outside Def pi; otherwise the
     target must be projectable and the contract step must agree.
     """
-    if not sc.pi_defined(step.before):
+    if not sc.pi_defined(before):
         return CheckResult(True, "vacuous")
-    if not sc.pi_defined(step.after):
+    if not sc.pi_defined(after):
         return CheckResult(False, "to-state-unprojectable")
-    expected = sc.spec.step(sc.pi(step.before), sc.kappa(step.tx))
-    if expected is None or expected != sc.pi(step.after):
+    expected = sc.spec.step(sc.pi(before), sc.kappa(tx))
+    if expected is None or expected != sc.pi(after):
         return CheckResult(False, "contract-step-mismatch")
     return CheckResult(True)
 
@@ -78,11 +78,11 @@ def check_contract_on_traces(
     for t_idx, prefix in enumerate(traces):
         if prefix.annotations is None:
             raise ValueError("contract checking needs lifted traces")
-        for k, (slot, tx) in enumerate(prefix.annotations):
-            before, after = prefix.states[k], prefix.states[k + 1]
-            step = LedgerStep(slot, before, tx, after)
+        for k, (_, tx) in enumerate(prefix.annotations):
             checked += 1
-            verdict = check_step_correctness(sc, step)
+            verdict = check_step_correctness(
+                sc, prefix.states[k], tx, prefix.states[k + 1]
+            )
             if not verdict:
                 failures.append((t_idx, k, verdict.reason))
     return ContractReport(checked, tuple(failures))

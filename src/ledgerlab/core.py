@@ -236,15 +236,10 @@ def hash_tx(tx: Tx) -> bytes:
 
 # --- auxiliary UTxO functions ----------------------------------------------
 
-def to_map(start_ix: int, outs: Iterable[Output]) -> dict:
-    """Index a list of outputs into a finite map starting at ``start_ix``."""
-    return {start_ix + k: out for k, out in enumerate(outs)}
-
-
 def mk_outs(tx: Tx) -> UtxoSet:
     """UTxO entries created by a transaction, keyed (hash_tx(tx), index)."""
     h = hash_tx(tx)
-    return UtxoSet({OutputRef(h, ix): out for ix, out in to_map(0, tx.outputs).items()})
+    return UtxoSet({OutputRef(h, ix): out for ix, out in enumerate(tx.outputs)})
 
 
 def get_orefs(tx: Tx) -> frozenset:
@@ -303,16 +298,6 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
 
 
 @dataclass(frozen=True)
-class LedgerStep:
-    """One valid ledger transition: ``after = apply_tx(before, tx)``."""
-
-    slot: Slot
-    before: UtxoSet
-    tx: Tx
-    after: UtxoSet
-
-
-@dataclass(frozen=True)
 class Rejection:
     """A refused transition, carrying the check_tx diagnostic."""
 
@@ -324,8 +309,8 @@ def step_ledger(
     utxo: UtxoSet,
     tx: Tx,
     additional_checks: Optional[AdditionalChecks] = None,
-) -> Union[LedgerStep, Rejection]:
-    """Validate and apply a single transaction.
+) -> Union[UtxoSet, Rejection]:
+    """Validate and apply a single transaction: the next state, or why not.
 
     A created ref that is still unspent (possible only from a state that is
     not well founded) is refused as ``created-collides``.
@@ -334,7 +319,6 @@ def step_ledger(
     if not verdict:
         return Rejection(verdict.reason)
     try:
-        after = apply_tx(utxo, tx)
+        return apply_tx(utxo, tx)
     except KeyCollisionError:
         return Rejection("created-collides")
-    return LedgerStep(slot, utxo, tx, after)

@@ -36,11 +36,12 @@ def make_genesis(
     token_present: bool = False,
 ) -> Tuple[List[Tx], UtxoSet]:
     """Inputless genesis transactions and the well-founded state they found."""
+    if n_outputs < 1:
+        raise ValueError("n_outputs must be at least 1")
     txs = []
-    for k in range(max(1, (n_outputs + 1) // 2)):
-        remaining = n_outputs - 2 * k
+    for k in range((n_outputs + 1) // 2):
         outs = []
-        for j in range(min(2, max(1, remaining))):
+        for j in range(min(2, n_outputs - 2 * k)):
             with_token = token_present and k == 0 and j == 0
             outs.append(_random_output(rng, token, 1 if with_token else 0))
         tx = Tx(

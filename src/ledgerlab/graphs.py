@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
-from .core import LedgerStep, Slot, Tx, UtxoSet, check_tx, step_ledger
+from .core import Rejection, Slot, Tx, UtxoSet, check_tx, step_ledger
 
 
 class UnsupportedEnumerationError(Exception):
@@ -234,9 +234,9 @@ def project_ledger_graph(
     states = frozenset(u for _, u, _ in lam.vertices)
     edges = set()
     for q, u, t in lam.vertices:
-        step = step_ledger(q, u, t)
-        if isinstance(step, LedgerStep) and step.after in states:
-            edges.add((u, step.after))
+        after = step_ledger(q, u, t)
+        if after in states:  # a Rejection is never a state
+            edges.add((u, after))
     initial = frozenset(u for _, u, _ in lam.initial)
     lam_prime = SimpleGraph(states, frozenset(edges), initial)
     phi = PartialSieveHom(lam, lam_prime, lam.vertices, lambda v: v[1])
@@ -262,10 +262,9 @@ def intensional_ledger_graph(
 
     def successors(v):
         q, u, t = v
-        step = step_ledger(q, u, t, additional_checks)
-        if not isinstance(step, LedgerStep):
+        u2 = step_ledger(q, u, t, additional_checks)
+        if isinstance(u2, Rejection):
             return frozenset()
-        u2 = step.after
         return frozenset(
             (q2, u2, t2)
             for q2 in slots

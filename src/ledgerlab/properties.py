@@ -1,9 +1,10 @@
 """Run-level ledger properties: replay protection, trivial-update
 protection, disjointness, commutativity, and canonical transaction order.
 
-A run is a chained list of valid ledger steps.  For step i we write
-r_i for the refs spent and c_i for the refs created; the state recursion
-is u_{k+1} = (u_k \\ r_k) ∪ c_k.  From well-founded initial states these
+A run is a lifted trace prefix (``traces.TracePrefix``): states u_0..u_n
+and one (slot, tx) annotation per step.  For step i we write r_i for the
+refs t_i spends and c_i for the refs it creates; the state recursion is
+u_{i+1} = (u_i \\ r_i) ∪ c_i.  From well-founded initial states these
 families are pairwise disjoint, which is what the checkers verify.
 """
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     CheckResult,
-    LedgerStep,
     OutputRef,
     Rejection,
     Slot,
@@ -26,40 +26,8 @@ from .core import (
     hash_tx,
     mk_outs,
     step_ledger,
-    to_map,
 )
-
-
-@dataclass(frozen=True)
-class AnnotatedRun:
-    """A finite chained sequence of valid ledger steps from a start state."""
-
-    initial: UtxoSet
-    steps: Tuple[LedgerStep, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if self.steps and self.steps[0].before != self.initial:
-            raise ValueError("first step does not start at the initial state")
-        for a, b in zip(self.steps, self.steps[1:]):
-            if a.after != b.before:
-                raise ValueError("steps do not chain")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def final(self) -> UtxoSet:
-        return self.steps[-1].after if self.steps else self.initial
-
-    def txs(self) -> Tuple[Tx, ...]:
-        return tuple(s.tx for s in self.steps)
-
-    def spent_refs(self, i: int) -> frozenset:
-        return get_orefs(self.steps[i].tx)
-
-    def created_refs(self, i: int) -> frozenset:
-        return mk_outs(self.steps[i].tx).keys()
+from .traces import TracePrefix
 
 
 @dataclass(frozen=True)
@@ -82,8 +50,7 @@ def check_well_founded(u0: UtxoSet, genesis_txs: Iterable[Tx]) -> CheckResult:
         tx = by_hash.get(ref.tx_hash)
         if tx is None or tx.inputs:
             return CheckResult(False, "non-genesis-key")
-        produced = to_map(0, tx.outputs)
-        if produced.get(ref.index) != out:
+        if dict(enumerate(tx.outputs)).get(ref.index) != out:
             return CheckResult(False, "output-mismatch")
     return CheckResult(True)
 
@@ -97,31 +64,29 @@ def _first_repeat(items: Sequence) -> Optional[Tuple[int, int]]:
     return None
 
 
-def check_replay_protection(run: AnnotatedRun) -> Verdict:
+def check_replay_protection(run: TracePrefix) -> Verdict:
     """No transaction may occur twice; reports the minimal pair (i, j)."""
-    pair = _first_repeat(run.txs())
+    pair = _first_repeat([tx for _, tx in run.annotations])
     return Verdict(pair is None, pair)
 
 
-def check_trivial_update_protection(run: AnnotatedRun) -> Verdict:
+def check_trivial_update_protection(run: TracePrefix) -> Verdict:
     """No ledger state may recur; reports the minimal pair (i, j)."""
-    pair = _first_repeat([run.initial] + [s.after for s in run.steps])
+    pair = _first_repeat(run.states)
     return Verdict(pair is None, pair)
 
 
-def check_disjointness(run: AnnotatedRun) -> Verdict:
+def check_disjointness(run: TracePrefix) -> Verdict:
     """Pairwise disjointness of the created families and the spent families.
 
     Also checks the per-step shape: the spent refs are present in the state
     and the created refs do not overlap the surviving entries.
     """
-    if not run.steps:
-        return Verdict(True)
-    n = len(run.steps)
-    created = [run.created_refs(i) for i in range(n)]
-    spent = [run.spent_refs(i) for i in range(n)]
-    families = [("u0", run.initial.keys())] + [
-        ("c%d" % i, created[i]) for i in range(n)
+    txs = [tx for _, tx in run.annotations]
+    created = [mk_outs(tx).keys() for tx in txs]
+    spent = [get_orefs(tx) for tx in txs]
+    families = [("u0", run.states[0].keys())] + [
+        ("c%d" % i, c) for i, c in enumerate(created)
     ]
     for (na, a), (nb, b) in itertools.combinations(families, 2):
         if a & b:
@@ -129,26 +94,29 @@ def check_disjointness(run: AnnotatedRun) -> Verdict:
     for (i, a), (j, b) in itertools.combinations(enumerate(spent), 2):
         if a & b:
             return Verdict(False, ("spent-overlap", i, j))
-    for k, step in enumerate(run.steps):
-        if not spent[k] <= step.before.keys():
+    for k, before in enumerate(run.states[:-1]):
+        if not spent[k] <= before.keys():
             return Verdict(False, ("spent-not-present", k))
-        if (created[k] & step.before.keys()) - spent[k]:
+        if (created[k] & before.keys()) - spent[k]:
             return Verdict(False, ("created-collides", k))
     return Verdict(True)
 
 
-def check_commutativity(run_a: AnnotatedRun, run_b: AnnotatedRun) -> Verdict:
+def check_commutativity(run_a: TracePrefix, run_b: TracePrefix) -> Verdict:
     """Two runs applying the same transactions must reach the same state.
 
     Precondition: equal starting states and equal transaction multisets;
     a violation would indicate a ledger implementation bug.
     """
-    if run_a.initial != run_b.initial:
+    if run_a.states[0] != run_b.states[0]:
         raise ValueError("runs must start from the same state")
-    if Counter(run_a.txs()) != Counter(run_b.txs()):
+    if Counter(tx for _, tx in run_a.annotations) != Counter(
+        tx for _, tx in run_b.annotations
+    ):
         raise ValueError("transaction multisets differ")
-    if run_a.final != run_b.final:
-        return Verdict(False, (run_a.final, run_b.final))
+    final_a, final_b = run_a.states[-1], run_b.states[-1]
+    if final_a != final_b:
+        return Verdict(False, (final_a, final_b))
     return Verdict(True)
 
 
@@ -205,26 +173,26 @@ class TxPoset:
         return bool((self._down[i] >> j | self._down[j] >> i) & 1)
 
 
-def build_tx_poset(run: AnnotatedRun) -> TxPoset:
+def build_tx_poset(run: TracePrefix) -> TxPoset:
     """Dependency poset of a run's transactions.
 
     K_i collects the indices whose created refs meet t_i's spent refs.  A
     ref maps to every index that creates it, since a repeated transaction
     creates the same refs twice.
     """
-    n = len(run.steps)
+    txs = [tx for _, tx in run.annotations]
     creators: Dict[OutputRef, List[int]] = {}
-    for j in range(n):
-        for ref in run.created_refs(j):
+    for j, tx in enumerate(txs):
+        for ref in mk_outs(tx).keys():
             creators.setdefault(ref, []).append(j)
     relation = frozenset(
         (i, j)
-        for i in range(n)
-        for ref in run.spent_refs(i)
+        for i, tx in enumerate(txs)
+        for ref in get_orefs(tx)
         for j in creators.get(ref, ())
         if j != i
     )
-    return TxPoset(tuple(range(n)), relation)
+    return TxPoset(tuple(range(len(txs))), relation)
 
 
 def canonical_presentation(poset: TxPoset) -> List[int]:
@@ -247,6 +215,8 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
     truncation.  Callers replay-validate the sequences, since swaps do not
     account for slot constraints.
     """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     start = tuple(canonical_presentation(poset))
     seen = {start}
     frontier = [start]
@@ -279,25 +249,22 @@ def replay_sequence(
     u0: UtxoSet,
     slots: Sequence[Slot],
     txs: Sequence[Tx],
-    additional_checks=None,
-) -> Union[AnnotatedRun, ReplayRejection]:
-    """Fold step_ledger over a transaction list from a starting state.
+) -> Union[TracePrefix, ReplayRejection]:
+    """Fold step_ledger over a transaction list: the run as a lifted prefix.
 
     A slot below the previous one refuses step k as ``slots-decreasing``.
     """
     if len(slots) != len(txs):
         raise ValueError("need one slot per transaction")
-    steps = []
-    utxo = u0
+    states = [u0]
     for k, (slot, tx) in enumerate(zip(slots, txs)):
         if k and slot < slots[k - 1]:
             return ReplayRejection(k, "slots-decreasing")
-        outcome = step_ledger(slot, utxo, tx, additional_checks)
+        outcome = step_ledger(slot, states[-1], tx)
         if isinstance(outcome, Rejection):
             return ReplayRejection(k, outcome.reason)
-        steps.append(outcome)
-        utxo = outcome.after
-    return AnnotatedRun(u0, tuple(steps))
+        states.append(outcome)
+    return TracePrefix(states, tuple(zip(slots, txs)))
 
 
 def assign_slots(txs: Sequence[Tx]) -> Optional[List[Slot]]:

@@ -180,6 +180,11 @@ def check_non_expanding(
     containing a state outside the domain are skipped and reported; on
     traces reachable from initial vertices this cannot happen because the
     domain is a sieve.
+
+    ``map_trace`` maps pointwise, so for any ``f`` this only confirms that
+    ``f`` is a function: traces that agree up to index k have images that
+    agree there too, and only an ``f`` giving equal states unequal images
+    can report a violation.
     """
     images = [
         map_trace(f, t) if all(defined(s) for s in t.states) else None
@@ -253,7 +258,6 @@ def validate_trace_prefix(
     prefix: TracePrefix,
     initial_utxos: Iterable[UtxoSet],
     initial_slots: Iterable[Slot],
-    additional_checks=None,
 ) -> CheckResult:
     """Re-validate a ledger trace prefix against its lift ``annotations``.
 
@@ -273,10 +277,10 @@ def validate_trace_prefix(
         if prev_slot is not None and slot < prev_slot:
             return CheckResult(False, "slots-decreasing")
         prev_slot = slot
-        outcome = step_ledger(slot, prefix.states[k], tx, additional_checks)
+        outcome = step_ledger(slot, prefix.states[k], tx)
         if isinstance(outcome, Rejection):
             return CheckResult(False, "step-%d-%s" % (k, outcome.reason))
-        if outcome.after != prefix.states[k + 1]:
+        if outcome != prefix.states[k + 1]:
             return CheckResult(False, "state-mismatch-at-%d" % (k + 1,))
     return CheckResult(True)
 
@@ -302,6 +306,8 @@ def generate_valid_traces(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     rng = random.Random(seed)
     traces = []
     for _ in range(count):
@@ -321,7 +327,7 @@ def generate_valid_traces(
                 outcome = step_ledger(step_slot, states[-1], tx, additional_checks)
                 if isinstance(outcome, Rejection):
                     continue
-                states.append(outcome.after)
+                states.append(outcome)
                 annotations.append((step_slot, tx))
                 slot = step_slot
                 break

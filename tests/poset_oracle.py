@@ -7,12 +7,15 @@ transitive closure, and the swap BFS that reads that closure.  Indices are
 """
 import itertools
 
+from ledgerlab.core import get_orefs, mk_outs
+
 
 def k_sets(run):
     """K_i for each step: the other indices whose created refs t_i spends."""
-    n = len(run.steps)
-    created = [run.created_refs(i) for i in range(n)]
-    spent = [run.spent_refs(i) for i in range(n)]
+    txs = [tx for _, tx in run.annotations]
+    n = len(txs)
+    created = [mk_outs(tx).keys() for tx in txs]
+    spent = [get_orefs(tx) for tx in txs]
     return [
         frozenset(j for j in range(n) if j != i and spent[i] & created[j])
         for i in range(n)

@@ -15,7 +15,6 @@ from conftest import forward_closure, random_graph, random_hom
 from ledgerlab.cli import EXIT_CLEAN, main
 from ledgerlab.contracts import check_contract_on_traces, induce_trace_map, nft_contract
 from ledgerlab.core import (
-    LedgerStep,
     Output,
     OutputRef,
     Rejection,
@@ -30,7 +29,6 @@ from ledgerlab.core import (
 from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import check_hom, compose_homs, intersect_sieves, is_sieve
 from ledgerlab.properties import (
-    AnnotatedRun,
     ReplayRejection,
     assign_slots,
     build_tx_poset,
@@ -43,6 +41,7 @@ from ledgerlab.properties import (
     replay_sequence,
 )
 from ledgerlab.traces import (
+    TracePrefix,
     ball_members,
     check_ultrametric_axioms,
     generate_valid_traces,
@@ -77,7 +76,7 @@ def sample_runs(n_scenarios, per_scenario, depth, seed_base):
             slots = [s for s, _ in t.annotations]
             txs = [tx for _, tx in t.annotations]
             run = replay_sequence(sc.initial_utxo, slots, txs)
-            assert isinstance(run, AnnotatedRun)
+            assert isinstance(run, TracePrefix)
             runs.append(run)
     return runs
 
@@ -111,8 +110,8 @@ def test_c1_step_ledger_fuzzing():
             for _ in range(rng.randrange(3)):
                 t = propose(rng, sc.initial_slot, utxo)
                 outcome = step_ledger(sc.initial_slot, utxo, t)
-                if isinstance(outcome, LedgerStep):
-                    utxo = outcome.after
+                if isinstance(outcome, UtxoSet):
+                    utxo = outcome
 
             defect = rng.randrange(5)
             slot = sc.initial_slot
@@ -137,11 +136,11 @@ def test_c1_step_ledger_fuzzing():
 
             expected = oracle_check(slot, utxo, tx)
             outcome = step_ledger(slot, utxo, tx)
-            assert isinstance(outcome, LedgerStep) == expected, (case, outcome)
+            assert isinstance(outcome, UtxoSet) == expected, (case, outcome)
             if expected:
                 accepted += 1
                 want = (utxo.keys() - get_orefs(tx)) | mk_outs(tx).keys()
-                assert outcome.after.keys() == want
+                assert outcome.keys() == want
         elapsed = time.monotonic() - started
         assert accepted > 100
         assert elapsed < 10.0, "took %.1fs" % elapsed
@@ -164,21 +163,21 @@ def test_c2_replay_protection():
         runs = all_runs()
         assert len(runs) == 500
         for run in runs:
-            assert len(run) <= 10
+            assert len(run.annotations) <= 10
             assert check_replay_protection(run)
 
         rng = random.Random(2002)
         mutated = 0
         while mutated < 50:
             run = rng.choice(runs)
-            if len(run) < 2:
+            n_steps = len(run.annotations)
+            if n_steps < 2:
                 continue
-            i = rng.randrange(len(run) - 1)
-            j = rng.randrange(i + 1, len(run))
-            steps = list(run.steps)
-            dup = steps[j]
-            steps[j] = LedgerStep(dup.slot, dup.before, steps[i].tx, dup.after)
-            rigged = AnnotatedRun(run.initial, tuple(steps))
+            i = rng.randrange(n_steps - 1)
+            j = rng.randrange(i + 1, n_steps)
+            annotations = list(run.annotations)
+            annotations[j] = (annotations[j][0], annotations[i][1])
+            rigged = TracePrefix(run.states, tuple(annotations))
             verdict = check_replay_protection(rigged)
             assert not verdict
             assert verdict.witness == (i, j)
@@ -200,17 +199,17 @@ def test_c4_exhaustive_commutativity():
         runs = sample_runs(n_scenarios=25, per_scenario=4, depth=6, seed_base=4000)
         assert len(runs) == 100
         for run in runs:
-            assert len(run) <= 6
-            txs = list(run.txs())
+            assert len(run.annotations) <= 6
+            txs = [tx for _, tx in run.annotations]
             for order in itertools.permutations(range(len(txs))):
                 permuted = [txs[i] for i in order]
                 slots = assign_slots(permuted)
                 if slots is None:
                     continue
-                replayed = replay_sequence(run.initial, slots, permuted)
+                replayed = replay_sequence(run.states[0], slots, permuted)
                 if isinstance(replayed, ReplayRejection):
                     continue
-                assert replayed.final == run.final, order
+                assert replayed.states[-1] == run.states[-1], order
         elapsed = time.monotonic() - started
         assert elapsed < 60.0, "took %.1fs" % elapsed
 
@@ -221,7 +220,7 @@ def test_c5_worked_example(eight_tx):
     with criterion("C5 worked 8-transaction example"):
         genesis, u0, txs = eight_tx
         run = replay_sequence(u0, [1] * 8, txs)
-        assert isinstance(run, AnnotatedRun)
+        assert isinstance(run, TracePrefix)
         poset = build_tx_poset(run)
         assert poset.levels == (0, 0, 1, 0, 2, 2, 1, 3)
         assert canonical_presentation(poset) == [0, 1, 3, 2, 6, 4, 5, 7]
@@ -233,7 +232,7 @@ def test_c5_worked_example(eight_tx):
         permuted = [txs[i] for i in alt]
         slots = assign_slots(permuted)
         replayed = replay_sequence(u0, slots, permuted)
-        assert isinstance(replayed, AnnotatedRun)
+        assert isinstance(replayed, TracePrefix)
         assert check_commutativity(run, replayed)
 
 

@@ -533,6 +533,33 @@ class TestPinnedBytes:
                                      "written": 10}
 
 
+class TestSizesBelowOne:
+    """A size below 1 is a usage error, as ``--depth 0`` is."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--outputs", "0"), ("--outputs", "-3"), ("--count", "0"),
+        ("--count", "-2"),
+    ])
+    def test_trace_gen(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gen"
+        code, stdout, err = run_cli(
+            capsys, "trace", "gen", "--seed", "1", flag, value, "--out", str(out)
+        )
+        assert code == EXIT_USAGE
+        assert stdout == "" and "must be at least 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_props_canon_cap(self, run_file, capsys, cap):
+        _, _, path = run_file
+        code, stdout, err = run_cli(
+            capsys, "props", "canon", "--run", str(path), "--enumerate",
+            "--cap", cap,
+        )
+        assert code == EXIT_USAGE
+        assert stdout == "" and err == "error: cap must be at least 1\n"
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE

@@ -17,7 +17,6 @@ from ledgerlab.contracts import (
     nft_contract,
 )
 from ledgerlab.core import (
-    LedgerStep,
     OutputRef,
     Rejection,
     TxInput,
@@ -101,9 +100,10 @@ class TestStepCorrectness:
     def test_valid_move_step(self, nft, token_scenario):
         sc = token_scenario
         trace = nft_traces(sc, nft, count=1, depth=4)[0]
-        for k, (slot, tx) in enumerate(trace.annotations):
-            step = LedgerStep(slot, trace.states[k], tx, trace.states[k + 1])
-            assert check_step_correctness(nft, step)
+        for k, (_, tx) in enumerate(trace.annotations):
+            assert check_step_correctness(
+                nft, trace.states[k], tx, trace.states[k + 1]
+            )
 
     def test_vacuous_outside_projection_domain(self):
         partial = StructuredContract(
@@ -113,8 +113,7 @@ class TestStepCorrectness:
             pi=lambda u: len(u),
             kappa=lambda tx: NOOP,
         )
-        step = LedgerStep(0, UtxoSet(), None, UtxoSet())
-        verdict = check_step_correctness(partial, step)
+        verdict = check_step_correctness(partial, UtxoSet(), None, UtxoSet())
         assert verdict and verdict.reason == "vacuous"
 
     def test_unprojectable_target_detected(self):
@@ -130,7 +129,7 @@ class TestStepCorrectness:
             pi=lambda u: len(u),
             kappa=lambda tx: NOOP,
         )
-        verdict = check_step_correctness(partial, outcome)
+        verdict = check_step_correctness(partial, u0, emptier, outcome)
         assert not verdict and verdict.reason == "to-state-unprojectable"
 
     def test_broken_projection_detected(self, nft, token_scenario):
@@ -249,10 +248,10 @@ class TestInducedTraces:
             [TxInput(ref, genesis.outputs[0])],
             [out("m", token=TOKEN, token_qty=1)],
         )
-        u1 = step_ledger(1, u0, minter, nft.additional_checks).after
+        u1 = step_ledger(1, u0, minter, nft.additional_checks)
         token_ref = OutputRef(hash_tx(minter), 0)
         burner = tx_of([TxInput(token_ref, minter.outputs[0])], [out("b")])
-        u2 = step_ledger(2, u1, burner, nft.additional_checks).after
+        u2 = step_ledger(2, u1, burner, nft.additional_checks)
         from ledgerlab.traces import TracePrefix
 
         trace = TracePrefix((u0, u1, u2), ((1, minter), (2, burner)))

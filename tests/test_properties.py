@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 
 import poset_oracle as oracle
 from conftest import gen_traces, out, tx_of
+from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
-    LedgerStep,
     OutputRef,
     TxInput,
     UtxoSet,
+    get_orefs,
     hash_tx,
     mk_outs,
 )
 from ledgerlab.gen import make_scenario
 from ledgerlab.properties import (
-    AnnotatedRun,
     ReplayRejection,
     TxPoset,
     assign_slots,
@@ -30,47 +30,45 @@ from ledgerlab.properties import (
     enumerate_valid_permutations,
     replay_sequence,
 )
+from ledgerlab.traces import TracePrefix
 
 
-def run_from_trace(scenario, trace) -> AnnotatedRun:
+def run_from_trace(scenario, trace) -> TracePrefix:
     slots = [slot for slot, _ in trace.annotations]
     txs = [tx for _, tx in trace.annotations]
     outcome = replay_sequence(scenario.initial_utxo, slots, txs)
-    assert isinstance(outcome, AnnotatedRun)
+    assert isinstance(outcome, TracePrefix)
     return outcome
 
 
-def fabricate(initial, triples) -> AnnotatedRun:
+def fabricate(initial, triples) -> TracePrefix:
     """Chain (slot, tx, after) triples into a run without re-validating."""
-    steps = []
-    before = initial
-    for slot, tx, after in triples:
-        steps.append(LedgerStep(slot, before, tx, after))
-        before = after
-    return AnnotatedRun(initial, tuple(steps))
+    states = (initial,) + tuple(after for _, _, after in triples)
+    return TracePrefix(states, tuple((slot, tx) for slot, tx, _ in triples))
 
 
-class TestAnnotatedRun:
+class TestRunIsTracePrefix:
     def test_empty_run(self):
         u0 = mk_outs(tx_of((), [out("g")]))
-        run = AnnotatedRun(u0)
-        assert len(run) == 0
-        assert run.final == u0
+        run = fabricate(u0, [])
+        assert len(run) == 1 and run.annotations == ()
+        assert run.states[-1] == u0
 
-    def test_chaining_enforced(self):
+    def test_one_annotation_per_step(self):
         u0 = mk_outs(tx_of((), [out("g")]))
         u1 = mk_outs(tx_of((), [out("h")]))
-        step = LedgerStep(0, u1, tx_of((), [out("x")]), u1)
         with pytest.raises(ValueError):
-            AnnotatedRun(u0, (step,))
+            TracePrefix((u0,), ((0, tx_of((), [out("x")])),))
+        with pytest.raises(ValueError):
+            TracePrefix((u0, u1), ())
 
-    def test_final_and_accessors(self, scenario):
+    def test_final_state_and_steps(self, scenario):
         trace = gen_traces(scenario, depth=4, count=1, seed=1)[0]
         run = run_from_trace(scenario, trace)
-        assert run.final == trace.states[-1]
-        assert len(run.txs()) == len(run)
-        for i in range(len(run)):
-            assert run.spent_refs(i) and run.created_refs(i)
+        assert run.states[-1] == trace.states[-1]
+        assert len(run.annotations) == len(run) - 1
+        for _, tx in run.annotations:
+            assert get_orefs(tx) and mk_outs(tx).keys()
 
 
 class TestWellFounded:
@@ -116,7 +114,7 @@ class TestReplayProtection:
         assert verdict.witness == (0, 2)
 
     def test_empty_run_is_clean(self):
-        assert check_replay_protection(AnnotatedRun(UtxoSet()))
+        assert check_replay_protection(fabricate(UtxoSet(), []))
 
 
 class TestTrivialUpdateProtection:
@@ -136,7 +134,7 @@ class TestTrivialUpdateProtection:
         assert verdict.witness == (0, 2)
 
     def test_empty_run_is_clean(self):
-        assert check_trivial_update_protection(AnnotatedRun(UtxoSet()))
+        assert check_trivial_update_protection(fabricate(UtxoSet(), []))
 
 
 class TestDisjointness:
@@ -147,9 +145,9 @@ class TestDisjointness:
     def test_initial_state_disjoint_from_created(self, scenario):
         trace = gen_traces(scenario, depth=5, count=1, seed=5)[0]
         run = run_from_trace(scenario, trace)
-        u0_keys = run.initial.keys()
-        for i in range(len(run)):
-            assert not (u0_keys & run.created_refs(i))
+        u0_keys = run.states[0].keys()
+        for _, tx in run.annotations:
+            assert not (u0_keys & mk_outs(tx).keys())
 
     def test_overlapping_creations_detected(self):
         u0 = mk_outs(tx_of((), [out("g")]))
@@ -159,7 +157,7 @@ class TestDisjointness:
         assert verdict.witness[0] == "created-overlap"
 
     def test_empty_run_is_clean(self):
-        assert check_disjointness(AnnotatedRun(UtxoSet()))
+        assert check_disjointness(fabricate(UtxoSet(), []))
 
 
 class TestCommutativity:
@@ -176,18 +174,18 @@ class TestCommutativity:
         t_b = tx_of([TxInput(OutputRef(h, 1), genesis.outputs[1])], [out("b")])
         fwd = replay_sequence(u0, [0, 0], [t_a, t_b])
         rev = replay_sequence(u0, [0, 0], [t_b, t_a])
-        assert isinstance(fwd, AnnotatedRun) and isinstance(rev, AnnotatedRun)
+        assert isinstance(fwd, TracePrefix) and isinstance(rev, TracePrefix)
         assert check_commutativity(fwd, rev)
 
     def test_preconditions_enforced(self):
         u0 = mk_outs(tx_of((), [out("g")]))
         u1 = mk_outs(tx_of((), [out("h")]))
         with pytest.raises(ValueError):
-            check_commutativity(AnnotatedRun(u0), AnnotatedRun(u1))
+            check_commutativity(fabricate(u0, []), fabricate(u1, []))
         t = tx_of((), [out("p")], interval=(0, 1))
         with_step = fabricate(u0, [(0, t, u1)])
         with pytest.raises(ValueError):
-            check_commutativity(AnnotatedRun(u0), with_step)
+            check_commutativity(fabricate(u0, []), with_step)
 
 
 class TestPoset:
@@ -195,7 +193,7 @@ class TestPoset:
         trace = gen_traces(scenario, depth=4, count=1, seed=30)[0]
         run = run_from_trace(scenario, trace)
         poset = build_tx_poset(run)
-        assert poset.indices == tuple(range(len(run)))
+        assert poset.indices == tuple(range(len(run.annotations)))
         assert all(lv >= 0 for lv in poset.levels)
 
     def test_independent_txs_at_level_zero(self):
@@ -214,15 +212,15 @@ class TestPoset:
         for trace in gen_traces(scenario, depth=6, count=6, seed=31):
             run = run_from_trace(scenario, trace)
             poset = build_tx_poset(run)
-            u0_keys = run.initial.keys()
-            for i in range(len(run)):
-                expected = run.spent_refs(i) <= u0_keys
+            u0_keys = run.states[0].keys()
+            for i, (_, tx) in enumerate(run.annotations):
+                expected = get_orefs(tx) <= u0_keys
                 assert (poset.levels[i] == 0) == expected
 
     def test_eight_tx_levels_and_canonical_order(self, eight_tx):
         genesis, u0, txs = eight_tx
         run = replay_sequence(u0, [1] * 8, txs)
-        assert isinstance(run, AnnotatedRun)
+        assert isinstance(run, TracePrefix)
         poset = build_tx_poset(run)
         assert poset.levels == (0, 0, 1, 0, 2, 2, 1, 3)
         assert canonical_presentation(poset) == [0, 1, 3, 2, 6, 4, 5, 7]
@@ -302,24 +300,24 @@ class TestPermutations:
         assert alt in perms.sequences
         slots = assign_slots([txs[i] for i in alt])
         replayed = replay_sequence(u0, slots, [txs[i] for i in alt])
-        assert isinstance(replayed, AnnotatedRun)
+        assert isinstance(replayed, TracePrefix)
         assert check_commutativity(run, replayed)
 
     def test_all_valid_permutations_commute(self, scenario):
         for trace in gen_traces(scenario, depth=5, count=4, seed=55):
             run = run_from_trace(scenario, trace)
-            txs = list(run.txs())
+            txs = [tx for _, tx in run.annotations]
             finals = set()
             for order in itertools.permutations(range(len(txs))):
                 permuted = [txs[i] for i in order]
                 slots = assign_slots(permuted)
                 if slots is None:
                     continue
-                replayed = replay_sequence(run.initial, slots, permuted)
+                replayed = replay_sequence(run.states[0], slots, permuted)
                 if isinstance(replayed, ReplayRejection):
                     continue
-                finals.add(replayed.final)
-            assert finals == {run.final}
+                finals.add(replayed.states[-1])
+            assert finals == {run.states[-1]}
 
 
 @st.composite
@@ -384,8 +382,8 @@ class TestReplayDriver:
     def test_empty_sequence(self):
         u0 = mk_outs(tx_of((), [out("g")]))
         run = replay_sequence(u0, [], [])
-        assert isinstance(run, AnnotatedRun)
-        assert run.final == u0
+        assert isinstance(run, TracePrefix)
+        assert run == fabricate(u0, [])
 
     def test_arity_and_monotonicity_validated(self):
         genesis = tx_of((), [out("g")])
@@ -411,6 +409,20 @@ class TestReplayDriver:
         assert isinstance(outcome, ReplayRejection)
         assert outcome.index == 1
         assert outcome.reason == "missing-input"
+
+    @pytest.mark.parametrize("token", [None, b"NFT"], ids=["plain", "token"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_replay_rebuilds_generated_traces(self, seed, token):
+        sc = make_scenario(seed, n_outputs=6, token=token)
+        hook = nft_contract(token).additional_checks if token else None
+        traces = gen_traces(
+            sc, depth=8, count=4, seed=seed, token=token, hook=hook
+        )
+        for t in traces:
+            slots = [slot for slot, _ in t.annotations]
+            txs = [tx for _, tx in t.annotations]
+            replayed = replay_sequence(t.states[0], slots, txs)
+            assert replayed == TracePrefix(t.states, t.annotations)
 
 
 class TestAssignSlots:

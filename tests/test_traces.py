@@ -303,14 +303,15 @@ class TestValidation:
     def test_decreasing_slots_detected(self, scenario):
         p = gen_traces(scenario, depth=4, count=1, seed=43)[0]
         ann = list(p.annotations)
+        assert len(ann) >= 2
         ann[-1] = (ann[0][0] - 1, ann[-1][1])
         verdict = validate_trace_prefix(
             TracePrefix(p.states, tuple(ann)),
             [scenario.initial_utxo],
             [scenario.initial_slot],
         )
-        assert verdict.reason in ("slots-decreasing", "step-%d-slot-out-of-interval"
-                                  % (len(ann) - 1,))
+        # the slot check runs before step_ledger sees the interval
+        assert verdict.reason == "slots-decreasing"
 
     def test_state_corruption_detected(self, scenario):
         p = gen_traces(scenario, depth=4, count=1, seed=44)[0]
