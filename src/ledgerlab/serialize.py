@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
 from .graphs import SimpleGraph
@@ -99,38 +99,97 @@ def tx_to_json(tx: Tx) -> dict:
     }
 
 
+class _Reader:
+    """Reads the values of one file, building each distinct entry once.
+
+    A file repeats most entries: each state is written in full, and tx
+    inputs and genesis outputs repeat state entries.  Refs and outputs are
+    memoized by their JSON spelling.  Keys are type-strict, since
+    ``True == 1 == 1.0`` in Python: a number is keyed with its type, so a
+    bool or float spelling never reuses the value built from an int.  Only
+    values that were built are stored; a miss, or an entry that cannot be
+    keyed, runs the plain reader with all its checks.
+    """
+
+    def __init__(self):
+        self.refs = {}
+        self.outputs = {}
+
+    def ref(self, obj) -> OutputRef:
+        try:
+            index = obj["index"]
+            key = (obj["tx_hash"], type(index), index)
+            ref = self.refs.get(key)
+        except (KeyError, TypeError):
+            return ref_from_json(obj)
+        if ref is None:
+            ref = self.refs[key] = ref_from_json(obj)
+        return ref
+
+    def output(self, obj) -> Output:
+        try:
+            value = obj["value"]
+            key = (obj["address"], obj["datum"], tuple(value.items()),
+                   tuple(map(type, value.values())))
+            out = self.outputs.get(key)
+        except (AttributeError, KeyError, TypeError):
+            return output_from_json(obj)
+        if out is None:
+            out = self.outputs[key] = output_from_json(obj)
+        return out
+
+    def tx(self, obj) -> Tx:
+        try:
+            return Tx(
+                inputs=frozenset(
+                    TxInput(self.ref(i["output_ref"]), self.output(i["output"]))
+                    for i in obj["inputs"]
+                ),
+                outputs=tuple(self.output(o) for o in obj["outputs"]),
+                validity_interval=obj["validity_interval"],
+                additional_data=_hex(obj["additional_data"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError("bad transaction: %s" % exc) from exc
+
+    def utxo(self, obj) -> UtxoSet:
+        try:
+            return UtxoSet(
+                tuple(
+                    (self.ref(e["output_ref"]), self.output(e["output"])) for e in obj
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError("bad UTxO set: %s" % exc) from exc
+
+
 def tx_from_json(obj: dict) -> Tx:
-    try:
-        return Tx(
-            inputs=frozenset(
-                TxInput(ref_from_json(i["output_ref"]), output_from_json(i["output"]))
-                for i in obj["inputs"]
-            ),
-            outputs=tuple(output_from_json(o) for o in obj["outputs"]),
-            validity_interval=obj["validity_interval"],
-            additional_data=_hex(obj["additional_data"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("bad transaction: %s" % exc) from exc
+    return _Reader().tx(obj)
 
 
-def utxo_to_json(utxo: UtxoSet) -> list:
-    return [
-        {"output_ref": ref_to_json(ref), "output": output_to_json(out)}
-        for ref, out in utxo.items()
-    ]
+def utxo_to_json(utxo: UtxoSet, written: Optional[dict] = None) -> list:
+    """The entries of ``utxo`` in ref order.
+
+    ``written`` maps a ref to the last ``Output`` converted for it and its
+    entry object; an entry whose ``Output`` is that same object reuses the
+    entry, so a writer that passes one dict for all states of a file
+    converts each shared entry once.
+    """
+    if written is None:
+        written = {}
+    entries = []
+    for ref, out in utxo.items():
+        seen = written.get(ref)
+        if seen is None or seen[0] is not out:
+            seen = written[ref] = (
+                out, {"output_ref": ref_to_json(ref), "output": output_to_json(out)}
+            )
+        entries.append(seen[1])
+    return entries
 
 
 def utxo_from_json(obj: list) -> UtxoSet:
-    try:
-        return UtxoSet(
-            tuple(
-                (ref_from_json(e["output_ref"]), output_from_json(e["output"]))
-                for e in obj
-            )
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("bad UTxO set: %s" % exc) from exc
+    return _Reader().utxo(obj)
 
 
 # --- trace files ------------------------------------------------------------
@@ -144,10 +203,11 @@ def dump_trace(
     lifts = None
     if prefix.annotations is not None:
         lifts = [[slot, tx_to_json(tx)] for slot, tx in prefix.annotations]
+    written = {}
     return _dump(
         {
             "kind": "trace",
-            "states": [utxo_to_json(u) for u in prefix.states],
+            "states": [utxo_to_json(u, written) for u in prefix.states],
             "lifts": lifts,
             "truncated": prefix.truncated,
             "genesis": [tx_to_json(t) for t in genesis_txs],
@@ -158,16 +218,17 @@ def dump_trace(
 
 def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
     obj = _load(text, "trace")
+    read = _Reader()
     try:
-        states = tuple(utxo_from_json(u) for u in obj["states"])
+        states = tuple(read.utxo(u) for u in obj["states"])
         lifts = obj["lifts"]
         annotations = None
         if lifts is not None:
             annotations = tuple(
-                (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in lifts
+                (_in_domain(slot, "slot"), read.tx(tx)) for slot, tx in lifts
             )
         prefix = TracePrefix(states, annotations, bool(obj.get("truncated")))
-        genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
+        genesis = [read.tx(t) for t in obj.get("genesis", [])]
         slots = [_in_domain(q, "slot") for q in obj.get("initial_slots", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad trace file: %s" % exc) from exc
@@ -194,12 +255,13 @@ def dump_run(
 
 def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     obj = _load(text, "run")
+    read = _Reader()
     try:
-        initial = utxo_from_json(obj["initial"])
+        initial = read.utxo(obj["initial"])
         steps = [
-            (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in obj["steps"]
+            (_in_domain(slot, "slot"), read.tx(tx)) for slot, tx in obj["steps"]
         ]
-        genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
+        genesis = [read.tx(t) for t in obj.get("genesis", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad run file: %s" % exc) from exc
     return initial, steps, genesis

@@ -141,3 +141,24 @@ def random_hom(rng: random.Random, source):
     initial = frozenset(labels[v] for v in source.initial)
     target = SimpleGraph(vertices, edges, initial)
     return PartialSieveHom(source, target, domain, labels)
+
+
+def json_nodes(node, path=()):
+    """Every (path, node) of a parsed JSON value, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+def json_parent(payload, path):
+    """The container holding the node at ``path``, and its key there."""
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    return node, path[-1]

@@ -1,0 +1,119 @@
+"""The plain JSON reader that ``ledgerlab.serialize`` replaced.
+
+Kept verbatim as the oracle of the differential tests in
+``test_serialize_oracle.py``: it builds a fresh ``OutputRef`` and ``Output``
+for every entry it reads, so each occurrence of an entry runs every check
+on its own.  ``FormatError`` is the library's, so both readers raise the
+same exception class.
+"""
+from __future__ import annotations
+
+import json
+from typing import List, Tuple
+
+from ledgerlab.core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
+from ledgerlab.serialize import FORMAT_VERSION, FormatError
+from ledgerlab.traces import TracePrefix
+
+
+def _load(text: str, kind: str) -> dict:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError("not valid JSON: %s" % exc) from exc
+    if not isinstance(payload, dict):
+        raise FormatError("top-level value must be an object")
+    if payload.get("version") != FORMAT_VERSION:
+        raise FormatError("unsupported format version: %r" % payload.get("version"))
+    if payload.get("kind") != kind:
+        raise FormatError(
+            "expected kind %r, found %r" % (kind, payload.get("kind"))
+        )
+    return payload
+
+
+def _hex(s: str) -> bytes:
+    """Decode a byte string; only canonical lowercase hex is accepted."""
+    b = bytes.fromhex(s)
+    if b.hex() != s:
+        raise ValueError("byte string is not lowercase hex: %r" % (s,))
+    return b
+
+
+def output_from_json(obj: dict) -> Output:
+    try:
+        value = obj["value"]
+        if not isinstance(value, dict):
+            raise TypeError("token value must be an object: %r" % (value,))
+        return Output(
+            address=_hex(obj["address"]),
+            value={_hex(t): q for t, q in value.items()},
+            datum=_hex(obj["datum"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError("bad output: %s" % exc) from exc
+
+
+def ref_from_json(obj: dict) -> OutputRef:
+    try:
+        return OutputRef(_hex(obj["tx_hash"]), obj["index"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError("bad output ref: %s" % exc) from exc
+
+
+def tx_from_json(obj: dict) -> Tx:
+    try:
+        return Tx(
+            inputs=frozenset(
+                TxInput(ref_from_json(i["output_ref"]), output_from_json(i["output"]))
+                for i in obj["inputs"]
+            ),
+            outputs=tuple(output_from_json(o) for o in obj["outputs"]),
+            validity_interval=obj["validity_interval"],
+            additional_data=_hex(obj["additional_data"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError("bad transaction: %s" % exc) from exc
+
+
+def utxo_from_json(obj: list) -> UtxoSet:
+    try:
+        return UtxoSet(
+            tuple(
+                (ref_from_json(e["output_ref"]), output_from_json(e["output"]))
+                for e in obj
+            )
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError("bad UTxO set: %s" % exc) from exc
+
+
+def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
+    obj = _load(text, "trace")
+    try:
+        states = tuple(utxo_from_json(u) for u in obj["states"])
+        lifts = obj["lifts"]
+        annotations = None
+        if lifts is not None:
+            annotations = tuple(
+                (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in lifts
+            )
+        prefix = TracePrefix(states, annotations, bool(obj.get("truncated")))
+        genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
+        slots = [_in_domain(q, "slot") for q in obj.get("initial_slots", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError("bad trace file: %s" % exc) from exc
+    return prefix, genesis, slots
+
+
+def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
+    obj = _load(text, "run")
+    try:
+        initial = utxo_from_json(obj["initial"])
+        steps = [
+            (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in obj["steps"]
+        ]
+        genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError("bad run file: %s" % exc) from exc
+    return initial, steps, genesis

@@ -5,6 +5,7 @@ criterion passed or failed.  Oracles here are deliberately independent
 re-implementations; they must not call the code path under test to decide
 the expected answer.
 """
+import dataclasses
 import itertools
 import random
 import time
@@ -291,10 +292,42 @@ def test_c6_ultrametric_axioms_and_balls():
 
 # --- criterion 7: the NFT contract ------------------------------------------
 
+def adversarial_proposer(token):
+    """``make_proposer(token)`` with about one proposal in four rigged.
+
+    A rigged proposal adds the token to its first output: one more while an
+    entry the proposal does not spend holds the token (a mint while held),
+    else two (a quantity of 2).  The NFT policy must refuse each of them.
+    """
+    honest = make_proposer(token=token)
+
+    def propose(rng, slot, utxo):
+        tx = honest(rng, slot, utxo)
+        if tx is None or rng.random() >= 0.25:
+            return tx
+        held = sum(out.quantity(token) for out in utxo.values())
+        spent = sum(i.output.quantity(token) for i in tx.inputs)
+        first = tx.outputs[0]
+        value = dict(first.value)
+        value[token] = first.quantity(token) + (1 if held > spent else 2)
+        rigged = Output(first.address, value, first.datum)
+        return dataclasses.replace(tx, outputs=(rigged,) + tx.outputs[1:])
+
+    return propose
+
+
 def test_c7_nft_contract():
     with criterion("C7 NFT contract (500 traces, 200 pairs)"):
         token = b"NFT"
         sc_contract = nft_contract(token)
+        refused = []
+
+        def policy(slot, utxo, tx):
+            ok = sc_contract.additional_checks(slot, utxo, tx)
+            if not ok:
+                refused.append(tx)
+            return ok
+
         traces = []
         for k in range(10):
             sc = make_scenario(7000 + k, token=token, token_present=(k % 2 == 0))
@@ -302,14 +335,15 @@ def test_c7_nft_contract():
                 generate_valid_traces(
                     [sc.initial_utxo],
                     [sc.initial_slot],
-                    make_proposer(token=token),
+                    adversarial_proposer(token),
                     depth=6,
                     count=50,
                     seed=7100 + k,
-                    additional_checks=sc_contract.additional_checks,
+                    additional_checks=policy,
                 )
             )
         assert len(traces) == 500
+        assert refused
 
         report = check_contract_on_traces(sc_contract, traces)
         assert report.failures == ()

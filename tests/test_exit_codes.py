@@ -2,19 +2,23 @@
 
 Generated trace and run files are mutated one edit at a time: a state entry
 dropped, repeated or moved; a number or token value map retyped or pushed
-out of range; two steps swapped; a list truncated.  Every command must then
-exit 0 (clean), 1 (violation) or 2 (usage or parse error), never 3, and
-print no traceback.  The unmutated files exit 0.
+out of range; two steps swapped; a list truncated; a 1 in an entry that
+occurs more than once spelled ``true`` or ``1.0`` in one occurrence.  Every
+command must then exit 0 (clean), 1 (violation) or 2 (usage or parse
+error), never 3, and print no traceback; the respelled entry is a parse
+error.  The unmutated files exit 0.
 """
 import contextlib
 import copy
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_nodes, json_parent
 from ledgerlab import cli, serialize
 from ledgerlab.contracts import CONTRACTS
 from ledgerlab.gen import make_proposer, make_scenario
@@ -64,25 +68,6 @@ BAD_VALUE_MAPS = [
 ]
 
 
-def _nodes(node, path=()):
-    yield path, node
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        children = ()
-    for key, child in children:
-        yield from _nodes(child, path + (key,))
-
-
-def _parent(payload, path):
-    node = payload
-    for key in path[:-1]:
-        node = node[key]
-    return node, path[-1]
-
-
 def _is_state(path, node):
     """A UTxO state: the run's ``initial`` or one of the trace's ``states``."""
     return isinstance(node, list) and (
@@ -90,14 +75,23 @@ def _is_state(path, node):
     )
 
 
+def _spelling(node):
+    return json.dumps(node, sort_keys=True)
+
+
+def _entry_of(payload, path):
+    """The ref or output object holding the index or quantity at ``path``."""
+    return json_parent(payload, path if path[-1] == "index" else path[:-1])[0]
+
+
 @st.composite
 def mutated(draw, kind):
     """A copy of the generated ``kind`` file with one edit, and its label."""
     payload = json.loads(FILES[kind])
-    nodes = list(_nodes(payload))
+    nodes = list(json_nodes(payload))
     edit = draw(st.sampled_from([
         "drop-entry", "repeat-entry", "move-entry", "retype-number",
-        "retype-value-map", "swap-steps", "truncate-list",
+        "retype-value-map", "swap-steps", "truncate-list", "respell-number",
     ]))
     if edit.endswith("-entry"):
         states = [n for p, n in nodes if _is_state(p, n) and n]
@@ -111,12 +105,22 @@ def mutated(draw, kind):
             entries.insert(draw(st.integers(0, len(entries) - 1)), entries.pop(i))
     elif edit == "retype-number":
         paths = [p for p, n in nodes if type(n) is int]
-        node, key = _parent(payload, draw(st.sampled_from(paths)))
+        node, key = json_parent(payload, draw(st.sampled_from(paths)))
         node[key] = draw(st.sampled_from(BAD_NUMBERS))
     elif edit == "retype-value-map":
         paths = [p for p, n in nodes if p and p[-1] == "value"]
-        node, key = _parent(payload, draw(st.sampled_from(paths)))
+        node, key = json_parent(payload, draw(st.sampled_from(paths)))
         node[key] = draw(st.sampled_from(BAD_VALUE_MAPS))
+    elif edit == "respell-number":
+        spellings = Counter(_spelling(n) for _, n in nodes if isinstance(n, dict))
+        paths = [
+            p for p, n in nodes
+            if type(n) is int and n == 1 and len(p) > 1
+            and (p[-1] == "index" or p[-2] == "value")
+            and spellings[_spelling(_entry_of(payload, p))] > 1
+        ]
+        node, key = json_parent(payload, draw(st.sampled_from(paths)))
+        node[key] = draw(st.sampled_from([True, 1.0]))
     elif edit == "swap-steps":
         steps = payload["lifts" if kind == "trace" else "steps"]
         i, j = draw(st.lists(
@@ -164,4 +168,6 @@ def test_mutated_files_keep_the_exit_contract(kind, tmp_dir, data):
         assert code in (cli.EXIT_CLEAN, cli.EXIT_VIOLATION, cli.EXIT_USAGE), (
             edit, command, err,
         )
+        if edit == "respell-number":
+            assert code == cli.EXIT_USAGE, (command, err)
         assert "Traceback" not in err

@@ -1,0 +1,237 @@
+"""Differential tests: the interning reader against the plain-reader oracle.
+
+``serialize.load_trace`` and ``serialize.load_run`` build one value per
+distinct entry of a file; ``serialize_oracle`` builds one per occurrence.
+On generated, mutated and hand-built texts, both must return equal values
+that serialize to the same text, or raise ``FormatError`` with the same
+message.  The hand-built texts spell a valid entry's ``1`` as ``true`` or
+``1.0`` where the entry recurs, which a memo keyed by ``==`` would accept,
+since ``True == 1 == 1.0`` in Python.
+"""
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import serialize_oracle as oracle
+from conftest import json_nodes, json_parent, out, tx_of
+from ledgerlab import cli, serialize
+from ledgerlab.core import OutputRef, TxInput, UtxoSet, apply_tx, hash_tx, mk_outs
+from ledgerlab.gen import make_proposer, make_scenario
+from ledgerlab.traces import TracePrefix, generate_valid_traces
+
+TOKEN = b"NFT"
+LOADERS = {
+    "trace": (serialize.load_trace, oracle.load_trace),
+    "run": (serialize.load_run, oracle.load_run),
+}
+
+
+def _hand_built():
+    """Files whose first state holds the entry (g, 1) -> one NFT.
+
+    The entry recurs in the second state, as the input of the second step,
+    and as output 1 of the genesis tx g.
+    """
+    genesis = tx_of((), [out("a"), out("b", token=TOKEN, token_qty=1)])
+    g = hash_tx(genesis)
+    t1 = tx_of([TxInput(OutputRef(g, 0), genesis.outputs[0])], [out("c")])
+    t2 = tx_of([TxInput(OutputRef(g, 1), genesis.outputs[1])], [out("d")])
+    u0 = mk_outs(genesis)
+    u1 = apply_tx(u0, t1)
+    states = (u0, u1, apply_tx(u1, t2))
+    steps = ((0, t1), (0, t2))
+    entry = {
+        "index": serialize.ref_to_json(OutputRef(g, 1)),
+        "quantity": serialize.output_to_json(genesis.outputs[1]),
+    }
+    files = {
+        "trace": serialize.dump_trace(TracePrefix(states, steps), [genesis], [0]),
+        "run": serialize.dump_run(u0, steps, [genesis]),
+    }
+    return files, entry
+
+
+HAND_BUILT, ENTRY = _hand_built()
+
+#: where the entry recurs after the first state: a path prefix per file kind
+PLACES = {
+    ("trace", "later-state"): ("states", 1),
+    ("trace", "lift-input"): ("lifts", 1, 1, "inputs"),
+    ("trace", "genesis-output"): ("genesis", 0, "outputs"),
+    ("run", "step-input"): ("steps", 1, 1, "inputs"),
+    ("run", "genesis-output"): ("genesis", 0, "outputs"),
+}
+RESPELLED = [
+    (kind, place, field, spelling)
+    for (kind, place) in PLACES
+    for field in ("index", "quantity")
+    if not (field == "index" and place == "genesis-output")
+    for spelling in (True, 1.0)
+]
+
+
+def respelled(kind, place, field, spelling):
+    """The hand-built ``kind`` file, its entry's 1 respelled at ``place``."""
+    payload = json.loads(HAND_BUILT[kind])
+    prefix = PLACES[kind, place]
+    [node] = [
+        n for p, n in json_nodes(payload)
+        if p[:len(prefix)] == prefix and n == ENTRY[field]
+    ]
+    if field == "index":
+        node["index"] = spelling
+    else:
+        node["value"][TOKEN.hex()] = spelling
+    return json.dumps(payload)
+
+
+def outcome(load, text):
+    """What ``load`` returns on ``text``, or its FormatError message."""
+    try:
+        return load(text)
+    except serialize.FormatError as exc:
+        return "FormatError: %s" % exc
+
+
+def redump(kind, loaded):
+    if kind == "trace":
+        prefix, genesis, slots = loaded
+        return serialize.dump_trace(prefix, genesis, slots)
+    return serialize.dump_run(*loaded)
+
+
+def assert_same(kind, text):
+    new, old = (outcome(load, text) for load in LOADERS[kind])
+    assert new == old
+    if not isinstance(old, str):
+        assert redump(kind, new) == redump(kind, old)
+
+
+@st.composite
+def generated(draw, kind):
+    seed = draw(st.integers(0, 10 ** 6))
+    token = draw(st.sampled_from([None, TOKEN]))
+    sc = make_scenario(
+        seed, n_outputs=draw(st.integers(1, 6)), token=token,
+        token_present=token is not None,
+    )
+    prefix = generate_valid_traces(
+        [sc.initial_utxo], [sc.initial_slot], make_proposer(token=token),
+        depth=draw(st.integers(1, 5)), count=1, seed=seed,
+    )[0]
+    if kind == "trace":
+        return serialize.dump_trace(prefix, sc.genesis_txs, [sc.initial_slot])
+    return serialize.dump_run(sc.initial_utxo, prefix.annotations, sc.genesis_txs)
+
+
+REPLACEMENTS = [
+    None, True, False, 0, 1, 1.0, -1, 2 ** 32, 2 ** 64, "", "00", "AB", "zz",
+    [], {}, [1], {"00": 1},
+]
+
+
+@st.composite
+def mutated(draw, kind):
+    """A generated file with one to three edits.
+
+    An edit respells a number (``1`` as ``true``, ``7`` as ``7.0``), puts
+    a copy of another node with the same key in place of a node (an entry,
+    a ref, an output, an index), deletes a node, or replaces it.
+    """
+    payload = json.loads(draw(generated(kind)))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(json_nodes(payload))[1:]
+        path, node = draw(st.sampled_from(nodes))
+        parent, key = json_parent(payload, path)
+        edit = draw(st.sampled_from(["respell", "copy", "delete", "replace"]))
+        if edit == "respell" and type(node) is int:
+            spellings = [float(node)] + ([bool(node)] if node in (0, 1) else [])
+            parent[key] = draw(st.sampled_from(spellings))
+        elif edit == "copy":
+            same_key = [n for p, n in nodes if p[-1] == key]
+            parent[key] = copy.deepcopy(draw(st.sampled_from(same_key)))
+        elif edit == "delete":
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return json.dumps(payload)
+
+
+class TestAgreesWithOracle:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated(self, kind, data):
+        assert_same(kind, data.draw(generated(kind)))
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated(self, kind, data):
+        assert_same(kind, data.draw(mutated(kind)))
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_hand_built(self, kind):
+        assert not isinstance(outcome(LOADERS[kind][0], HAND_BUILT[kind]), str)
+        assert_same(kind, HAND_BUILT[kind])
+
+    @pytest.mark.parametrize("kind, place, field, spelling", RESPELLED)
+    def test_respelled(self, kind, place, field, spelling):
+        assert_same(kind, respelled(kind, place, field, spelling))
+
+
+class TestMemoIsTypeStrict:
+    @pytest.mark.parametrize("kind, place, field, spelling", RESPELLED)
+    def test_load_rejects_respelled_entry(self, kind, place, field, spelling):
+        with pytest.raises(serialize.FormatError):
+            LOADERS[kind][0](respelled(kind, place, field, spelling))
+
+    @pytest.mark.parametrize("kind, place, field, spelling", RESPELLED)
+    def test_cli_exits_2(self, kind, place, field, spelling, tmp_path):
+        path = tmp_path / "file.json"
+        path.write_text(respelled(kind, place, field, spelling))
+        argv = {
+            "trace": ["trace", "validate", str(path)],
+            "run": ["props", "check", "--run", str(path)],
+        }[kind]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == cli.EXIT_USAGE, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+class TestSharing:
+    def test_reader_builds_each_distinct_entry_once(self):
+        prefix, genesis, _ = serialize.load_trace(HAND_BUILT["trace"])
+        u0, u1, _ = prefix.states
+        ref = OutputRef(hash_tx(genesis[0]), 1)
+        [ref0] = [r for r in u0.keys() if r == ref]
+        [ref1] = [r for r in u1.keys() if r == ref]
+        assert ref0 is ref1
+        assert u0.get(ref) is u1.get(ref) is genesis[0].outputs[1]
+        [spent] = prefix.annotations[1][1].inputs
+        assert spent.output_ref is ref0 and spent.output is u0.get(ref)
+
+    def test_writer_reuses_entry_of_the_same_output(self):
+        prefix, _, _ = serialize.load_trace(HAND_BUILT["trace"])
+        u0, u1, _ = prefix.states
+        written = {}
+        first = serialize.utxo_to_json(u0, written)
+        second = serialize.utxo_to_json(u1, written)
+        shared = [e for e in second if any(e is f for f in first)]
+        assert len(shared) == len(u0.keys() & u1.keys()) == 1
+        assert first == serialize.utxo_to_json(u0)
+        assert second == serialize.utxo_to_json(u1)
+
+    def test_writer_converts_another_output_of_a_ref(self):
+        [ref] = mk_outs(tx_of((), [out("a")])).keys()
+        written = {}
+        serialize.utxo_to_json(UtxoSet({ref: out("a")}), written)
+        [entry] = serialize.utxo_to_json(UtxoSet({ref: out("b")}), written)
+        assert entry["output"] == serialize.output_to_json(out("b"))
