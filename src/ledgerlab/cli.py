@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from . import gen, serialize
 from .contracts import CONTRACTS, check_contract_on_traces, induce_trace_map
-from .core import KeyCollisionError
 from .graphs import build_ledger_graph, project_ledger_graph
 from .properties import (
     ReplayRejection,
@@ -440,7 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, serialize.FormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (KeyCollisionError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print("internal invariant breach: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:

@@ -128,21 +128,14 @@ class Tx:
 class UtxoSet:
     """The ledger state: a finite map OutputRef -> Output.
 
-    ``entries`` is a dict, so lookups and updates are dict operations and
-    equal contents compare and hash equal.  Only ``items()`` sorts.
+    Built from a mapping, copied into a dict, so lookups are dict operations
+    and equal contents compare and hash equal.  Only ``items()`` sorts.
     """
 
     entries: Mapping[OutputRef, Output] = field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.entries, Mapping):
-            entries = dict(self.entries)
-        else:
-            pairs = tuple(self.entries)
-            entries = dict(pairs)
-            if len(entries) != len(pairs):
-                raise ValueError("duplicate output ref in UTxO set")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", dict(self.entries))
 
     def __hash__(self) -> int:
         return hash(frozenset(self.entries.items()))
@@ -168,20 +161,6 @@ class UtxoSet:
         return tuple(
             sorted(self.entries.items(), key=lambda kv: (kv[0].tx_hash, kv[0].index))
         )
-
-    def without(self, refs: Iterable[OutputRef]) -> "UtxoSet":
-        entries = dict(self.entries)
-        for ref in refs:
-            entries.pop(ref, None)
-        return UtxoSet(entries)
-
-    def union(self, other: "UtxoSet") -> "UtxoSet":
-        overlap = self.keys() & other.keys()
-        if overlap:
-            raise KeyCollisionError(
-                "output refs already present: %r" % (sorted(overlap)[:3],)
-            )
-        return UtxoSet({**self.entries, **other.entries})
 
 
 # --- canonical byte serialization (hashing only; see docs/format.md) -------
@@ -289,12 +268,22 @@ def check_tx(
 
 
 def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
-    """State update: drop the spent refs, add the created entries.
+    """State update u' = (u \\ r) ∪ c: drop the spent refs, add the created.
 
     Raises KeyCollisionError if a created ref survives in the remaining set,
     which cannot happen on valid runs from a well-founded initial state.
     """
-    return utxo.without(get_orefs(tx)).union(mk_outs(tx))
+    entries = dict(utxo.entries)
+    for txin in tx.inputs:
+        entries.pop(txin.output_ref, None)
+    created = mk_outs(tx).entries
+    overlap = entries.keys() & created.keys()
+    if overlap:
+        raise KeyCollisionError(
+            "output refs already present: %r" % (sorted(overlap)[:3],)
+        )
+    entries.update(created)
+    return UtxoSet(entries)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ def make_genesis(
     if n_outputs < 1:
         raise ValueError("n_outputs must be at least 1")
     txs = []
+    entries = {}
     for k in range((n_outputs + 1) // 2):
         outs = []
         for j in range(min(2, n_outputs - 2 * k)):
@@ -51,7 +52,8 @@ def make_genesis(
             additional_data=rng.randbytes(4),
         )
         txs.append(tx)
-    return txs, UtxoSet([pair for tx in txs for pair in mk_outs(tx).items()])
+        entries.update(mk_outs(tx).entries)
+    return txs, UtxoSet(entries)
 
 
 def make_proposer(

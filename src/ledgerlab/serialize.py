@@ -30,7 +30,7 @@ def _dump(payload: dict) -> str:
 def _load(text: str, kind: str) -> dict:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError("not valid JSON: %s" % exc) from exc
     if not isinstance(payload, dict):
         raise FormatError("top-level value must be an object")
@@ -153,14 +153,18 @@ class _Reader:
             raise FormatError("bad transaction: %s" % exc) from exc
 
     def utxo(self, obj) -> UtxoSet:
+        """The state of an entry list; a ref listed twice is refused once
+        every entry has parsed, so a malformed later entry reports first."""
+        entries = {}
         try:
-            return UtxoSet(
-                tuple(
-                    (self.ref(e["output_ref"]), self.output(e["output"])) for e in obj
-                )
-            )
+            for e in obj:
+                ref = self.ref(e["output_ref"])
+                entries[ref] = self.output(e["output"])
+            if len(entries) != len(obj):
+                raise ValueError("duplicate output ref in UTxO set")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("bad UTxO set: %s" % exc) from exc
+        return UtxoSet(entries)
 
 
 def tx_from_json(obj: dict) -> Tx:

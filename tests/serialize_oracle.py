@@ -4,7 +4,8 @@ Kept verbatim as the oracle of the differential tests in
 ``test_serialize_oracle.py``: it builds a fresh ``OutputRef`` and ``Output``
 for every entry it reads, so each occurrence of an entry runs every check
 on its own.  ``FormatError`` is the library's, so both readers raise the
-same exception class.
+same exception class.  The repeated-ref check in ``utxo_from_json`` is the
+one the ``UtxoSet`` constructor made when it still took a pair sequence.
 """
 from __future__ import annotations
 
@@ -78,12 +79,14 @@ def tx_from_json(obj: dict) -> Tx:
 
 def utxo_from_json(obj: list) -> UtxoSet:
     try:
-        return UtxoSet(
-            tuple(
-                (ref_from_json(e["output_ref"]), output_from_json(e["output"]))
-                for e in obj
-            )
+        pairs = tuple(
+            (ref_from_json(e["output_ref"]), output_from_json(e["output"]))
+            for e in obj
         )
+        entries = dict(pairs)
+        if len(entries) != len(pairs):
+            raise ValueError("duplicate output ref in UTxO set")
+        return UtxoSet(entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad UTxO set: %s" % exc) from exc
 

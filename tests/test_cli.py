@@ -336,6 +336,46 @@ def test_byte_string_not_lowercase_hex_is_a_parse_error(
     assert stdout == "" and err.startswith("error:")
 
 
+class TestRepeatedRef:
+    """A state or initial state that lists one ref twice is a parse error."""
+
+    ERROR = "error: bad UTxO set: duplicate output ref in UTxO set\n"
+
+    def test_trace_validate(self, trace_dir, tmp_path, capsys):
+        payload = read_json((trace_dir / "trace_000.json").read_text())
+        state = payload["states"][-1]
+        state.append(state[0])
+        path = tmp_path / "repeated_ref.json"
+        path.write_text(json.dumps(payload))
+        code, stdout, err = run_cli(capsys, "trace", "validate", str(path))
+        assert (code, stdout, err) == (EXIT_USAGE, "", self.ERROR)
+
+    def test_props_check(self, run_file, tmp_path, capsys):
+        payload = read_json(run_file[2].read_text())
+        payload["initial"].append(payload["initial"][0])
+        path = tmp_path / "repeated_ref_run.json"
+        path.write_text(json.dumps(payload))
+        code, stdout, err = run_cli(capsys, "props", "check", "--run", str(path))
+        assert (code, stdout, err) == (EXIT_USAGE, "", self.ERROR)
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("trace", ["trace", "validate"]),
+    ("run", ["props", "check", "--run"]),
+], ids=["trace-validate", "props-check"])
+def test_nesting_past_the_parser_limit_is_a_parse_error(
+    tmp_path, capsys, kind, argv
+):
+    field = "states" if kind == "trace" else "initial"
+    path = tmp_path / "deep.json"
+    head = '{"version":1,"kind":"%s","%s":' % (kind, field)
+    path.write_text(head + "[" * 100_000)
+    code, stdout, err = run_cli(capsys, *argv, str(path))
+    assert code == EXIT_USAGE
+    assert stdout == "" and err.startswith("error: not valid JSON: ")
+    assert "Traceback" not in err
+
+
 class TestNonWellFoundedStart:
     """A start state that already holds a ref some transaction creates."""
 

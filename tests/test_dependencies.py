@@ -1,0 +1,33 @@
+"""The library has no runtime dependencies: every module of ``ledgerlab``
+imports only its own modules (relatively) and the standard library."""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import ledgerlab
+
+MODULES = sorted(Path(ledgerlab.__file__).parent.rglob("*.py"))
+
+
+def imported_names(tree):
+    """(line, top-level module) of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "core.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    outside = [(line, name) for line, name in imported_names(tree)
+               if name not in sys.stdlib_module_names]
+    assert outside == [], path.name

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import poset_oracle as oracle
@@ -423,6 +423,42 @@ class TestReplayDriver:
             txs = [tx for _, tx in t.annotations]
             replayed = replay_sequence(t.states[0], slots, txs)
             assert replayed == TracePrefix(t.states, t.annotations)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_step_spends_present_refs_and_creates_fresh_ones(
+        self, non_well_founded, data
+    ):
+        """The per-step shape ``check_disjointness`` leaves to replay."""
+        if data.draw(st.booleans(), label="non-well-founded"):
+            u0, pool = non_well_founded
+        else:
+            token = data.draw(st.sampled_from([None, b"NFT"]), label="token")
+            seed = data.draw(st.integers(0, 30), label="seed")
+            sc = make_scenario(seed, n_outputs=data.draw(st.integers(1, 6)),
+                               token=token, token_present=token is not None)
+            hook = nft_contract(token).additional_checks if token else None
+            trace = gen_traces(sc, depth=data.draw(st.integers(1, 6)), count=1,
+                               seed=seed, token=token, hook=hook)[0]
+            u0, pool = sc.initial_utxo, [tx for _, tx in trace.annotations]
+        orders = [st.just(pool), st.permutations(pool)]
+        if pool:
+            orders.append(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=2 * len(pool))
+            )
+        txs = data.draw(st.one_of(orders), label="txs")
+        slots = assign_slots(txs)
+        assert slots is not None
+        run = replay_sequence(u0, slots, txs)
+        if isinstance(run, ReplayRejection):
+            return
+        for k, (_, tx) in enumerate(run.annotations):
+            before, after = run.states[k].keys(), run.states[k + 1].keys()
+            spent, created = get_orefs(tx), mk_outs(tx).keys()
+            assert spent <= before
+            assert not created & (before - spent)
+            assert after == (before - spent) | created
 
 
 class TestAssignSlots:

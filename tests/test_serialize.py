@@ -148,6 +148,52 @@ class TestRunFiles:
         assert tuple(genesis) == scenario.genesis_txs
 
 
+class TestRepeatedRef:
+    """A state that lists one ref twice is a parse error."""
+
+    DUPLICATE = "^bad UTxO set: duplicate output ref in UTxO set$"
+
+    @pytest.fixture
+    def files(self, scenario):
+        prefix = gen_traces(scenario, depth=3, count=1, seed=7)[0]
+        trace = json.loads(serialize.dump_trace(prefix))
+        run = json.loads(serialize.dump_run(
+            scenario.initial_utxo, prefix.annotations, scenario.genesis_txs
+        ))
+        return trace, run
+
+    @staticmethod
+    def repeat_ref(entries, same_output):
+        source = entries[0] if same_output else entries[-1]
+        entries.append({"output_ref": dict(entries[0]["output_ref"]),
+                        "output": dict(source["output"])})
+
+    @pytest.mark.parametrize("same_output", [True, False])
+    def test_trace_state(self, files, same_output):
+        trace, _ = files
+        self.repeat_ref(trace["states"][-1], same_output)
+        with pytest.raises(serialize.FormatError, match=self.DUPLICATE):
+            serialize.load_trace(json.dumps(trace))
+
+    @pytest.mark.parametrize("same_output", [True, False])
+    def test_run_initial(self, files, same_output):
+        _, run = files
+        self.repeat_ref(run["initial"], same_output)
+        with pytest.raises(serialize.FormatError, match=self.DUPLICATE):
+            serialize.load_run(json.dumps(run))
+
+    def test_later_malformed_entry_reports_first(self, files):
+        trace, run = files
+        for entries in (trace["states"][0], run["initial"]):
+            self.repeat_ref(entries, True)
+            entries.append({"output_ref": {"tx_hash": "00", "index": 0},
+                            "output": {"address": "zz"}})
+        with pytest.raises(serialize.FormatError, match="^bad output: "):
+            serialize.load_trace(json.dumps(trace))
+        with pytest.raises(serialize.FormatError, match="^bad output: "):
+            serialize.load_run(json.dumps(run))
+
+
 class TestContractTraceFiles:
     def test_dump(self):
         from ledgerlab.traces import TracePrefix

@@ -21,7 +21,13 @@ from ledgerlab.core import (
     hash_tx,
     mk_outs,
 )
-from ledgerlab.serialize import utxo_to_json
+from ledgerlab.serialize import (
+    FormatError,
+    output_to_json,
+    ref_to_json,
+    utxo_from_json,
+    utxo_to_json,
+)
 from utxo_oracle import UtxoSet as OracleUtxoSet
 
 refs = st.builds(
@@ -69,10 +75,22 @@ def assert_same_state(new, old):
     assert json.dumps(utxo_to_json(new)) == json.dumps(utxo_to_json(old))
 
 
+def read(pairs):
+    """The state the reader builds from ``pairs`` listed as entries, or
+    ValueError if it refuses a repeated ref."""
+    listed = [{"output_ref": ref_to_json(r), "output": output_to_json(o)}
+              for r, o in pairs]
+    try:
+        return utxo_from_json(listed)
+    except FormatError as exc:
+        assert str(exc) == "bad UTxO set: duplicate output ref in UTxO set"
+        return ValueError
+
+
 @settings(max_examples=200, deadline=None)
 @given(pairs=pair_lists, probes=st.lists(refs, max_size=4))
 def test_construction_and_lookups(pairs, probes):
-    new, old = build(UtxoSet, pairs), build(OracleUtxoSet, pairs)
+    new, old = read(pairs), build(OracleUtxoSet, pairs)
     if old is ValueError:
         assert new is ValueError
         return
@@ -81,18 +99,6 @@ def test_construction_and_lookups(pairs, probes):
     for ref in probes + [ref for ref, _ in pairs]:
         assert (ref in new) == (ref in old)
         assert new.get(ref) == old.get(ref)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=entry_maps, b=entry_maps, drop=st.lists(refs, max_size=4))
-def test_without_and_union(a, b, drop):
-    assert_same_state(UtxoSet(a).without(drop), OracleUtxoSet(a).without(drop))
-    new = call(UtxoSet(a).union, UtxoSet(b))
-    old = call(OracleUtxoSet(a).union, OracleUtxoSet(b))
-    if isinstance(old, str):
-        assert new == old
-    else:
-        assert_same_state(new, old)
 
 
 @settings(max_examples=200, deadline=None)
