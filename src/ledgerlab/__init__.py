@@ -11,7 +11,6 @@ from .core import (
     KeyCollisionError,
     Output,
     OutputRef,
-    Rejection,
     Slot,
     Tx,
     TxInput,
@@ -29,7 +28,6 @@ __all__ = [
     "KeyCollisionError",
     "Output",
     "OutputRef",
-    "Rejection",
     "Slot",
     "Tx",
     "TxInput",

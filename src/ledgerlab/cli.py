@@ -16,9 +16,9 @@ from typing import List, Optional
 
 from . import gen, serialize
 from .contracts import CONTRACTS, check_contract_on_traces, induce_trace_map
+from .core import CheckResult
 from .graphs import build_ledger_graph, project_ledger_graph
 from .properties import (
-    ReplayRejection,
     assign_slots,
     build_tx_poset,
     canonical_presentation,
@@ -55,13 +55,14 @@ MONITORS = {
     "utxo-empty": SafetyMonitor(
         "utxo-empty", lambda p: any(len(u) == 0 for u in p.states)
     ),
+    # a hashed set, not check_replay_protection: its pairwise Tx comparisons are slower
     "duplicate-tx": SafetyMonitor(
         "duplicate-tx",
         lambda p: p.annotations is not None
         and len({tx for _, tx in p.annotations}) < len(p.annotations),
     ),
     "duplicate-state": SafetyMonitor(
-        "duplicate-state", lambda p: len(set(p.states)) < len(p.states)
+        "duplicate-state", lambda p: not check_trivial_update_protection(p)
     ),
 }
 
@@ -214,15 +215,15 @@ def _load_and_replay(path: str):
 
 def _replay_verdict(outcome) -> dict:
     """The ``replay-valid`` verdict of ``props check`` and ``props canon``."""
-    rejected = isinstance(outcome, ReplayRejection)
+    rejected = isinstance(outcome, CheckResult)
     return {"check": "replay-valid", "clean": not rejected,
-            "witness": [outcome.index, outcome.reason] if rejected else None}
+            "witness": [outcome.witness, outcome.reason] if rejected else None}
 
 
 def cmd_props_check(args) -> int:
     text, initial, genesis, outcome = _load_and_replay(args.run)
     verdicts = [_replay_verdict(outcome)]
-    if isinstance(outcome, ReplayRejection):
+    if isinstance(outcome, CheckResult):
         return _emit(_report("props check", verdicts, _inputs_digest(text)))
     if genesis:
         wf = check_well_founded(initial, genesis)
@@ -236,7 +237,7 @@ def cmd_props_check(args) -> int:
     ):
         verdict = checker(outcome)
         verdicts.append(
-            {"check": name, "clean": verdict.clean,
+            {"check": name, "clean": verdict.ok,
              "witness": list(verdict.witness) if verdict.witness else None}
         )
     return _emit(_report("props check", verdicts, _inputs_digest(text)))
@@ -245,7 +246,7 @@ def cmd_props_check(args) -> int:
 def cmd_props_canon(args) -> int:
     text, initial, _, outcome = _load_and_replay(args.run)
     verdicts = [_replay_verdict(outcome)]
-    if isinstance(outcome, ReplayRejection):
+    if isinstance(outcome, CheckResult):
         return _emit(_report("props canon", verdicts, _inputs_digest(text)))
     poset = build_tx_poset(outcome)
     presentation = canonical_presentation(poset)
@@ -263,7 +264,7 @@ def cmd_props_canon(args) -> int:
             if slots is None:
                 continue
             replayed = replay_sequence(initial, slots, txs)
-            if not isinstance(replayed, ReplayRejection):
+            if not isinstance(replayed, CheckResult):
                 valid.append(list(seq))
         extra["permutations"] = valid
         extra["capped"] = perms.capped

@@ -230,10 +230,15 @@ def get_orefs(tx: Tx) -> frozenset:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Boolean verdict plus the name of the first failed clause."""
+    """The answer of every check: passed, or which clause failed and where.
+
+    ``reason`` names the first failed clause; ``witness`` locates the
+    failure (a step index, a pair of positions, a vertex or an edge).
+    """
 
     ok: bool
     reason: Optional[str] = None
+    witness: object = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -286,28 +291,22 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
     return UtxoSet(entries)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    """A refused transition, carrying the check_tx diagnostic."""
-
-    reason: str
-
-
 def step_ledger(
     slot: Slot,
     utxo: UtxoSet,
     tx: Tx,
     additional_checks: Optional[AdditionalChecks] = None,
-) -> Union[UtxoSet, Rejection]:
+) -> Union[UtxoSet, CheckResult]:
     """Validate and apply a single transaction: the next state, or why not.
 
-    A created ref that is still unspent (possible only from a state that is
-    not well founded) is refused as ``created-collides``.
+    A refused step returns the failed ``CheckResult`` of check_tx.  A created
+    ref that is still unspent (possible only from a state that is not well
+    founded) is refused as ``created-collides``.
     """
     verdict = check_tx(slot, utxo, tx, additional_checks)
     if not verdict:
-        return Rejection(verdict.reason)
+        return verdict
     try:
         return apply_tx(utxo, tx)
     except KeyCollisionError:
-        return Rejection("created-collides")
+        return CheckResult(False, "created-collides")

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
-from .core import Rejection, Slot, Tx, UtxoSet, check_tx, step_ledger
+from .core import CheckResult, Slot, Tx, UtxoSet, check_tx, step_ledger
 
 
 class UnsupportedEnumerationError(Exception):
@@ -124,38 +124,26 @@ def identity_hom(graph: SimpleGraph) -> PartialSieveHom:
     return PartialSieveHom(graph, graph, graph.vertices, lambda v: v)
 
 
-@dataclass(frozen=True)
-class HomCheck:
-    """Verdict of check_hom with the violated clause and a witness."""
-
-    ok: bool
-    reason: Optional[str] = None
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_hom(hom: PartialSieveHom) -> HomCheck:
+def check_hom(hom: PartialSieveHom) -> CheckResult:
     """Verify the three homomorphism invariants on explicit finite graphs."""
     src, tgt = hom.source, hom.target
     if not hom.domain <= src.vertices:
-        return HomCheck(False, "domain-not-in-source", hom.domain - src.vertices)
+        return CheckResult(False, "domain-not-in-source", hom.domain - src.vertices)
     for a, b in src.edges:
         if a in hom.domain and b not in hom.domain:
-            return HomCheck(False, "domain-not-a-sieve", (a, b))
+            return CheckResult(False, "domain-not-a-sieve", (a, b))
     for v in hom.domain:
         if hom(v) not in tgt.vertices:
-            return HomCheck(False, "image-not-in-target", v)
+            return CheckResult(False, "image-not-in-target", v)
     for a, b in src.edges:
         if a in hom.domain and (hom(a), hom(b)) not in tgt.edges:
-            return HomCheck(False, "edge-not-preserved", (a, b))
+            return CheckResult(False, "edge-not-preserved", (a, b))
     for v in src.initial:
         if v not in hom.domain:
-            return HomCheck(False, "initial-not-in-domain", v)
+            return CheckResult(False, "initial-not-in-domain", v)
         if hom(v) not in tgt.initial:
-            return HomCheck(False, "initial-not-preserved", v)
-    return HomCheck(True)
+            return CheckResult(False, "initial-not-preserved", v)
+    return CheckResult(True)
 
 
 def compose_homs(f: PartialSieveHom, g: PartialSieveHom) -> PartialSieveHom:
@@ -235,7 +223,7 @@ def project_ledger_graph(
     edges = set()
     for q, u, t in lam.vertices:
         after = step_ledger(q, u, t)
-        if after in states:  # a Rejection is never a state
+        if after in states:  # a refusal is never a state
             edges.add((u, after))
     initial = frozenset(u for _, u, _ in lam.initial)
     lam_prime = SimpleGraph(states, frozenset(edges), initial)
@@ -263,7 +251,7 @@ def intensional_ledger_graph(
     def successors(v):
         q, u, t = v
         u2 = step_ledger(q, u, t, additional_checks)
-        if isinstance(u2, Rejection):
+        if isinstance(u2, CheckResult):
             return frozenset()
         return frozenset(
             (q2, u2, t2)

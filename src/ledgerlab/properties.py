@@ -18,7 +18,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .core import (
     CheckResult,
     OutputRef,
-    Rejection,
     Slot,
     Tx,
     UtxoSet,
@@ -28,17 +27,6 @@ from .core import (
     step_ledger,
 )
 from .traces import TracePrefix
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Clean/violation outcome with a witness for the violation."""
-
-    clean: bool
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.clean
 
 
 def check_well_founded(u0: UtxoSet, genesis_txs: Iterable[Tx]) -> CheckResult:
@@ -64,19 +52,19 @@ def _first_repeat(items: Sequence) -> Optional[Tuple[int, int]]:
     return None
 
 
-def check_replay_protection(run: TracePrefix) -> Verdict:
+def check_replay_protection(run: TracePrefix) -> CheckResult:
     """No transaction may occur twice; reports the minimal pair (i, j)."""
     pair = _first_repeat([tx for _, tx in run.annotations])
-    return Verdict(pair is None, pair)
+    return CheckResult(pair is None, witness=pair)
 
 
-def check_trivial_update_protection(run: TracePrefix) -> Verdict:
+def check_trivial_update_protection(run: TracePrefix) -> CheckResult:
     """No ledger state may recur; reports the minimal pair (i, j)."""
     pair = _first_repeat(run.states)
-    return Verdict(pair is None, pair)
+    return CheckResult(pair is None, witness=pair)
 
 
-def check_disjointness(run: TracePrefix) -> Verdict:
+def check_disjointness(run: TracePrefix) -> CheckResult:
     """Pairwise disjointness of the created families and the spent families.
 
     The per-step shape (spent refs present, created refs fresh) is not
@@ -89,14 +77,14 @@ def check_disjointness(run: TracePrefix) -> Verdict:
     ]
     for (na, a), (nb, b) in itertools.combinations(families, 2):
         if a & b:
-            return Verdict(False, ("created-overlap", na, nb))
+            return CheckResult(False, witness=("created-overlap", na, nb))
     for (i, a), (j, b) in itertools.combinations(enumerate(spent), 2):
         if a & b:
-            return Verdict(False, ("spent-overlap", i, j))
-    return Verdict(True)
+            return CheckResult(False, witness=("spent-overlap", i, j))
+    return CheckResult(True)
 
 
-def check_commutativity(run_a: TracePrefix, run_b: TracePrefix) -> Verdict:
+def check_commutativity(run_a: TracePrefix, run_b: TracePrefix) -> CheckResult:
     """Two runs applying the same transactions must reach the same state.
 
     Precondition: equal starting states and equal transaction multisets;
@@ -110,8 +98,8 @@ def check_commutativity(run_a: TracePrefix, run_b: TracePrefix) -> Verdict:
         raise ValueError("transaction multisets differ")
     final_a, final_b = run_a.states[-1], run_b.states[-1]
     if final_a != final_b:
-        return Verdict(False, (final_a, final_b))
-    return Verdict(True)
+        return CheckResult(False, witness=(final_a, final_b))
+    return CheckResult(True)
 
 
 # --- canonical form ---------------------------------------------------------
@@ -233,30 +221,25 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
 
 # --- replay driver ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReplayRejection:
-    index: int
-    reason: str
-
-
 def replay_sequence(
     u0: UtxoSet,
     slots: Sequence[Slot],
     txs: Sequence[Tx],
-) -> Union[TracePrefix, ReplayRejection]:
+) -> Union[TracePrefix, CheckResult]:
     """Fold step_ledger over a transaction list: the run as a lifted prefix.
 
-    A slot below the previous one refuses step k as ``slots-decreasing``.
+    A refused step k returns ``CheckResult(False, reason, witness=k)``; a
+    slot below the previous one refuses it as ``slots-decreasing``.
     """
     if len(slots) != len(txs):
         raise ValueError("need one slot per transaction")
     states = [u0]
     for k, (slot, tx) in enumerate(zip(slots, txs)):
         if k and slot < slots[k - 1]:
-            return ReplayRejection(k, "slots-decreasing")
+            return CheckResult(False, "slots-decreasing", k)
         outcome = step_ledger(slot, states[-1], tx)
-        if isinstance(outcome, Rejection):
-            return ReplayRejection(k, outcome.reason)
+        if isinstance(outcome, CheckResult):
+            return CheckResult(False, outcome.reason, k)
         states.append(outcome)
     return TracePrefix(states, tuple(zip(slots, txs)))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .core import CheckResult, Slot, Tx, UtxoSet, step_ledger, Rejection
+from .core import CheckResult, Slot, Tx, UtxoSet, step_ledger
 from .graphs import PartialSieveHom, SimpleGraph, UnsupportedEnumerationError
 
 
@@ -268,9 +268,9 @@ def validate_trace_prefix(
     steps = prefix.annotations or ()
     if len(steps) != len(prefix) - 1:
         raise ValueError("need one (slot, tx) pair per step")
-    if prefix.states[0] not in set(initial_utxos):
+    if prefix.states[0] not in initial_utxos:
         return CheckResult(False, "not-initial-state")
-    if steps and steps[0][0] not in set(initial_slots):
+    if steps and steps[0][0] not in initial_slots:
         return CheckResult(False, "not-initial-slot")
     prev_slot = None
     for k, (slot, tx) in enumerate(steps):
@@ -278,7 +278,7 @@ def validate_trace_prefix(
             return CheckResult(False, "slots-decreasing")
         prev_slot = slot
         outcome = step_ledger(slot, prefix.states[k], tx)
-        if isinstance(outcome, Rejection):
+        if isinstance(outcome, CheckResult):
             return CheckResult(False, "step-%d-%s" % (k, outcome.reason))
         if outcome != prefix.states[k + 1]:
             return CheckResult(False, "state-mismatch-at-%d" % (k + 1,))
@@ -325,7 +325,7 @@ def generate_valid_traces(
                 if tx is None:
                     continue
                 outcome = step_ledger(step_slot, states[-1], tx, additional_checks)
-                if isinstance(outcome, Rejection):
+                if isinstance(outcome, CheckResult):
                     continue
                 states.append(outcome)
                 annotations.append((step_slot, tx))

@@ -16,9 +16,9 @@ from conftest import forward_closure, random_graph, random_hom
 from ledgerlab.cli import EXIT_CLEAN, main
 from ledgerlab.contracts import check_contract_on_traces, induce_trace_map, nft_contract
 from ledgerlab.core import (
+    CheckResult,
     Output,
     OutputRef,
-    Rejection,
     Tx,
     TxInput,
     UtxoSet,
@@ -30,7 +30,6 @@ from ledgerlab.core import (
 from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import check_hom, compose_homs, intersect_sieves, is_sieve
 from ledgerlab.properties import (
-    ReplayRejection,
     assign_slots,
     build_tx_poset,
     canonical_presentation,
@@ -208,7 +207,7 @@ def test_c4_exhaustive_commutativity():
                 if slots is None:
                     continue
                 replayed = replay_sequence(run.states[0], slots, permuted)
-                if isinstance(replayed, ReplayRejection):
+                if isinstance(replayed, CheckResult):
                     continue
                 assert replayed.states[-1] == run.states[-1], order
         elapsed = time.monotonic() - started

@@ -11,8 +11,9 @@ from ledgerlab.cli import (
     EXIT_VIOLATION,
     main,
 )
+from ledgerlab.core import UtxoSet
 from ledgerlab.gen import make_scenario
-from ledgerlab.traces import TracePrefix
+from ledgerlab.traces import TracePrefix, check_monitor_monotone
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,26 @@ class TestTraceGen:
                 {p.name: p.read_bytes() for p in out.iterdir()}
             )
         assert outs[0] == outs[1]
+
+    def test_out_dir_from_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env"))
+        code, _, _ = run_cli(capsys, "trace", "gen", "--seed", "1", "--count", "1")
+        assert code == EXIT_CLEAN
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env"]
+        assert sorted(p.name for p in (tmp_path / "env").iterdir()) == [
+            "manifest.json", "trace_000.json"
+        ]
+
+    def test_out_flag_wins_over_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env"))
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "1", "--count", "1",
+            "--out", str(tmp_path / "flag"),
+        )
+        assert code == EXIT_CLEAN
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flag"]
 
     def test_seed_changes_bytes(self, tmp_path, capsys):
         blobs = []
@@ -144,13 +165,25 @@ class TestTraceDist:
         assert payload["exact"] is False
 
 
+def repeated_tail(prefix):
+    """The prefix with its first state and its last step repeated at the end."""
+    return TracePrefix(
+        prefix.states + prefix.states[:1],
+        prefix.annotations + prefix.annotations[-1:],
+    )
+
+
 class TestTraceMonitor:
-    def test_clean_monitor(self, trace_dir, capsys):
+    @pytest.mark.parametrize("name", sorted(cli.MONITORS))
+    def test_clean_monitor(self, trace_dir, capsys, name):
         code, stdout, _ = run_cli(
             capsys, "trace", "monitor", str(trace_dir / "trace_000.json"),
-            "--monitor", "duplicate-state",
+            "--monitor", name,
         )
         assert code == EXIT_CLEAN
+        assert read_json(stdout)["verdicts"] == [
+            {"check": "monitor:%s" % name, "clean": True, "witness": None}
+        ]
 
     def test_unknown_monitor_is_usage_error(self, trace_dir, capsys):
         code, _, _ = run_cli(
@@ -159,20 +192,40 @@ class TestTraceMonitor:
         )
         assert code == EXIT_USAGE
 
-    def test_violated_monitor(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", sorted(cli.MONITORS))
+    def test_violated_monitor(self, tmp_path, capsys, name):
         sc = make_scenario(5)
         prefix = gen_traces(sc, depth=4, count=1, seed=5)[0]
-        states = list(prefix.states) + [prefix.states[0]]
-        ann = list(prefix.annotations) + [prefix.annotations[-1]]
-        bad = serialize.dump_trace(TracePrefix(tuple(states), tuple(ann)))
-        path = tmp_path / "dup.json"
-        path.write_text(bad)
+        if name == "utxo-empty":
+            u0 = prefix.states[0]
+            bad, witness = TracePrefix((u0, UtxoSet({}), u0)), 1
+        else:
+            bad, witness = repeated_tail(prefix), len(prefix)
+        path = tmp_path / "bad.json"
+        path.write_text(serialize.dump_trace(bad))
         code, stdout, _ = run_cli(
-            capsys, "trace", "monitor", str(path), "--monitor", "duplicate-state"
+            capsys, "trace", "monitor", str(path), "--monitor", name
         )
         assert code == EXIT_VIOLATION
-        report = read_json(stdout)
-        assert report["verdicts"][0]["witness"] == len(states) - 1
+        assert read_json(stdout)["verdicts"][0]["witness"] == witness
+
+    @pytest.mark.parametrize("name", sorted(cli.MONITORS))
+    def test_registered_monitor_is_monotone(self, tmp_path, capsys, name):
+        samples = []
+        for token in ([], ["--token", b"NFT".hex()]):
+            out = tmp_path / ("token" if token else "plain")
+            code, _, _ = run_cli(
+                capsys, "trace", "gen", "--seed", "3", "--depth", "6",
+                "--count", "4", "--out", str(out), *token,
+            )
+            assert code == EXIT_CLEAN
+            for path in sorted(out.glob("trace_*.json")):
+                prefix = serialize.load_trace(path.read_text())[0]
+                samples.append(prefix)
+                if prefix.annotations:
+                    samples.append(repeated_tail(prefix))
+        assert len(samples) > 8
+        assert check_monitor_monotone(cli.MONITORS[name], samples)
 
 
 @pytest.fixture

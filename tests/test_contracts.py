@@ -17,8 +17,8 @@ from ledgerlab.contracts import (
     nft_contract,
 )
 from ledgerlab.core import (
+    CheckResult,
     OutputRef,
-    Rejection,
     TxInput,
     UtxoSet,
     apply_tx,
@@ -225,7 +225,7 @@ class TestPolicy:
         u0, (_, t1) = non_well_founded
         hook = CONTRACTS["nft"](b"NFT").additional_checks
         assert check_tx(0, u0, t1, hook)
-        assert step_ledger(0, u0, t1, hook) == Rejection("created-collides")
+        assert step_ledger(0, u0, t1, hook) == CheckResult(False, "created-collides")
         graph = build_ledger_graph([u0], [0], [t1], [0], additional_checks=hook)
         assert graph.vertices == {(0, u0, t1)}
         assert graph.edges == frozenset()

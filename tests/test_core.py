@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import out, tx_of
 from ledgerlab.core import (
+    CheckResult,
     KeyCollisionError,
     Output,
     OutputRef,
-    Rejection,
     Tx,
     TxInput,
     UtxoSet,
@@ -249,7 +249,7 @@ class TestApplyAndStep:
         with pytest.raises(KeyCollisionError, match="output refs already present"):
             apply_tx(rigged, spend0)
         outcome = step_ledger(5, rigged, spend0)
-        assert outcome == Rejection("created-collides")
+        assert outcome == CheckResult(False, "created-collides")
 
     def test_step_ledger_valid(self, small_ledger):
         u0, _, spend0 = small_ledger
@@ -260,14 +260,14 @@ class TestApplyAndStep:
     def test_step_ledger_rejection_carries_reason(self, small_ledger):
         u0, _, spend0 = small_ledger
         outcome = step_ledger(77, u0, spend0)
-        assert isinstance(outcome, Rejection)
+        assert isinstance(outcome, CheckResult)
         assert outcome.reason == "slot-out-of-interval"
 
     def test_resubmission_is_rejected(self, small_ledger):
         u0, _, spend0 = small_ledger
         u1 = apply_tx(u0, spend0)
         outcome = step_ledger(5, u1, spend0)
-        assert isinstance(outcome, Rejection)
+        assert isinstance(outcome, CheckResult)
         assert outcome.reason == "missing-input"
 
     def test_keys_identity_on_random_steps(self):
@@ -282,7 +282,7 @@ class TestApplyAndStep:
             for _ in range(10):
                 tx = propose(rng, slot, utxo)
                 after = step_ledger(slot, utxo, tx)
-                if isinstance(after, Rejection):
+                if isinstance(after, CheckResult):
                     continue
                 assert after.keys() == (utxo.keys() - get_orefs(tx)) | mk_outs(
                     tx

@@ -25,6 +25,11 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "core.py", "cli.py"}
 
 
+def test_public_names_exist():
+    missing = [name for name in ledgerlab.__all__ if not hasattr(ledgerlab, name)]
+    assert missing == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_are_relative_or_stdlib(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

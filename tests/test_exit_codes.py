@@ -50,6 +50,8 @@ COMMANDS = {
     "trace": [
         ["trace", "validate", "{f}"],
         ["trace", "monitor", "{f}", "--monitor", "duplicate-state"],
+        ["trace", "monitor", "{f}", "--monitor", "duplicate-tx"],
+        ["trace", "monitor", "{f}", "--monitor", "utxo-empty"],
         ["trace", "dist", "{f}", "{f}"],
         ["contract", "check", "--name", "nft", "--token", TOKEN.hex(),
          "--traces", "{f}", "--nonexpanding", "--induce", "--out", "{d}"],

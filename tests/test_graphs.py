@@ -329,7 +329,7 @@ class TestLedgerGraphs:
             assert lazy.successors(v) == lam.successors(v)
 
     def test_refused_step_has_no_successor(self, non_well_founded):
-        from ledgerlab.core import Rejection, step_ledger
+        from ledgerlab.core import CheckResult, step_ledger
 
         # u0 already holds the ref t1 creates, so t1 collides on u0
         u0, (t0, t1) = non_well_founded
@@ -340,7 +340,7 @@ class TestLedgerGraphs:
 
         # t0 then t1 recreate that ref, after which t0 collides
         lam = build_ledger_graph([u0], [0], [t0, t1], [0])
-        refused = [v for v in lam.vertices if isinstance(step_ledger(*v), Rejection)]
+        refused = [v for v in lam.vertices if isinstance(step_ledger(*v), CheckResult)]
         assert len(lam.vertices) == 4 and len(refused) == 2
         assert all(not lam.successors(v) for v in refused)
         lam_prime, phi = project_ledger_graph(lam)

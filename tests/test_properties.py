@@ -8,6 +8,7 @@ import poset_oracle as oracle
 from conftest import gen_traces, out, tx_of
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
+    CheckResult,
     OutputRef,
     TxInput,
     UtxoSet,
@@ -17,7 +18,6 @@ from ledgerlab.core import (
 )
 from ledgerlab.gen import make_scenario
 from ledgerlab.properties import (
-    ReplayRejection,
     TxPoset,
     assign_slots,
     build_tx_poset,
@@ -314,7 +314,7 @@ class TestPermutations:
                 if slots is None:
                     continue
                 replayed = replay_sequence(run.states[0], slots, permuted)
-                if isinstance(replayed, ReplayRejection):
+                if isinstance(replayed, CheckResult):
                     continue
                 finals.add(replayed.states[-1])
             assert finals == {run.states[-1]}
@@ -394,8 +394,8 @@ class TestReplayDriver:
             [TxInput(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])], [out("q")]
         )
         # the slot is checked before the step, so this is not missing-input
-        assert replay_sequence(u0, [2, 1], [t, t]) == ReplayRejection(
-            1, "slots-decreasing"
+        assert replay_sequence(u0, [2, 1], [t, t]) == CheckResult(
+            False, "slots-decreasing", 1
         )
 
     def test_rejection_carries_position_and_reason(self):
@@ -406,8 +406,8 @@ class TestReplayDriver:
             [out("p")],
         )
         outcome = replay_sequence(u0, [0, 0], [spend, spend])
-        assert isinstance(outcome, ReplayRejection)
-        assert outcome.index == 1
+        assert isinstance(outcome, CheckResult)
+        assert outcome.witness == 1
         assert outcome.reason == "missing-input"
 
     @pytest.mark.parametrize("token", [None, b"NFT"], ids=["plain", "token"])
@@ -451,7 +451,7 @@ class TestReplayDriver:
         slots = assign_slots(txs)
         assert slots is not None
         run = replay_sequence(u0, slots, txs)
-        if isinstance(run, ReplayRejection):
+        if isinstance(run, CheckResult):
             return
         for k, (_, tx) in enumerate(run.annotations):
             before, after = run.states[k].keys(), run.states[k + 1].keys()
