@@ -19,7 +19,6 @@ from .contracts import CONTRACTS, check_contract_on_traces, induce_trace_map
 from .core import CheckResult
 from .graphs import build_ledger_graph, project_ledger_graph
 from .properties import (
-    assign_slots,
     build_tx_poset,
     canonical_presentation,
     check_disjointness,
@@ -28,10 +27,10 @@ from .properties import (
     check_well_founded,
     enumerate_valid_permutations,
     replay_sequence,
+    valid_orders,
 )
 from .traces import (
     SafetyMonitor,
-    TracePrefix,
     check_non_expanding,
     generate_valid_traces,
     monitor_trace,
@@ -256,17 +255,9 @@ def cmd_props_canon(args) -> int:
     }
     if args.enumerate:
         perms = enumerate_valid_permutations(poset, args.cap)
-        run_txs = [tx for _, tx in outcome.annotations]
-        valid = []
-        for seq in perms.sequences:
-            txs = [run_txs[i] for i in seq]
-            slots = assign_slots(txs)
-            if slots is None:
-                continue
-            replayed = replay_sequence(initial, slots, txs)
-            if not isinstance(replayed, CheckResult):
-                valid.append(list(seq))
-        extra["permutations"] = valid
+        txs = [tx for _, tx in outcome.annotations]
+        valid = valid_orders(initial, txs, perms.sequences)
+        extra["permutations"] = [list(seq) for seq in valid]
         extra["capped"] = perms.capped
     return _emit(_report("props canon", verdicts, _inputs_digest(text), **extra))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Tuple, Union
 
 MAX_INDEX = 2 ** 32
@@ -123,6 +124,18 @@ class Tx:
         if start > end:
             raise ValueError("bad validity interval: %r" % (self.validity_interval,))
 
+    # Derived once per instance, for hash_tx and mk_outs.  A cached_property
+    # writes the instance __dict__ and is not a dataclass field: __eq__,
+    # __hash__ and repr do not see it, and dataclasses.replace starts empty.
+    @cached_property
+    def _id(self) -> bytes:
+        return hashlib.sha256(tx_bytes(self)).digest()
+
+    @cached_property
+    def _created(self) -> "UtxoSet":
+        h = hash_tx(self)
+        return UtxoSet({OutputRef(h, ix): out for ix, out in enumerate(self.outputs)})
+
 
 @dataclass(frozen=True)
 class UtxoSet:
@@ -209,16 +222,22 @@ def tx_bytes(tx: Tx) -> bytes:
 
 
 def hash_tx(tx: Tx) -> bytes:
-    """Deterministic 32-byte transaction id over the canonical serialization."""
-    return hashlib.sha256(tx_bytes(tx)).digest()
+    """Deterministic 32-byte transaction id: SHA-256 of ``tx_bytes(tx)``.
+
+    Each ``Tx`` instance is hashed once; later calls return the stored id.
+    """
+    return tx._id
 
 
 # --- auxiliary UTxO functions ----------------------------------------------
 
 def mk_outs(tx: Tx) -> UtxoSet:
-    """UTxO entries created by a transaction, keyed (hash_tx(tx), index)."""
-    h = hash_tx(tx)
-    return UtxoSet({OutputRef(h, ix): out for ix, out in enumerate(tx.outputs)})
+    """UTxO entries created by a transaction, keyed (hash_tx(tx), index).
+
+    Built once per ``Tx`` instance: every call returns the same shared,
+    read-only state.
+    """
+    return tx._created
 
 
 def get_orefs(tx: Tx) -> frozenset:

@@ -194,8 +194,9 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
     An elementary swap exchanges two adjacent transactions that are not
     dependency-ordered; the reachable set is exactly the linear extensions
     of the dependency order.  Output is sorted; ``capped`` flags
-    truncation.  Callers replay-validate the sequences, since swaps do not
-    account for slot constraints.
+    truncation.  Callers replay-validate the sequences with
+    ``valid_orders``, since swaps do not account for slot constraints;
+    sorted, the sequences replay as one prefix-sharing walk.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -244,6 +245,13 @@ def replay_sequence(
     return TracePrefix(states, tuple(zip(slots, txs)))
 
 
+def _greedy_slot(current: Slot, tx: Tx) -> Optional[Slot]:
+    """The least slot of ``tx``'s validity interval not below ``current``."""
+    start, end = tx.validity_interval
+    slot = max(current, start)
+    return slot if slot < end else None
+
+
 def assign_slots(txs: Sequence[Tx]) -> Optional[List[Slot]]:
     """Non-decreasing slots satisfying every validity interval, or None.
 
@@ -254,10 +262,46 @@ def assign_slots(txs: Sequence[Tx]) -> Optional[List[Slot]]:
     slots = []
     current = 0
     for tx in txs:
-        start, end = tx.validity_interval
-        slot = max(current, start)
-        if slot >= end:
+        current = _greedy_slot(current, tx)
+        if current is None:
             return None
-        slots.append(slot)
-        current = slot
+        slots.append(current)
     return slots
+
+
+def valid_orders(
+    u0: UtxoSet, txs: Sequence[Tx], sequences: Iterable[Sequence[int]]
+) -> List[Sequence[int]]:
+    """The index sequences whose orders of ``txs`` replay from ``u0``.
+
+    A sequence is kept when ``assign_slots`` finds slots for its order and
+    ``replay_sequence`` accepts them.  The sequences are walked as a prefix
+    trie, which is depth first when they are sorted: a stack holds the
+    state and greedy slot after each step of the previous sequence, and a
+    sequence replays only the steps after the prefix it shares with the
+    stack.  A refused step leaves the stack at its depth, so no state is
+    reused that a different order reached.
+    """
+    stack: List[Tuple[UtxoSet, Slot]] = [(u0, 0)]
+    prev: Sequence[int] = ()
+    valid = []
+    for seq in sequences:
+        shared = 0
+        for a, b in zip(prev, seq):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for i in seq[len(stack) - 1 :]:
+            state, current = stack[-1]
+            slot = _greedy_slot(current, txs[i])
+            if slot is None:
+                break
+            outcome = step_ledger(slot, state, txs[i])
+            if isinstance(outcome, CheckResult):
+                break
+            stack.append((outcome, slot))
+        else:
+            valid.append(seq)
+        prev = seq
+    return valid

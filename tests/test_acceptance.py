@@ -23,7 +23,6 @@ from ledgerlab.core import (
     TxInput,
     UtxoSet,
     get_orefs,
-    hash_tx,
     mk_outs,
     step_ledger,
 )

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -155,6 +157,46 @@ class TestHashing:
     def test_output_list_order_matters(self):
         a, b = out("p"), out("q")
         assert hash_tx(tx_of((), [a, b])) != hash_tx(tx_of((), [b, a]))
+
+
+class TestTxCache:
+    """hash_tx and mk_outs are computed once per Tx and kept on it."""
+
+    def test_cached_id_is_the_sha256_of_tx_bytes(self):
+        tx = golden_tx()
+        assert hash_tx(tx) == hashlib.sha256(tx_bytes(tx)).digest()
+        assert hash_tx(tx) is hash_tx(tx)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        tx, fresh = golden_tx(), golden_tx()
+        before = hash(tx)
+        assert tx == fresh
+        hash_tx(tx)
+        mk_outs(tx)
+        assert tx == fresh and fresh == tx
+        assert hash(tx) == before == hash(fresh)
+        assert len({tx, fresh}) == 1
+
+    def test_replace_gets_a_fresh_id(self):
+        tx = golden_tx()
+        hash_tx(tx)
+        memo = dataclasses.replace(tx, additional_data=b"other")
+        assert hash_tx(memo) == hashlib.sha256(tx_bytes(memo)).digest()
+        assert hash_tx(memo) != hash_tx(tx)
+        assert mk_outs(memo).keys() == {OutputRef(hash_tx(memo), 0),
+                                        OutputRef(hash_tx(memo), 1)}
+
+    def test_repr_is_unchanged(self):
+        tx = golden_tx()
+        before = repr(tx)
+        hash_tx(tx)
+        mk_outs(tx)
+        assert repr(tx) == before
+
+    def test_mk_outs_is_shared(self):
+        tx = golden_tx()
+        assert mk_outs(tx) is mk_outs(tx)
+        assert mk_outs(tx) == mk_outs(golden_tx())
 
 
 class TestAuxiliary:

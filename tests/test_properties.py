@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import poset_oracle as oracle
 from conftest import gen_traces, out, tx_of
+from ledgerlab import properties
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
@@ -29,6 +32,7 @@ from ledgerlab.properties import (
     check_well_founded,
     enumerate_valid_permutations,
     replay_sequence,
+    valid_orders,
 )
 from ledgerlab.traces import TracePrefix
 
@@ -459,6 +463,118 @@ class TestReplayDriver:
             assert spent <= before
             assert not created & (before - spent)
             assert after == (before - spent) | created
+
+
+def replayed_orders(u0, txs, sequences):
+    """The oracle of ``valid_orders``: assign_slots and replay_sequence per order."""
+    valid = []
+    for seq in sequences:
+        ordered = [txs[i] for i in seq]
+        slots = assign_slots(ordered)
+        if slots is None:
+            continue
+        if not isinstance(replay_sequence(u0, slots, ordered), CheckResult):
+            valid.append(seq)
+    return valid
+
+
+def mutant_walk():
+    """``valid_orders`` that resumes at the shared prefix, even past a refused step."""
+    source = textwrap.dedent(inspect.getsource(valid_orders))
+    resume = "seq[len(stack) - 1 :]"
+    assert resume in source
+    namespace = dict(vars(properties))
+    exec(source.replace(resume, "seq[shared:]"), namespace)
+    return namespace["valid_orders"]
+
+
+@st.composite
+def interval_runs(draw, max_txs=9):
+    """(u0, txs): a random spending dag over a genesis; some intervals narrow."""
+    genesis = tx_of((), [out("g%d" % k) for k in range(draw(st.integers(1, 6)))])
+    u0 = mk_outs(genesis)
+    unspent = [TxInput(ref, o) for ref, o in u0.items()]
+    txs = []
+    for k in range(draw(st.integers(1, max_txs))):
+        if not unspent:
+            break
+        spent = draw(st.lists(st.sampled_from(unspent), min_size=1, max_size=2,
+                              unique=True))
+        start = draw(st.integers(0, 6))
+        end = draw(st.one_of(st.integers(start, start + 4), st.just(start + 50)))
+        outs = [out("t%d.%d" % (k, j)) for j in range(draw(st.integers(1, 2)))]
+        tx = tx_of(spent, outs, interval=(start, end))
+        unspent = [c for c in unspent if c not in spent]
+        unspent += [TxInput(ref, o) for ref, o in mk_outs(tx).items()]
+        txs.append(tx)
+    return u0, txs
+
+
+def late_refusal():
+    """Six independent txs: t2 needs slot 5 or later, t3 a slot below 3.
+
+    Every order with t2 before t3 is refused at t3, partway through
+    prefixes that later sorted orders extend.
+    """
+    genesis = tx_of((), [out("g%d" % k) for k in range(6)])
+    u0 = mk_outs(genesis)
+    intervals = {2: (5, 9), 3: (0, 3)}
+    txs = [
+        tx_of([TxInput(OutputRef(hash_tx(genesis), k), genesis.outputs[k])],
+              [out("t%d" % k)], interval=intervals.get(k, (0, 9)))
+        for k in range(6)
+    ]
+    return u0, txs, list(itertools.permutations(range(6)))
+
+
+class TestValidOrders:
+    """The prefix-sharing walk against replaying every order on its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=interval_runs(), data=st.data())
+    def test_matches_per_order_replay(self, drawn, data):
+        u0, txs = drawn
+        if len(txs) <= 5 and data.draw(st.booleans(), label="every order"):
+            sequences = list(itertools.permutations(range(len(txs))))
+        else:
+            poset = build_tx_poset(fabricate(u0, [(0, tx, u0) for tx in txs]))
+            cap = data.draw(st.integers(1, 400), label="cap")
+            sequences = enumerate_valid_permutations(poset, cap).sequences
+        assert valid_orders(u0, txs, sequences) == replayed_orders(u0, txs, sequences)
+
+    def test_refusal_partway_through_a_shared_prefix(self):
+        u0, txs, sequences = late_refusal()
+        valid = valid_orders(u0, txs, sequences)
+        assert valid == replayed_orders(u0, txs, sequences)
+        assert all(seq.index(3) < seq.index(2) for seq in valid)
+        assert len(valid) == 360
+
+    def test_created_collides(self, non_well_founded):
+        u0, txs = non_well_founded
+        sequences = [(0, 1), (1, 0)]
+        assert valid_orders(u0, txs, sequences) == [(0, 1)]
+        assert replayed_orders(u0, txs, sequences) == [(0, 1)]
+        run = replay_sequence(u0, [1, 1], txs)
+        canon = enumerate_valid_permutations(build_tx_poset(run), 720).sequences
+        assert canon == ((1, 0),)
+        assert valid_orders(u0, txs, canon) == []
+
+    @pytest.mark.parametrize("seed, steps", [(0, 30), (1, 30), (2, 100)])
+    def test_generated_runs_at_cap_720(self, seed, steps):
+        sc = make_scenario(seed, n_outputs=40)
+        trace = gen_traces(sc, depth=steps + 1, count=1, seed=seed)[0]
+        run = run_from_trace(sc, trace)
+        assert len(run.annotations) == steps
+        txs = [tx for _, tx in run.annotations]
+        perms = enumerate_valid_permutations(build_tx_poset(run), 720)
+        valid = valid_orders(run.states[0], txs, perms.sequences)
+        assert valid == replayed_orders(run.states[0], txs, perms.sequences)
+        assert valid == list(perms.sequences)
+
+    def test_walk_that_keeps_refused_depths_fails(self):
+        u0, txs, sequences = late_refusal()
+        walk = mutant_walk()
+        assert walk(u0, txs, sequences) != replayed_orders(u0, txs, sequences)
 
 
 class TestAssignSlots:

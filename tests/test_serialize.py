@@ -4,7 +4,7 @@ import pytest
 
 from conftest import gen_traces, out, tx_of
 from ledgerlab import serialize
-from ledgerlab.core import Output, OutputRef, TxInput, UtxoSet, mk_outs
+from ledgerlab.core import OutputRef, TxInput, mk_outs
 from ledgerlab.graphs import SimpleGraph
 
 

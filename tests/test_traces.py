@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_traces, out, tx_of
-from ledgerlab.core import TxInput, mk_outs
-from ledgerlab.gen import make_proposer, make_scenario
+from conftest import gen_traces
+from ledgerlab.gen import make_scenario
 from ledgerlab.graphs import PartialSieveHom, SimpleGraph
 from ledgerlab.traces import (
     SafetyMonitor,
