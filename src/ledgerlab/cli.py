@@ -54,11 +54,9 @@ MONITORS = {
     "utxo-empty": SafetyMonitor(
         "utxo-empty", lambda p: any(len(u) == 0 for u in p.states)
     ),
-    # a hashed set, not check_replay_protection: its pairwise Tx comparisons are slower
     "duplicate-tx": SafetyMonitor(
         "duplicate-tx",
-        lambda p: p.annotations is not None
-        and len({tx for _, tx in p.annotations}) < len(p.annotations),
+        lambda p: p.annotations is not None and not check_replay_protection(p),
     ),
     "duplicate-state": SafetyMonitor(
         "duplicate-state", lambda p: not check_trivial_update_protection(p)
@@ -159,7 +157,7 @@ def cmd_trace_validate(args) -> int:
     slots = initial_slots
     if not slots and prefix.annotations:
         slots = [prefix.annotations[0][0]]
-    result = validate_trace_prefix(prefix, [prefix.states[0]], slots or [0])
+    result = validate_trace_prefix(prefix, slots or [0])
     verdicts.append(
         {"check": "valid-trace", "clean": result.ok, "witness": result.reason}
     )

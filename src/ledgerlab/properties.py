@@ -10,7 +10,6 @@ families are pairwise disjoint, which is what the checkers verify.
 from __future__ import annotations
 
 import graphlib
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -38,29 +37,36 @@ def check_well_founded(u0: UtxoSet, genesis_txs: Iterable[Tx]) -> CheckResult:
         tx = by_hash.get(ref.tx_hash)
         if tx is None or tx.inputs:
             return CheckResult(False, "non-genesis-key")
-        if dict(enumerate(tx.outputs)).get(ref.index) != out:
+        if ref.index >= len(tx.outputs) or tx.outputs[ref.index] != out:
             return CheckResult(False, "output-mismatch")
     return CheckResult(True)
 
 
-def _first_repeat(items: Sequence) -> Optional[Tuple[int, int]]:
-    """The lexicographically least pair i < j with items[i] == items[j]."""
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] == items[j]:
-                return (i, j)
-    return None
+def _least_shared(families: Iterable[Iterable]) -> Optional[Tuple[int, int]]:
+    """The least pair i < j, in ``itertools.combinations`` order, whose
+    families share an item, or None.  One pass records each item's first
+    owner; the least pair is the minimum over shared items of (first owner,
+    next owner), so ``a b b a`` gives (0, 3), not (1, 2).
+    """
+    first: Dict[object, int] = {}
+    least = None
+    for j, family in enumerate(families):
+        for item in family:
+            i = first.setdefault(item, j)
+            if i != j and (least is None or (i, j) < least):
+                least = (i, j)
+    return least
 
 
 def check_replay_protection(run: TracePrefix) -> CheckResult:
     """No transaction may occur twice; reports the minimal pair (i, j)."""
-    pair = _first_repeat([tx for _, tx in run.annotations])
+    pair = _least_shared((tx,) for _, tx in run.annotations)
     return CheckResult(pair is None, witness=pair)
 
 
 def check_trivial_update_protection(run: TracePrefix) -> CheckResult:
     """No ledger state may recur; reports the minimal pair (i, j)."""
-    pair = _first_repeat(run.states)
+    pair = _least_shared((u,) for u in run.states)
     return CheckResult(pair is None, witness=pair)
 
 
@@ -71,16 +77,13 @@ def check_disjointness(run: TracePrefix) -> CheckResult:
     checked here: ``replay_sequence`` refuses a step that breaks it.
     """
     txs = [tx for _, tx in run.annotations]
-    spent = [get_orefs(tx) for tx in txs]
-    families = [("u0", run.states[0].keys())] + [
-        ("c%d" % i, mk_outs(tx).keys()) for i, tx in enumerate(txs)
-    ]
-    for (na, a), (nb, b) in itertools.combinations(families, 2):
-        if a & b:
-            return CheckResult(False, witness=("created-overlap", na, nb))
-    for (i, a), (j, b) in itertools.combinations(enumerate(spent), 2):
-        if a & b:
-            return CheckResult(False, witness=("spent-overlap", i, j))
+    pair = _least_shared([run.states[0].keys()] + [mk_outs(tx).keys() for tx in txs])
+    if pair is not None:
+        na, nb = ("u0" if k == 0 else "c%d" % (k - 1) for k in pair)
+        return CheckResult(False, witness=("created-overlap", na, nb))
+    pair = _least_shared(get_orefs(tx) for tx in txs)
+    if pair is not None:
+        return CheckResult(False, witness=("spent-overlap",) + pair)
     return CheckResult(True)
 
 
@@ -142,15 +145,6 @@ class TxPoset:
             (i, j) for i in self.indices for j in self.indices if self._down[i] >> j & 1
         )
 
-    def hasse_edges(self) -> frozenset:
-        """Covers: (a, b) in ``less_than`` with b below no other m in K_a."""
-        below_k: Dict[int, int] = {}
-        for a, m in self.less_than:
-            below_k[a] = below_k.get(a, 0) | self._down[m]
-        return frozenset(
-            (a, b) for a, b in self.less_than if not below_k[a] >> b & 1
-        )
-
     def comparable(self, i: int, j: int) -> bool:
         return bool((self._down[i] >> j | self._down[j] >> i) & 1)
 
@@ -203,7 +197,6 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
     start = tuple(canonical_presentation(poset))
     seen = {start}
     frontier = [start]
-    capped = False
     while frontier:
         seq = frontier.pop()
         for k in range(len(seq) - 1):
@@ -213,11 +206,11 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
             nxt = seq[:k] + (b, a) + seq[k + 2 :]
             if nxt not in seen:
                 if len(seen) >= cap:
-                    capped = True
-                    continue
+                    # a full ``seen`` can no longer change
+                    return PermutationSet(tuple(sorted(seen)), True)
                 seen.add(nxt)
                 frontier.append(nxt)
-    return PermutationSet(tuple(sorted(seen)), capped)
+    return PermutationSet(tuple(sorted(seen)), False)
 
 
 # --- replay driver ----------------------------------------------------------

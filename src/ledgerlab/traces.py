@@ -256,20 +256,18 @@ def check_monitor_monotone(
 
 def validate_trace_prefix(
     prefix: TracePrefix,
-    initial_utxos: Iterable[UtxoSet],
     initial_slots: Iterable[Slot],
 ) -> CheckResult:
     """Re-validate a ledger trace prefix against its lift ``annotations``.
 
-    Checks: the first state and slot are valid initial ones, every step is
-    a valid ledger transition landing on the recorded state, and the slots
-    never decrease.  A prefix with steps but no lift raises ValueError.
+    Checks: the first slot is a valid initial one, every step is a valid
+    ledger transition landing on the recorded state, and the slots never
+    decrease (``check_well_founded`` judges the first state).  A prefix
+    with steps but no lift raises ValueError.
     """
     steps = prefix.annotations or ()
     if len(steps) != len(prefix) - 1:
         raise ValueError("need one (slot, tx) pair per step")
-    if prefix.states[0] not in initial_utxos:
-        return CheckResult(False, "not-initial-state")
     if steps and steps[0][0] not in initial_slots:
         return CheckResult(False, "not-initial-slot")
     prev_slot = None

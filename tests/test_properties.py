@@ -7,8 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import poset_oracle as oracle
+import run_oracle
 from conftest import gen_traces, out, tx_of
 from ledgerlab import properties
+from ledgerlab.cli import MONITORS
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
@@ -93,9 +95,11 @@ class TestWellFounded:
         verdict = check_well_founded(mk_outs(spender), [spender])
         assert verdict.reason == "non-genesis-key"
 
-    def test_output_mismatch(self):
+    @pytest.mark.parametrize("index, tag", [(0, "forged"), (1, "g")])
+    def test_output_mismatch(self, index, tag):
+        # a forged output, or an index past the genesis tx's outputs
         genesis = tx_of((), [out("g")])
-        tampered = UtxoSet({OutputRef(hash_tx(genesis), 0): out("forged")})
+        tampered = UtxoSet({OutputRef(hash_tx(genesis), index): out(tag)})
         verdict = check_well_founded(tampered, [genesis])
         assert verdict.reason == "output-mismatch"
 
@@ -162,6 +166,120 @@ class TestDisjointness:
 
     def test_empty_run_is_clean(self):
         assert check_disjointness(fabricate(UtxoSet(), []))
+
+
+def planted(draw, n):
+    """range(n) with up to three repeats planted: position j copies position i."""
+    ids = list(range(n))
+    if n > 1:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=3)):
+            if i < j:
+                ids[j] = ids[i]
+    return ids
+
+
+def spender(k, also=()):
+    """Pool tx k: it spends s_k and each s_a for a in ``also``."""
+    refs = [k] + sorted(set(also) - {k})
+    return tx_of([TxInput(OutputRef(b"s%d" % a, 0), out("i%d" % a)) for a in refs],
+                 [out("o%d" % k)])
+
+
+def twin(k):
+    """Pool state k >= 1; twins 2m and 2m + 1 share refs but not outputs."""
+    return UtxoSet({OutputRef(b"st%d" % (k // 2), 0): out("v%d" % k)})
+
+
+@st.composite
+def planted_runs(draw, max_steps=8):
+    """A fabricated run with repeated txs, repeated states, a u0 that holds
+    some created refs and txs that spend each other's refs, all planted at
+    random positions."""
+    n = draw(st.integers(0, max_steps))
+    also = {k: draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
+            for k in range(n)}
+    pool = [spender(k, also[k]) for k in range(n)]
+    entries = dict(mk_outs(tx_of((), [out("g")])).entries)
+    for k in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)) if n else ():
+        entries.update(mk_outs(pool[k]).entries)
+    u0 = UtxoSet(entries)
+    states = [u0] + [twin(k) for k in range(1, n + 1)]
+    return TracePrefix(
+        tuple(states[k] for k in planted(draw, n + 1)),
+        tuple((0, pool[k]) for k in planted(draw, n)),
+    )
+
+
+def tx_run(*tags):
+    """A run whose k-th step applies the tx named ``tags[k]``."""
+    u0 = mk_outs(tx_of((), [out("g")]))
+    return fabricate(u0, [(0, tx_of((), [out(t)]), u0) for t in tags])
+
+
+def state_run(*tags):
+    """A run whose states after u0 are the one-entry states named ``tags``."""
+    u0 = mk_outs(tx_of((), [out("g")]))
+    t = tx_of((), [out("p")])
+    return fabricate(u0, [(0, t, mk_outs(tx_of((), [out(tag)]))) for tag in tags])
+
+
+class TestLeastShared:
+    """One-pass repeat and overlap scans against the pairwise oracles."""
+
+    CHECKS = (
+        (check_replay_protection, run_oracle.check_replay_protection),
+        (check_trivial_update_protection, run_oracle.check_trivial_update_protection),
+        (check_disjointness, run_oracle.check_disjointness),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_runs())
+    def test_matches_pairwise_oracles(self, run):
+        for check, plain in self.CHECKS:
+            assert check(run) == plain(run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_runs())
+    def test_duplicate_tx_monitor_matches_set_predicate(self, run):
+        bad = MONITORS["duplicate-tx"].bad_prefix
+        for n in range(1, len(run) + 1):
+            head = run.head(n)
+            assert bad(head) == run_oracle.duplicate_tx(head)
+        plain = TracePrefix(run.states, None)
+        assert not bad(plain) and not run_oracle.duplicate_tx(plain)
+
+    def test_least_pair_is_not_the_first_closed(self):
+        # a b b a: (1, 2) closes first, but (0, 3) comes first in
+        # combinations order
+        assert check_replay_protection(tx_run("a", "b", "b", "a")).witness == (0, 3)
+        assert check_trivial_update_protection(
+            state_run("a", "b", "b", "a")
+        ).witness == (1, 4)
+
+    def test_triple_reports_first_two(self):
+        assert check_replay_protection(tx_run("a", "a", "a")).witness == (0, 1)
+        assert check_trivial_update_protection(
+            state_run("a", "a", "a")
+        ).witness == (1, 2)
+
+    def test_u0_overlaps_created(self):
+        t_a, t_b = tx_of((), [out("a")]), tx_of((), [out("b")])
+        u0 = UtxoSet({**mk_outs(tx_of((), [out("g")])).entries,
+                      **mk_outs(t_b).entries})
+        run = fabricate(u0, [(0, t_a, u0), (0, t_b, u0)])
+        assert check_disjointness(run).witness == ("created-overlap", "u0", "c1")
+
+    def test_spent_overlap(self):
+        run = fabricate(UtxoSet(), [(0, spender(k, also), UtxoSet())
+                                    for k, also in ((0, ()), (1, (2,)), (2, ()))])
+        assert check_disjointness(run).witness == ("spent-overlap", 1, 2)
+
+    def test_twin_states_hash_equal_and_are_not_repeats(self):
+        a, b = twin(2), twin(3)
+        assert hash(a) == hash(b) and a != b
+        run = fabricate(a, [(0, tx_of((), [out("p")]), b)])
+        assert check_trivial_update_protection(run)
 
 
 class TestCommutativity:
@@ -233,7 +351,7 @@ class TestPoset:
         genesis, u0, txs = eight_tx
         run = replay_sequence(u0, [1] * 8, txs)
         poset = build_tx_poset(run)
-        assert poset.hasse_edges() == frozenset(
+        assert oracle.hasse_edges(8, poset.less_than) == frozenset(
             [(2, 1), (4, 0), (4, 2), (4, 3), (5, 2), (5, 3), (6, 1), (6, 3),
              (7, 5), (7, 6)]
         )
@@ -344,7 +462,6 @@ class TestPosetOracle:
         poset = TxPoset(tuple(range(n)), less_than)
         assert poset.levels == oracle.levels(n, less_than)
         assert poset.closure() == oracle.closure(less_than)
-        assert poset.hasse_edges() == oracle.hasse_edges(n, less_than)
         for i, j in itertools.product(range(n), repeat=2):
             assert poset.comparable(i, j) == oracle.comparable(less_than, i, j)
         for cap in (1, 5, 10 ** 5):

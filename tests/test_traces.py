@@ -273,30 +273,17 @@ class TestMonitors:
 class TestValidation:
     def test_single_state_trace(self, scenario):
         p = TracePrefix((scenario.initial_utxo,), annotations=())
-        verdict = validate_trace_prefix(
-            p, [scenario.initial_utxo], [scenario.initial_slot]
-        )
+        verdict = validate_trace_prefix(p, [scenario.initial_slot])
         assert verdict
-
-    def test_wrong_initial_state(self, scenario):
-        p = TracePrefix((scenario.initial_utxo,), annotations=())
-        from ledgerlab.core import UtxoSet
-
-        verdict = validate_trace_prefix(p, [UtxoSet()], [0])
-        assert verdict.reason == "not-initial-state"
 
     def test_generated_traces_validate(self, scenario):
         for p in gen_traces(scenario, depth=5, count=8, seed=41):
-            verdict = validate_trace_prefix(
-                p, [scenario.initial_utxo], [scenario.initial_slot]
-            )
+            verdict = validate_trace_prefix(p, [scenario.initial_slot])
             assert verdict, verdict.reason
 
     def test_wrong_initial_slot(self, scenario):
         p = gen_traces(scenario, depth=4, count=1, seed=42)[0]
-        verdict = validate_trace_prefix(
-            p, [scenario.initial_utxo], [scenario.initial_slot + 999]
-        )
+        verdict = validate_trace_prefix(p, [scenario.initial_slot + 999])
         assert verdict.reason == "not-initial-slot"
 
     def test_decreasing_slots_detected(self, scenario):
@@ -306,7 +293,6 @@ class TestValidation:
         ann[-1] = (ann[0][0] - 1, ann[-1][1])
         verdict = validate_trace_prefix(
             TracePrefix(p.states, tuple(ann)),
-            [scenario.initial_utxo],
             [scenario.initial_slot],
         )
         # the slot check runs before step_ledger sees the interval
@@ -318,7 +304,6 @@ class TestValidation:
         states[-1] = states[0]
         verdict = validate_trace_prefix(
             TracePrefix(tuple(states), p.annotations),
-            [scenario.initial_utxo],
             [scenario.initial_slot],
         )
         assert verdict.reason == "state-mismatch-at-%d" % (len(states) - 1,)
@@ -327,7 +312,7 @@ class TestValidation:
         u = scenario.initial_utxo
         p = TracePrefix((u, u), annotations=None)
         with pytest.raises(ValueError):
-            validate_trace_prefix(p, [u], [0])
+            validate_trace_prefix(p, [0])
 
 
 class TestGeneration:
