@@ -7,6 +7,7 @@ violation, 2 usage or parse error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -71,19 +72,12 @@ def _inputs_digest(*chunks: str) -> str:
     return h.hexdigest()
 
 
-def _report(command: str, verdicts: List[dict], inputs_digest: str, **extra) -> dict:
-    report = {
-        "command": command,
-        "verdicts": verdicts,
-        "inputs_digest": inputs_digest,
-    }
+def _emit(command: str, verdicts: List[dict], inputs_digest: str, **extra) -> int:
+    """Print a checking command's report; exit 1 when a verdict is not clean."""
+    report = {"command": command, "verdicts": verdicts, "inputs_digest": inputs_digest}
     report.update(extra)
-    return report
-
-
-def _emit(report: dict) -> int:
     print(json.dumps(report, sort_keys=True, indent=2))
-    if all(v["clean"] for v in report["verdicts"]):
+    if all(v["clean"] for v in verdicts):
         return EXIT_CLEAN
     return EXIT_VIOLATION
 
@@ -161,13 +155,12 @@ def cmd_trace_validate(args) -> int:
     verdicts.append(
         {"check": "valid-trace", "clean": result.ok, "witness": result.reason}
     )
-    return _emit(_report("trace validate", verdicts, _inputs_digest(text)))
+    return _emit("trace validate", verdicts, _inputs_digest(text))
 
 
 def cmd_trace_dist(args) -> int:
     text_a, text_b = _read(args.file_a), _read(args.file_b)
-    a, _, _ = serialize.load_trace(text_a)
-    b, _, _ = serialize.load_trace(text_b)
+    (a, _, _), (b, _, _) = serialize.load_traces([text_a, text_b])
     d = ultra_distance(a, b)
     print(
         json.dumps(
@@ -196,7 +189,7 @@ def cmd_trace_monitor(args) -> int:
             "witness": violated_at,
         }
     ]
-    return _emit(_report("trace monitor", verdicts, _inputs_digest(text)))
+    return _emit("trace monitor", verdicts, _inputs_digest(text))
 
 
 # --- props commands ---------------------------------------------------------
@@ -221,7 +214,7 @@ def cmd_props_check(args) -> int:
     text, initial, genesis, outcome = _load_and_replay(args.run)
     verdicts = [_replay_verdict(outcome)]
     if isinstance(outcome, CheckResult):
-        return _emit(_report("props check", verdicts, _inputs_digest(text)))
+        return _emit("props check", verdicts, _inputs_digest(text))
     if genesis:
         wf = check_well_founded(initial, genesis)
         verdicts.append(
@@ -237,14 +230,14 @@ def cmd_props_check(args) -> int:
             {"check": name, "clean": verdict.ok,
              "witness": list(verdict.witness) if verdict.witness else None}
         )
-    return _emit(_report("props check", verdicts, _inputs_digest(text)))
+    return _emit("props check", verdicts, _inputs_digest(text))
 
 
 def cmd_props_canon(args) -> int:
     text, initial, _, outcome = _load_and_replay(args.run)
     verdicts = [_replay_verdict(outcome)]
     if isinstance(outcome, CheckResult):
-        return _emit(_report("props canon", verdicts, _inputs_digest(text)))
+        return _emit("props canon", verdicts, _inputs_digest(text))
     poset = build_tx_poset(outcome)
     presentation = canonical_presentation(poset)
     extra = {
@@ -257,7 +250,7 @@ def cmd_props_canon(args) -> int:
         valid = valid_orders(initial, txs, perms.sequences)
         extra["permutations"] = [list(seq) for seq in valid]
         extra["capped"] = perms.capped
-    return _emit(_report("props canon", verdicts, _inputs_digest(text), **extra))
+    return _emit("props canon", verdicts, _inputs_digest(text), **extra)
 
 
 # --- contract commands ------------------------------------------------------
@@ -274,7 +267,7 @@ def cmd_contract_check(args) -> int:
     token = bytes.fromhex(args.token) if args.token else b"NFT"
     sc = CONTRACTS[args.name](token)
     texts = [_read(path) for path in args.traces]
-    traces = [serialize.load_trace(t)[0] for t in texts]
+    traces = [prefix for prefix, _, _ in serialize.load_traces(texts)]
     report = check_contract_on_traces(sc, traces)
     verdicts = [
         {
@@ -298,9 +291,7 @@ def cmd_contract_check(args) -> int:
              "witness": list(nonexp.violations[:5])}
         )
         extra["pairs_checked"] = nonexp.pairs_checked
-    return _emit(
-        _report("contract check", verdicts, _inputs_digest(*texts), **extra)
-    )
+    return _emit("contract check", verdicts, _inputs_digest(*texts), **extra)
 
 
 # --- graph commands ---------------------------------------------------------
@@ -370,34 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", type=int, default=4)
     p.add_argument("--token", help="hex token id; restricts to the NFT policy")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_trace_gen)
     p = trace_sub.add_parser("validate", help="re-validate a trace file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_trace_validate)
     p = trace_sub.add_parser("dist", help="ultrametric distance of two traces")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.set_defaults(func=cmd_trace_dist)
     p = trace_sub.add_parser("monitor", help="run a safety monitor")
     p.add_argument("file")
     p.add_argument("--monitor", required=True)
-    p.set_defaults(func=cmd_trace_monitor)
 
     props = top.add_parser("props", help="run-level ledger properties")
     props_sub = props.add_subparsers(dest="command", required=True)
     p = props_sub.add_parser("check", help="replay a run and check properties")
     p.add_argument("--run", required=True)
-    p.set_defaults(func=cmd_props_check)
     p = props_sub.add_parser("canon", help="dependency levels, canonical order")
     p.add_argument("--run", required=True)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--cap", type=int, default=720)
-    p.set_defaults(func=cmd_props_canon)
 
     contract = top.add_parser("contract", help="structured contracts")
     contract_sub = contract.add_subparsers(dest="command", required=True)
     p = contract_sub.add_parser("list", help="registered contracts")
-    p.set_defaults(func=cmd_contract_list)
     p = contract_sub.add_parser("check", help="check a contract over traces")
     p.add_argument("--name", required=True)
     p.add_argument("--token", help="hex token id (default NFT)")
@@ -405,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--induce", action="store_true")
     p.add_argument("--nonexpanding", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_contract_check)
 
     graph = top.add_parser("graph", help="transition graph dumps")
     graph_sub = graph.add_subparsers(dest="command", required=True)
@@ -413,19 +396,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_graph_dump)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_CLEAN
+    # the handler is looked up when called, so one rebound on the module runs
     try:
-        return args.func(args)
+        return globals()["cmd_%s_%s" % (args.group, args.command)](args)
     except (UsageError, serialize.FormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

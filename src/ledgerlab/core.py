@@ -8,9 +8,10 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Tuple, Union
+from typing import AbstractSet, Callable, Iterable, Optional, Tuple, Union
 
 MAX_INDEX = 2 ** 32
 

@@ -100,10 +100,11 @@ def tx_to_json(tx: Tx) -> dict:
 
 
 class _Reader:
-    """Reads the values of one file, building each distinct entry once.
+    """Reads the values of one or more files, building each distinct entry once.
 
     A file repeats most entries: each state is written in full, and tx
-    inputs and genesis outputs repeat state entries.  Refs and outputs are
+    inputs and genesis outputs repeat state entries; the files of one
+    scenario share their genesis and first state.  Refs and outputs are
     memoized by their JSON spelling.  Keys are type-strict, since
     ``True == 1 == 1.0`` in Python: a number is keyed with its type, so a
     bool or float spelling never reuses the value built from an int.  Only
@@ -220,9 +221,19 @@ def dump_trace(
     )
 
 
-def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
-    obj = _load(text, "trace")
+def load_traces(texts: Sequence[str]) -> List[Tuple[TracePrefix, List[Tx], List[Slot]]]:
+    """Read trace files in order with one reader: an entry they share is one object."""
     read = _Reader()
+    return [_read_trace(read, text) for text in texts]
+
+
+def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
+    return load_traces([text])[0]
+
+
+def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
+    """One file; its JSON tree is freed before the next file is parsed."""
+    obj = _load(text, "trace")
     try:
         states = tuple(read.utxo(u) for u in obj["states"])
         lifts = obj["lifts"]

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -671,3 +676,53 @@ class TestUsage:
         code, _, err = run_cli(capsys, "contract", "list")
         assert code == EXIT_INTERNAL
         assert err == "internal error: ZeroDivisionError: boom\n"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and dispatches by name."""
+
+    def test_sequence_matches_fresh_processes(
+        self, trace_dir, run_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        traces = [str(trace_dir / ("trace_%03d.json" % k)) for k in range(3)]
+        sequence = [
+            ["props", "check"],
+            ["--help"],
+            ["trace", "monitor", traces[0], "--monitor", "nope"],
+            ["trace", "validate", str(bad)],
+            ["trace", "validate", traces[0]],
+            ["trace", "dist", traces[0], traces[1]],
+            ["props", "check", "--run", str(run_file[2])],
+            ["contract", "check", "--name", "nft", "--traces", *traces,
+             "--nonexpanding"],
+            ["contract", "list"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        cli._parser.cache_clear()
+        for argv in sequence:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ledgerlab.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert run_cli(capsys, *argv) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(sequence) - 1)
+
+    def test_every_subcommand_has_a_handler(self):
+        def choices(parser):
+            [sub] = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+            return sub.choices
+
+        names = [
+            "cmd_%s_%s" % (group, command)
+            for group, group_parser in choices(cli.build_parser()).items()
+            for command in choices(group_parser)
+        ]
+        assert len(names) == 9
+        assert all(callable(getattr(cli, name, None)) for name in names), names

@@ -55,6 +55,10 @@ COMMANDS = {
         ["trace", "dist", "{f}", "{f}"],
         ["contract", "check", "--name", "nft", "--token", TOKEN.hex(),
          "--traces", "{f}", "--nonexpanding", "--induce", "--out", "{d}"],
+        # one reader serves both files: the clean one fills its memo first
+        ["trace", "dist", "{clean}", "{f}"],
+        ["contract", "check", "--name", "nft", "--token", TOKEN.hex(),
+         "--traces", "{clean}", "{f}", "--nonexpanding"],
     ],
     "run": [
         ["props", "check", "--run", "{f}"],
@@ -140,9 +144,11 @@ def run_all(kind, text, tmp_dir):
     """Exit code and stderr of every ``kind`` command on the file ``text``."""
     path = tmp_dir / ("%s.json" % kind)
     path.write_text(text)
+    clean = tmp_dir / ("clean-%s.json" % kind)
+    clean.write_text(FILES[kind])
     results = []
     for template in COMMANDS[kind]:
-        argv = [a.format(f=path, d=tmp_dir / "out") for a in template]
+        argv = [a.format(f=path, d=tmp_dir / "out", clean=clean) for a in template]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -137,13 +137,19 @@ REPLACEMENTS = [
 
 @st.composite
 def mutated(draw, kind):
-    """A generated file with one to three edits.
+    """A generated file with one to three edits."""
+    return draw(edited(draw(generated(kind))))
+
+
+@st.composite
+def edited(draw, text):
+    """``text`` with one to three edits.
 
     An edit respells a number (``1`` as ``true``, ``7`` as ``7.0``), puts
     a copy of another node with the same key in place of a node (an entry,
     a ref, an output, an index), deletes a node, or replaces it.
     """
-    payload = json.loads(draw(generated(kind)))
+    payload = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
         nodes = list(json_nodes(payload))[1:]
         path, node = draw(st.sampled_from(nodes))
@@ -235,3 +241,58 @@ class TestSharing:
         serialize.utxo_to_json(UtxoSet({ref: out("a")}), written)
         [entry] = serialize.utxo_to_json(UtxoSet({ref: out("b")}), written)
         assert entry["output"] == serialize.output_to_json(out("b"))
+
+
+def _scenario_traces(seed, count=3):
+    """The trace files of one scenario: they share its genesis and first state."""
+    sc = make_scenario(seed, n_outputs=4, token=TOKEN, token_present=True)
+    prefixes = generate_valid_traces(
+        [sc.initial_utxo], [sc.initial_slot], make_proposer(token=TOKEN),
+        depth=4, count=count, seed=seed,
+    )
+    return [serialize.dump_trace(p, sc.genesis_txs, [sc.initial_slot])
+            for p in prefixes]
+
+
+class TestLoadTraces:
+    """One reader for several files gives what one reader per file gives."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_load_trace_and_oracle(self, seed):
+        texts = _scenario_traces(seed)
+        shared = serialize.load_traces(texts)
+        assert shared == [serialize.load_trace(t) for t in texts]
+        assert shared == [oracle.load_trace(t) for t in texts]
+        assert [redump("trace", x) for x in shared] == texts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_entries_are_one_object(self, seed):
+        (a, genesis_a, _), (b, genesis_b, _) = serialize.load_traces(
+            _scenario_traces(seed, count=2))
+        u, v = a.states[0], b.states[0]
+        assert u == v and u.keys()
+        for ref in u.keys():
+            [ref_b] = [r for r in v.keys() if r == ref]
+            assert ref_b is ref and v.get(ref) is u.get(ref)
+        assert genesis_a
+        assert all(x is y for ga, gb in zip(genesis_a, genesis_b)
+                   for x, y in zip(ga.outputs, gb.outputs))
+
+    @pytest.mark.parametrize("place, field, spelling",
+                             [r[1:] for r in RESPELLED if r[0] == "trace"])
+    def test_respelled_second_file(self, place, field, spelling):
+        bad = respelled("trace", place, field, spelling)
+        assert (outcome(serialize.load_traces, [HAND_BUILT["trace"], bad])
+                == outcome(serialize.load_trace, bad))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_malformed_second_file(self, data):
+        first, second = _scenario_traces(data.draw(st.integers(0, 10 ** 6)), 2)
+        bad = data.draw(edited(second))
+        alone = outcome(serialize.load_trace, bad)
+        both = outcome(serialize.load_traces, [first, bad])
+        if isinstance(alone, str):
+            assert both == alone
+        else:
+            assert both == [serialize.load_trace(first), alone]
