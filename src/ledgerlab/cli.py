@@ -47,10 +47,6 @@ EXIT_INTERNAL = 3
 OUT_DIR_ENV = "LEDGERLAB_OUT"
 
 
-class UsageError(Exception):
-    pass
-
-
 MONITORS = {
     "utxo-empty": SafetyMonitor(
         "utxo-empty", lambda p: any(len(u) == 0 for u in p.states)
@@ -86,7 +82,7 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise UsageError("cannot read %s: %s" % (path, exc)) from exc
+        raise ValueError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def _out_dir(arg: Optional[str]) -> Path:
@@ -177,7 +173,7 @@ def cmd_trace_dist(args) -> int:
 
 def cmd_trace_monitor(args) -> int:
     if args.monitor not in MONITORS:
-        raise UsageError("unknown monitor %r; have %s"
+        raise ValueError("unknown monitor %r; have %s"
                          % (args.monitor, sorted(MONITORS)))
     text = _read(args.file)
     prefix, _, _ = serialize.load_trace(text)
@@ -262,12 +258,20 @@ def cmd_contract_list(args) -> int:
 
 def cmd_contract_check(args) -> int:
     if args.name not in CONTRACTS:
-        raise UsageError("unknown contract %r; have %s"
+        raise ValueError("unknown contract %r; have %s"
                          % (args.name, sorted(CONTRACTS)))
     token = bytes.fromhex(args.token) if args.token else b"NFT"
     sc = CONTRACTS[args.name](token)
-    texts = [_read(path) for path in args.traces]
-    traces = [prefix for prefix, _, _ in serialize.load_traces(texts)]
+    digests = []
+
+    def texts():
+        # digest each file as it is read, so no text outlives its parse
+        for path in args.traces:
+            text = _read(path)
+            digests.append(hashlib.sha256(text.encode("utf-8")).digest())
+            yield text
+
+    traces = [prefix for prefix, _, _ in serialize.load_traces(texts())]
     report = check_contract_on_traces(sc, traces)
     verdicts = [
         {
@@ -291,7 +295,8 @@ def cmd_contract_check(args) -> int:
              "witness": list(nonexp.violations[:5])}
         )
         extra["pairs_checked"] = nonexp.pairs_checked
-    return _emit("contract check", verdicts, _inputs_digest(*texts), **extra)
+    inputs_digest = hashlib.sha256(b"".join(digests)).hexdigest()
+    return _emit("contract check", verdicts, inputs_digest, **extra)
 
 
 # --- graph commands ---------------------------------------------------------
@@ -411,7 +416,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # the handler is looked up when called, so one rebound on the module runs
     try:
         return globals()["cmd_%s_%s" % (args.group, args.command)](args)
-    except (UsageError, serialize.FormatError, ValueError) as exc:
+    except (serialize.FormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -301,7 +301,8 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
     Raises KeyCollisionError if a created ref survives in the remaining set,
     which cannot happen on valid runs from a well-founded initial state.
     """
-    entries = dict(utxo.entries)
+    new = UtxoSet(utxo.entries)
+    entries = new.entries
     for txin in tx.inputs:
         entries.pop(txin.output_ref, None)
     created = mk_outs(tx).entries
@@ -311,7 +312,7 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
             "output refs already present: %r" % (sorted(overlap)[:3],)
         )
     entries.update(created)
-    return UtxoSet(entries)
+    return new
 
 
 def step_ledger(

@@ -4,22 +4,14 @@ A sieve is a vertex subset closed under outgoing edges.  A partial
 sieve-defined homomorphism is a vertex map whose domain is a sieve, which
 preserves edges, and which is defined on (and preserves) initial vertices.
 These compose, with domain ``Def f ∩ f⁻¹(Def g)``.
-
-Two representations are provided: an explicit finite graph on which sieve
-and homomorphism checking is decidable, and an intensional one (predicates
-plus a successor function) for state spaces too large to materialize.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Tuple
 
 from .core import CheckResult, Slot, Tx, UtxoSet, check_tx, step_ledger
-
-
-class UnsupportedEnumerationError(Exception):
-    """Raised when an operation needs to enumerate an infinite vertex set."""
 
 
 @dataclass(frozen=True)
@@ -56,24 +48,6 @@ class SimpleGraph:
             edges=frozenset(e for e in self.edges if e[0] in sub and e[1] in sub),
             initial=self.initial & sub,
         )
-
-
-@dataclass(frozen=True)
-class IntensionalGraph:
-    """A possibly-infinite graph given by predicates and a successor function.
-
-    ``initial_vertices`` must be a finite iterable when path enumeration is
-    wanted; leave it None to mark the initial set as non-enumerable.
-    """
-
-    contains_vertex: Callable
-    successors: Callable
-    is_initial: Callable
-    initial_vertices: Optional[Tuple] = None
-
-    def __post_init__(self):
-        if self.initial_vertices is not None:
-            object.__setattr__(self, "initial_vertices", tuple(self.initial_vertices))
 
 
 def is_sieve(graph: SimpleGraph, subset: Iterable) -> bool:
@@ -154,24 +128,13 @@ def compose_homs(f: PartialSieveHom, g: PartialSieveHom) -> PartialSieveHom:
     return PartialSieveHom(f.source, g.target, domain, lambda v: g(f(v)))
 
 
-def enumerate_paths(
-    graph: Union[SimpleGraph, IntensionalGraph], depth: int
-) -> frozenset:
+def enumerate_paths(graph: SimpleGraph, depth: int) -> frozenset:
     """All paths with ``depth`` vertices starting at an initial vertex."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if isinstance(graph, SimpleGraph):
-        starts = graph.initial
-    elif graph.initial_vertices is None:
-        raise UnsupportedEnumerationError(
-            "intensional graph has no finite initial-vertex enumeration"
-        )
-    else:
-        starts = graph.initial_vertices
-    succ = graph.successors
-    paths = [(v,) for v in starts]
+    paths = [(v,) for v in graph.initial]
     for _ in range(depth - 1):
-        paths = [p + (w,) for p in paths for w in succ(p[-1])]
+        paths = [p + (w,) for p in paths for w in graph.successors(p[-1])]
     return frozenset(paths)
 
 
@@ -189,24 +152,35 @@ def build_ledger_graph(
     Vertices satisfy check_tx; there is an edge (q,u,t) -> (q',u',t')
     exactly when step_ledger takes (q,u,t) to u' (a refused step has no
     edge), (q',u',t') is again checkable, and the slot does not decrease.
-    The graph is the part of intensional_ledger_graph reachable from its
-    initial vertices.
+    Only the part reachable from the initial vertices is built.
     """
-    lazy = intensional_ledger_graph(
-        initial_utxos, initial_slots, tx_universe, slot_universe,
-        additional_checks,
+    initial_utxos = list(initial_utxos)
+    txs = list(tx_universe)
+    slots = sorted(set(slot_universe))
+    initial = frozenset(
+        (q, u, t)
+        for q in sorted(set(initial_slots))
+        for u in initial_utxos
+        for t in txs
+        if check_tx(q, u, t, additional_checks)
     )
-    initial = frozenset(lazy.initial_vertices)
     vertices = set(initial)
     edges = set()
     frontier = deque(initial)
     while frontier:
         v = frontier.popleft()
-        for w in lazy.successors(v):
-            edges.add((v, w))
-            if w not in vertices:
-                vertices.add(w)
-                frontier.append(w)
+        q, u, t = v
+        u2 = step_ledger(q, u, t, additional_checks)
+        if isinstance(u2, CheckResult):
+            continue
+        for q2 in slots:
+            for t2 in txs:
+                if q2 >= q and check_tx(q2, u2, t2, additional_checks):
+                    w = (q2, u2, t2)
+                    edges.add((v, w))
+                    if w not in vertices:
+                        vertices.add(w)
+                        frontier.append(w)
     return SimpleGraph(frozenset(vertices), frozenset(edges), initial)
 
 
@@ -230,46 +204,3 @@ def project_ledger_graph(
     phi = PartialSieveHom(lam, lam_prime, lam.vertices, lambda v: v[1])
     return lam_prime, phi
 
-
-def intensional_ledger_graph(
-    initial_utxos: Iterable[UtxoSet],
-    initial_slots: Iterable[Slot],
-    tx_universe: Iterable[Tx],
-    slot_universe: Iterable[Slot],
-    additional_checks=None,
-) -> IntensionalGraph:
-    """Ledger transition graph with successors computed on demand."""
-    initial_utxos = list(initial_utxos)
-    initial_slots = sorted(set(initial_slots))
-    txs = list(tx_universe)
-    slots = sorted(set(slot_universe))
-
-    def contains(v):
-        q, u, t = v
-        return bool(check_tx(q, u, t, additional_checks))
-
-    def successors(v):
-        q, u, t = v
-        u2 = step_ledger(q, u, t, additional_checks)
-        if isinstance(u2, CheckResult):
-            return frozenset()
-        return frozenset(
-            (q2, u2, t2)
-            for q2 in slots
-            if q2 >= q
-            for t2 in txs
-            if check_tx(q2, u2, t2, additional_checks)
-        )
-
-    def initial(v):
-        q, u, _ = v
-        return q in initial_slots and u in initial_utxos and contains(v)
-
-    starts = tuple(
-        (q, u, t)
-        for q in initial_slots
-        for u in initial_utxos
-        for t in txs
-        if check_tx(q, u, t, additional_checks)
-    )
-    return IntensionalGraph(contains, successors, initial, starts)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
 from .graphs import SimpleGraph
@@ -221,7 +221,7 @@ def dump_trace(
     )
 
 
-def load_traces(texts: Sequence[str]) -> List[Tuple[TracePrefix, List[Tx], List[Slot]]]:
+def load_traces(texts: Iterable[str]) -> List[Tuple[TracePrefix, List[Tx], List[Slot]]]:
     """Read trace files in order with one reader: an entry they share is one object."""
     read = _Reader()
     return [_read_trace(read, text) for text in texts]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .core import CheckResult, Slot, Tx, UtxoSet, step_ledger
-from .graphs import PartialSieveHom, SimpleGraph, UnsupportedEnumerationError
+from .graphs import PartialSieveHom
 
 
 @dataclass(frozen=True)
@@ -343,13 +343,11 @@ def has_truncated_lift(
 ) -> Tuple[bool, Optional[Tuple]]:
     """Search for a source path of n+1 states mapping onto the target head.
 
-    The source graph must be explicit and finite; the witness, when found,
-    is one lifting path starting at an initial vertex.
+    The witness, when found, is one lifting path starting at an initial
+    vertex.
     """
     if len(target_prefix) < n + 1:
         raise ValueError("target prefix must have at least n+1 states")
-    if not isinstance(hom.source, SimpleGraph):
-        raise UnsupportedEnumerationError("lift search needs an explicit source")
     goal = target_prefix.states[: n + 1]
 
     def extend(path):

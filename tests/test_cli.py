@@ -509,6 +509,25 @@ class TestContractCommands:
         )
         assert code == EXIT_USAGE
 
+    def test_inputs_digest_is_the_digest_of_the_texts(self, trace_dir, capsys):
+        paths = sorted(trace_dir.glob("trace_*.json"))
+        assert len(paths) == 3
+        code, stdout, _ = run_cli(
+            capsys, "contract", "check", "--name", "nft",
+            "--traces", *map(str, paths),
+        )
+        assert code == EXIT_CLEAN
+        texts = [p.read_text() for p in paths]
+        assert read_json(stdout)["inputs_digest"] == cli._inputs_digest(*texts)
+
+    def test_unreadable_file_after_a_good_one_is_usage_error(self, trace_dir, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "contract", "check", "--name", "nft", "--traces",
+            str(trace_dir / "trace_000.json"), str(trace_dir / "missing.json"),
+        )
+        assert code == EXIT_USAGE
+        assert stdout == "" and stderr.startswith("error: cannot read ")
+
     def test_check_induce_nonexpanding(self, tmp_path, capsys):
         token = b"NFT".hex()
         gen_dir = tmp_path / "nft_traces"
@@ -565,6 +584,9 @@ class TestGraphDump:
         ("1", "5",
          "3ea4d47117f1b3a85b14fc278de5d4954f4bca33b6ace085bfa2125d7c35786a",
          "fff2348314aa4c02c0785efc1489d4618b137346f33d8f5c3fd4232094d5e91c"),
+        ("0", "25",
+         "9137b39d2ccbf31d4bd3e179dee085c97faf60e541548385c8a85718ee7a0709",
+         "e8e16818284120c025386b2fee6ee03454f7ad63bda6d4ca84416069ddc72767"),
     ])
     def test_pinned_digests(
         self, tmp_path, capsys, seed, depth, lam_digest, prime_digest

@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forward_closure, random_graph, random_hom
+from conftest import forward_closure, gen_traces, out, random_graph, random_hom, tx_of
+from ledgerlab.contracts import nft_contract
+from ledgerlab.core import CheckResult, check_tx, step_ledger
 from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import (
-    IntensionalGraph,
     PartialSieveHom,
     SimpleGraph,
-    UnsupportedEnumerationError,
     build_ledger_graph,
     check_hom,
     compose_homs,
     enumerate_paths,
     identity_hom,
-    intensional_ledger_graph,
     intersect_sieves,
     is_sieve,
     project_ledger_graph,
@@ -248,24 +247,6 @@ class TestPaths:
         with pytest.raises(ValueError):
             enumerate_paths(g, 0)
 
-    def test_intensional_graph_with_starts(self):
-        g = IntensionalGraph(
-            contains_vertex=lambda v: True,
-            successors=lambda v: frozenset([v + 1]) if v < 2 else frozenset(),
-            is_initial=lambda v: v == 0,
-            initial_vertices=(0,),
-        )
-        assert enumerate_paths(g, 3) == frozenset([(0, 1, 2)])
-
-    def test_intensional_graph_without_starts_errors(self):
-        g = IntensionalGraph(
-            contains_vertex=lambda v: True,
-            successors=lambda v: frozenset(),
-            is_initial=lambda v: False,
-        )
-        with pytest.raises(UnsupportedEnumerationError):
-            enumerate_paths(g, 2)
-
 
 @pytest.fixture
 def ledger_graph():
@@ -285,6 +266,22 @@ def ledger_graph():
     return sc, txs, slots, lam
 
 
+def assert_ledger_successors(lam, utxos, initial_slots, txs, slots, hook=None):
+    """Λ's initial vertices, successors and vertex set against brute force."""
+    assert lam.initial == {
+        (q, u, t) for q in initial_slots for u in utxos for t in txs
+        if check_tx(q, u, t, hook)
+    }
+    for q, u, t in lam.vertices:
+        u2 = step_ledger(q, u, t, hook)
+        expected = set() if isinstance(u2, CheckResult) else {
+            (q2, u2, t2) for q2 in slots if q2 >= q for t2 in txs
+            if check_tx(q2, u2, t2, hook)
+        }
+        assert lam.successors((q, u, t)) == expected
+    assert lam.vertices == forward_closure(lam, lam.initial)
+
+
 class TestLedgerGraphs:
     def test_empty_universe_gives_empty_graph(self):
         sc = make_scenario(32)
@@ -293,8 +290,6 @@ class TestLedgerGraphs:
         assert lam.initial == frozenset()
 
     def test_vertices_are_checkable_and_slots_monotone(self, ledger_graph):
-        from ledgerlab.core import check_tx
-
         _, _, _, lam = ledger_graph
         assert lam.vertices
         for q, u, t in lam.vertices:
@@ -318,19 +313,32 @@ class TestLedgerGraphs:
         for q, u, t in lam.vertices:
             assert phi((q, u, t)) == u
 
-    def test_intensional_agrees_with_explicit(self, ledger_graph):
+    def test_successors_match_brute_force(self, ledger_graph):
         sc, txs, slots, lam = ledger_graph
-        lazy = intensional_ledger_graph(
-            [sc.initial_utxo], [sc.initial_slot], txs, slots
-        )
-        assert frozenset(lazy.initial_vertices) == lam.initial
-        for v in lam.vertices:
-            assert lazy.contains_vertex(v)
-            assert lazy.successors(v) == lam.successors(v)
+        assert_ledger_successors(lam, [sc.initial_utxo], [sc.initial_slot], txs, slots)
+
+    def test_successors_match_brute_force_on_collisions(self, non_well_founded):
+        u0, txs = non_well_founded
+        for hook in (None, nft_contract(b"NFT").additional_checks):
+            for universe in ([txs[1]], txs):
+                lam = build_ledger_graph([u0], [0], universe, [0, 1], hook)
+                assert_ledger_successors(lam, [u0], [0], universe, [0, 1], hook)
+
+    def test_successors_match_brute_force_under_the_nft_policy(self):
+        token = b"NFT"
+        hook = nft_contract(token).additional_checks
+        sc = make_scenario(21, token=token, token_present=True)
+        trace = gen_traces(sc, depth=3, count=1, seed=8, token=token, hook=hook)[0]
+        txs = [tx for _, tx in trace.annotations]
+        # each step again, minting one more unit: the policy must refuse these
+        mint = (out("m", token=token, token_qty=1),)
+        txs += [tx_of(tx.inputs, tx.outputs + mint) for tx in txs]
+        slots = sorted({sc.initial_slot} | {q for q, _ in trace.annotations})
+        lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots, hook)
+        assert_ledger_successors(lam, [sc.initial_utxo], [sc.initial_slot], txs, slots, hook)
+        assert lam != build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
 
     def test_refused_step_has_no_successor(self, non_well_founded):
-        from ledgerlab.core import CheckResult, step_ledger
-
         # u0 already holds the ref t1 creates, so t1 collides on u0
         u0, (t0, t1) = non_well_founded
         lam = build_ledger_graph([u0], [0], [t1], [0])
