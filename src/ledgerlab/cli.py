@@ -2,7 +2,7 @@
 
 Subcommands: ``trace gen|validate|dist|monitor``, ``props check|canon``,
 ``contract list|check``, ``graph dump``.  Exit codes: 0 clean, 1 property
-violation, 2 usage or parse error, 3 internal invariant breach.
+violation, 2 usage, parse or file error, 3 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -61,13 +61,6 @@ MONITORS = {
 }
 
 
-def _inputs_digest(*chunks: str) -> str:
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(hashlib.sha256(chunk.encode("utf-8")).digest())
-    return h.hexdigest()
-
-
 def _emit(command: str, verdicts: List[dict], inputs_digest: str, **extra) -> int:
     """Print a checking command's report; exit 1 when a verdict is not clean."""
     report = {"command": command, "verdicts": verdicts, "inputs_digest": inputs_digest}
@@ -78,18 +71,52 @@ def _emit(command: str, verdicts: List[dict], inputs_digest: str, **extra) -> in
     return EXIT_VIOLATION
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ValueError("cannot read %s: %s" % (path, exc)) from exc
+class _Inputs:
+    """A command's input files, read in order as they are iterated.
+
+    Each text is digested as it is yielded, so no text outlives its parse;
+    ``digest`` is sha256 over the per-file sha256 digests.
+    """
+
+    def __init__(self, *paths: str):
+        self.paths = paths
+        self._digests = []
+
+    def __iter__(self):
+        for path in self.paths:
+            try:
+                text = Path(path).read_text()
+            except OSError as exc:
+                raise ValueError("cannot read %s: %s" % (path, exc)) from exc
+            self._digests.append(hashlib.sha256(text.encode("utf-8")).digest())
+            yield text
+
+    @property
+    def digest(self) -> str:
+        return hashlib.sha256(b"".join(self._digests)).hexdigest()
 
 
 def _out_dir(arg: Optional[str]) -> Path:
-    path = arg or os.environ.get(OUT_DIR_ENV) or "."
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(arg or os.environ.get(OUT_DIR_ENV) or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (out, exc)) from exc
     return out
+
+
+def _write(out: Path, name: str, text: str) -> str:
+    """Write ``text`` to ``out / name``; return its reproducibility digest."""
+    try:
+        (out / name).write_text(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (out / name, exc)) from exc
+    return serialize.digest(text)
+
+
+def _well_founded(start, genesis) -> dict:
+    wf = check_well_founded(start, genesis)
+    return {"check": "well-founded", "clean": wf.ok, "witness": wf.reason}
 
 
 def _vertex_label(payload) -> str:
@@ -123,47 +150,37 @@ def cmd_trace_gen(args) -> int:
             prefix, scenario.genesis_txs, [scenario.initial_slot]
         )
         name = "trace_%03d.json" % k
-        (out / name).write_text(text)
         manifest["files"].append(
-            {"name": name, "digest": serialize.digest(text),
+            {"name": name, "digest": _write(out, name, text),
              "truncated": prefix.truncated}
         )
     manifest_text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-    (out / "manifest.json").write_text(manifest_text)
-    print(json.dumps({"manifest_digest": serialize.digest(manifest_text),
+    print(json.dumps({"manifest_digest": _write(out, "manifest.json", manifest_text),
                       "written": len(traces)}, sort_keys=True))
     return EXIT_CLEAN
 
 
 def cmd_trace_validate(args) -> int:
-    text = _read(args.file)
-    prefix, genesis, initial_slots = serialize.load_trace(text)
-    verdicts = []
-    if genesis:
-        wf = check_well_founded(prefix.states[0], genesis)
-        verdicts.append(
-            {"check": "well-founded", "clean": wf.ok, "witness": wf.reason}
-        )
-    slots = initial_slots
-    if not slots and prefix.annotations:
-        slots = [prefix.annotations[0][0]]
-    result = validate_trace_prefix(prefix, slots or [0])
+    inputs = _Inputs(args.file)
+    prefix, genesis, initial_slots = serialize.load_trace(*inputs)
+    verdicts = [_well_founded(prefix.states[0], genesis)] if genesis else []
+    result = validate_trace_prefix(prefix, initial_slots)
     verdicts.append(
         {"check": "valid-trace", "clean": result.ok, "witness": result.reason}
     )
-    return _emit("trace validate", verdicts, _inputs_digest(text))
+    return _emit("trace validate", verdicts, inputs.digest)
 
 
 def cmd_trace_dist(args) -> int:
-    text_a, text_b = _read(args.file_a), _read(args.file_b)
-    (a, _, _), (b, _, _) = serialize.load_traces([text_a, text_b])
+    inputs = _Inputs(args.file_a, args.file_b)
+    (a, _, _), (b, _, _) = serialize.load_traces(inputs)
     d = ultra_distance(a, b)
     print(
         json.dumps(
             {
                 "exact": d.exact,
                 "value": str(d.value),
-                "inputs_digest": _inputs_digest(text_a, text_b),
+                "inputs_digest": inputs.digest,
             },
             sort_keys=True,
         )
@@ -175,8 +192,8 @@ def cmd_trace_monitor(args) -> int:
     if args.monitor not in MONITORS:
         raise ValueError("unknown monitor %r; have %s"
                          % (args.monitor, sorted(MONITORS)))
-    text = _read(args.file)
-    prefix, _, _ = serialize.load_trace(text)
+    inputs = _Inputs(args.file)
+    prefix, _, _ = serialize.load_trace(*inputs)
     violated_at = monitor_trace(MONITORS[args.monitor], prefix)
     verdicts = [
         {
@@ -185,68 +202,59 @@ def cmd_trace_monitor(args) -> int:
             "witness": violated_at,
         }
     ]
-    return _emit("trace monitor", verdicts, _inputs_digest(text))
+    return _emit("trace monitor", verdicts, inputs.digest)
 
 
 # --- props commands ---------------------------------------------------------
 
-def _load_and_replay(path: str):
-    text = _read(path)
-    initial, steps, genesis = serialize.load_run(text)
-    slots = [slot for slot, _ in steps]
-    txs = [tx for _, tx in steps]
-    outcome = replay_sequence(initial, slots, txs)
-    return text, initial, genesis, outcome
+def _replay(path: str):
+    """Read and replay a run file, for ``props check`` and ``props canon``.
 
-
-def _replay_verdict(outcome) -> dict:
-    """The ``replay-valid`` verdict of ``props check`` and ``props canon``."""
-    rejected = isinstance(outcome, CheckResult)
-    return {"check": "replay-valid", "clean": not rejected,
-            "witness": [outcome.witness, outcome.reason] if rejected else None}
+    Returns the run (or the refusal), the genesis transactions, the
+    ``replay-valid`` verdict and the inputs digest.
+    """
+    inputs = _Inputs(path)
+    initial, steps, genesis = serialize.load_run(*inputs)
+    run = replay_sequence(initial, [slot for slot, _ in steps], [tx for _, tx in steps])
+    refused = isinstance(run, CheckResult)
+    verdict = {"check": "replay-valid", "clean": not refused,
+               "witness": [run.witness, run.reason] if refused else None}
+    return run, genesis, verdict, inputs.digest
 
 
 def cmd_props_check(args) -> int:
-    text, initial, genesis, outcome = _load_and_replay(args.run)
-    verdicts = [_replay_verdict(outcome)]
-    if isinstance(outcome, CheckResult):
-        return _emit("props check", verdicts, _inputs_digest(text))
-    if genesis:
-        wf = check_well_founded(initial, genesis)
-        verdicts.append(
-            {"check": "well-founded", "clean": wf.ok, "witness": wf.reason}
-        )
-    for name, checker in (
-        ("replay-protection", check_replay_protection),
-        ("trivial-update-protection", check_trivial_update_protection),
-        ("disjointness", check_disjointness),
-    ):
-        verdict = checker(outcome)
-        verdicts.append(
-            {"check": name, "clean": verdict.ok,
-             "witness": list(verdict.witness) if verdict.witness else None}
-        )
-    return _emit("props check", verdicts, _inputs_digest(text))
+    run, genesis, verdict, digest = _replay(args.run)
+    verdicts = [verdict]
+    if verdict["clean"]:
+        if genesis:
+            verdicts.append(_well_founded(run.states[0], genesis))
+        for name, checker in (
+            ("replay-protection", check_replay_protection),
+            ("trivial-update-protection", check_trivial_update_protection),
+            ("disjointness", check_disjointness),
+        ):
+            result = checker(run)
+            verdicts.append(
+                {"check": name, "clean": result.ok, "witness": result.witness or None}
+            )
+    return _emit("props check", verdicts, digest)
 
 
 def cmd_props_canon(args) -> int:
-    text, initial, _, outcome = _load_and_replay(args.run)
-    verdicts = [_replay_verdict(outcome)]
-    if isinstance(outcome, CheckResult):
-        return _emit("props canon", verdicts, _inputs_digest(text))
-    poset = build_tx_poset(outcome)
-    presentation = canonical_presentation(poset)
-    extra = {
-        "levels": list(poset.levels),
-        "canonical_presentation": presentation,
-    }
-    if args.enumerate:
-        perms = enumerate_valid_permutations(poset, args.cap)
-        txs = [tx for _, tx in outcome.annotations]
-        valid = valid_orders(initial, txs, perms.sequences)
-        extra["permutations"] = [list(seq) for seq in valid]
-        extra["capped"] = perms.capped
-    return _emit("props canon", verdicts, _inputs_digest(text), **extra)
+    run, _, verdict, digest = _replay(args.run)
+    extra = {}
+    if verdict["clean"]:
+        poset = build_tx_poset(run)
+        extra = {
+            "levels": poset.levels,
+            "canonical_presentation": canonical_presentation(poset),
+        }
+        if args.enumerate:
+            perms = enumerate_valid_permutations(poset, args.cap)
+            txs = [tx for _, tx in run.annotations]
+            extra["permutations"] = valid_orders(run.states[0], txs, perms.sequences)
+            extra["capped"] = perms.capped
+    return _emit("props canon", [verdict], digest, **extra)
 
 
 # --- contract commands ------------------------------------------------------
@@ -262,22 +270,14 @@ def cmd_contract_check(args) -> int:
                          % (args.name, sorted(CONTRACTS)))
     token = bytes.fromhex(args.token) if args.token else b"NFT"
     sc = CONTRACTS[args.name](token)
-    digests = []
-
-    def texts():
-        # digest each file as it is read, so no text outlives its parse
-        for path in args.traces:
-            text = _read(path)
-            digests.append(hashlib.sha256(text.encode("utf-8")).digest())
-            yield text
-
-    traces = [prefix for prefix, _, _ in serialize.load_traces(texts())]
+    inputs = _Inputs(*args.traces)
+    traces = [prefix for prefix, _, _ in serialize.load_traces(inputs)]
     report = check_contract_on_traces(sc, traces)
     verdicts = [
         {
             "check": "step-correctness",
             "clean": not report.failures,
-            "witness": list(report.failures[:5]),
+            "witness": report.failures[:5],
         }
     ]
     extra = {"steps_checked": report.steps_checked}
@@ -285,18 +285,16 @@ def cmd_contract_check(args) -> int:
         out = _out_dir(args.out)
         for k, prefix in enumerate(traces):
             induced = induce_trace_map(sc, prefix)
-            (out / ("contract_trace_%03d.json" % k)).write_text(
-                serialize.dump_contract_trace(induced)
-            )
+            _write(out, "contract_trace_%03d.json" % k,
+                   serialize.dump_contract_trace(induced))
     if args.nonexpanding:
         nonexp = check_non_expanding(sc.pi, sc.pi_defined, traces)
         verdicts.append(
             {"check": "non-expanding", "clean": not nonexp.violations,
-             "witness": list(nonexp.violations[:5])}
+             "witness": nonexp.violations[:5]}
         )
         extra["pairs_checked"] = nonexp.pairs_checked
-    inputs_digest = hashlib.sha256(b"".join(digests)).hexdigest()
-    return _emit("contract check", verdicts, inputs_digest, **extra)
+    return _emit("contract check", verdicts, inputs.digest, **extra)
 
 
 # --- graph commands ---------------------------------------------------------
@@ -332,15 +330,13 @@ def cmd_graph_dump(args) -> int:
 
     lam_text = serialize.dump_graph(lam, label_triple)
     prime_text = serialize.dump_graph(lam_prime, label_state)
-    (out / "lambda.json").write_text(lam_text)
-    (out / "lambda_prime.json").write_text(prime_text)
     print(
         json.dumps(
             {
                 "lambda_vertices": len(lam.vertices),
                 "lambda_prime_vertices": len(lam_prime.vertices),
-                "lambda_digest": serialize.digest(lam_text),
-                "lambda_prime_digest": serialize.digest(prime_text),
+                "lambda_digest": _write(out, "lambda.json", lam_text),
+                "lambda_prime_digest": _write(out, "lambda_prime.json", prime_text),
             },
             sort_keys=True,
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .core import CheckResult, Tx, UtxoSet
-from .graphs import PartialSieveHom, SimpleGraph
+from .graphs import PartialSieveHom, SimpleGraph, project_graph
 from .traces import TracePrefix
 
 
@@ -129,17 +129,7 @@ def build_contract_graphs(
     )
     initial = frozenset(v for v in vertices if sc.spec.is_initial(v[0]))
     gamma = SimpleGraph(vertices, edges, initial)
-
-    proj_states = frozenset(s for s, _ in vertices)
-    proj_edges = frozenset(
-        (s, sc.spec.step(s, i))
-        for s, i in vertices
-        if sc.spec.step(s, i) in proj_states
-    )
-    proj_initial = frozenset(s for s in proj_states if sc.spec.is_initial(s))
-    gamma_prime = SimpleGraph(proj_states, proj_edges, proj_initial)
-
-    psi = PartialSieveHom(gamma, gamma_prime, vertices, lambda v: v[0])
+    gamma_prime, psi = project_graph(gamma, lambda v: v[0], lambda v: sc.spec.step(*v))
     return gamma, gamma_prime, psi
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
+from typing import Callable, Iterable, Mapping, Tuple
 
 from .core import CheckResult, Slot, Tx, UtxoSet, check_tx, step_ledger
 
@@ -184,23 +184,33 @@ def build_ledger_graph(
     return SimpleGraph(frozenset(vertices), frozenset(edges), initial)
 
 
+def project_graph(
+    graph: SimpleGraph, state_of: Callable, step: Callable
+) -> Tuple[SimpleGraph, PartialSieveHom]:
+    """Collapse a transition graph onto the states of its vertices.
+
+    Returns the state graph, with an edge ``state_of(v) -> step(v)``
+    whenever the step lands on a state and the states of the initial
+    vertices as initial, together with the everywhere-defined projection
+    homomorphism ``state_of``.
+    """
+    states = frozenset(state_of(v) for v in graph.vertices)
+    edges = set()
+    for v in graph.vertices:
+        after = step(v)
+        if after in states:  # a refusal is never a state
+            edges.add((state_of(v), after))
+    initial = frozenset(state_of(v) for v in graph.initial)
+    projected = SimpleGraph(states, frozenset(edges), initial)
+    return projected, PartialSieveHom(graph, projected, graph.vertices, state_of)
+
+
 def project_ledger_graph(
     lam: SimpleGraph,
 ) -> Tuple[SimpleGraph, PartialSieveHom]:
     """Collapse a ledger graph onto its UTxO component.
 
-    Returns the projected graph (states, with an edge u -> u' whenever some
-    vertex (q,u,t) steps to u') together with the everywhere-defined
-    projection homomorphism.
+    The projected graph has an edge u -> u' whenever some vertex (q,u,t)
+    steps to u'; ``project_graph`` builds it with the projection hom.
     """
-    states = frozenset(u for _, u, _ in lam.vertices)
-    edges = set()
-    for q, u, t in lam.vertices:
-        after = step_ledger(q, u, t)
-        if after in states:  # a refusal is never a state
-            edges.add((u, after))
-    initial = frozenset(u for _, u, _ in lam.initial)
-    lam_prime = SimpleGraph(states, frozenset(edges), initial)
-    phi = PartialSieveHom(lam, lam_prime, lam.vertices, lambda v: v[1])
-    return lam_prime, phi
-
+    return project_graph(lam, lambda v: v[1], lambda v: step_ledger(*v))

@@ -256,19 +256,20 @@ def check_monitor_monotone(
 
 def validate_trace_prefix(
     prefix: TracePrefix,
-    initial_slots: Iterable[Slot],
+    initial_slots: Sequence[Slot],
 ) -> CheckResult:
     """Re-validate a ledger trace prefix against its lift ``annotations``.
 
-    Checks: the first slot is a valid initial one, every step is a valid
-    ledger transition landing on the recorded state, and the slots never
-    decrease (``check_well_founded`` judges the first state).  A prefix
-    with steps but no lift raises ValueError.
+    Checks: the first slot is a valid initial one (an empty
+    ``initial_slots`` admits any), every step is a valid ledger transition
+    landing on the recorded state, and the slots never decrease
+    (``check_well_founded`` judges the first state).  A prefix with steps
+    but no lift raises ValueError.
     """
     steps = prefix.annotations or ()
     if len(steps) != len(prefix) - 1:
         raise ValueError("need one (slot, tx) pair per step")
-    if steps and steps[0][0] not in initial_slots:
+    if steps and initial_slots and steps[0][0] not in initial_slots:
         return CheckResult(False, "not-initial-slot")
     prev_slot = None
     for k, (slot, tx) in enumerate(steps):

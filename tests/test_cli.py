@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -509,17 +510,6 @@ class TestContractCommands:
         )
         assert code == EXIT_USAGE
 
-    def test_inputs_digest_is_the_digest_of_the_texts(self, trace_dir, capsys):
-        paths = sorted(trace_dir.glob("trace_*.json"))
-        assert len(paths) == 3
-        code, stdout, _ = run_cli(
-            capsys, "contract", "check", "--name", "nft",
-            "--traces", *map(str, paths),
-        )
-        assert code == EXIT_CLEAN
-        texts = [p.read_text() for p in paths]
-        assert read_json(stdout)["inputs_digest"] == cli._inputs_digest(*texts)
-
     def test_unreadable_file_after_a_good_one_is_usage_error(self, trace_dir, capsys):
         code, stdout, stderr = run_cli(
             capsys, "contract", "check", "--name", "nft", "--traces",
@@ -678,6 +668,83 @@ class TestSizesBelowOne:
         )
         assert code == EXIT_USAGE
         assert stdout == "" and err == "error: cap must be at least 1\n"
+
+
+#: each reading command, given the trace files and the run file
+READING_COMMANDS = {
+    "trace validate": lambda traces, run: ["trace", "validate", traces[0]],
+    "trace dist": lambda traces, run: ["trace", "dist", traces[0], traces[1]],
+    "trace monitor": lambda traces, run: [
+        "trace", "monitor", traces[0], "--monitor", "utxo-empty"],
+    "props check": lambda traces, run: ["props", "check", "--run", run],
+    "props canon": lambda traces, run: ["props", "canon", "--run", run],
+    "contract check": lambda traces, run: [
+        "contract", "check", "--name", "nft", "--traces", *traces],
+}
+
+#: each writing command, given a trace file
+WRITING_COMMANDS = {
+    "trace gen": lambda trace: ["trace", "gen", "--seed", "1", "--count", "1"],
+    "graph dump": lambda trace: ["graph", "dump", "--seed", "1"],
+    "contract check --induce": lambda trace: [
+        "contract", "check", "--name", "nft", "--traces", trace, "--induce"],
+}
+
+
+class TestFileBoundary:
+    @pytest.fixture
+    def inputs(self, trace_dir, run_file):
+        return sorted(str(p) for p in trace_dir.glob("trace_*.json")), str(run_file[2])
+
+    @pytest.mark.parametrize("command", sorted(READING_COMMANDS))
+    def test_report_digests_the_input_texts(self, command, inputs, capsys):
+        argv = READING_COMMANDS[command](*inputs)
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == EXIT_CLEAN
+        # sha256 over the per-file sha256 digests, in argument order
+        per_file = (hashlib.sha256(Path(a).read_bytes()).digest()
+                    for a in argv if a.endswith(".json"))
+        expected = hashlib.sha256(b"".join(per_file)).hexdigest()
+        assert read_json(stdout)["inputs_digest"] == expected
+
+    @pytest.mark.parametrize("command", sorted(READING_COMMANDS))
+    def test_missing_input_is_a_usage_error(self, command, inputs, tmp_path, capsys):
+        argv = READING_COMMANDS[command](*inputs)
+        last = max(k for k, a in enumerate(argv) if a.endswith(".json"))
+        argv[last] = str(tmp_path / "missing.json")
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert stderr.startswith("error: cannot read ")
+
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    @pytest.mark.parametrize("via", ["out-is-a-file", "out-below-a-file", "env-is-a-file"])
+    def test_unusable_output_path_is_a_usage_error(
+        self, command, via, inputs, tmp_path, monkeypatch, capsys
+    ):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("x")
+        argv = WRITING_COMMANDS[command](inputs[0][0])
+        if via == "env-is-a-file":
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(blocker))
+        else:
+            below = via == "out-below-a-file"
+            argv += ["--out", str(blocker / "sub" if below else blocker)]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert stderr.startswith("error: cannot write ")
+        assert blocker.read_text() == "x"
+
+    def test_empty_initial_slots_admit_any_first_slot(self, trace_dir, tmp_path, capsys):
+        payload = read_json((trace_dir / "trace_000.json").read_text())
+        first = payload["lifts"][0][0]
+        checks = {}
+        for slots in ([], [first + 1]):
+            path = tmp_path / "slots.json"
+            path.write_text(json.dumps(dict(payload, initial_slots=slots)))
+            code, stdout, _ = run_cli(capsys, "trace", "validate", str(path))
+            verdicts = {v["check"]: v for v in read_json(stdout)["verdicts"]}
+            checks[code] = verdicts["valid-trace"]["witness"]
+        assert checks == {EXIT_CLEAN: None, EXIT_VIOLATION: "not-initial-slot"}
 
 
 class TestUsage:

@@ -36,3 +36,20 @@ def test_imports_are_relative_or_stdlib(path):
     outside = [(line, name) for line, name in imported_names(tree)
                if name not in sys.stdlib_module_names]
     assert outside == [], path.name
+
+
+#: modules that reach the file system; only ``cli`` may use them, so every
+#: read and write, and its exit-2 mapping, stays at one boundary
+FILE_MODULES = {"os", "pathlib", "io", "shutil", "tempfile"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_file_io_only_in_cli(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(line, name) for line, name in imported_names(tree)
+             if name in FILE_MODULES]
+    found += [(node.lineno, "open") for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "open"]
+    assert found == [], path.name

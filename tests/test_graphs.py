@@ -282,6 +282,18 @@ def assert_ledger_successors(lam, utxos, initial_slots, txs, slots, hook=None):
     assert lam.vertices == forward_closure(lam, lam.initial)
 
 
+def assert_projected_edges(lam):
+    """Λ′ against brute force: u -> w iff some vertex (q,u,t) steps to w."""
+    lam_prime, _ = project_ledger_graph(lam)
+    assert lam_prime.edges == {
+        (u, w) for u in lam_prime.vertices for w in lam_prime.vertices
+        if any(step_ledger(q, u2, t) == w for q, u2, t in lam.vertices if u2 == u)
+    }
+    # every Λ edge projects onto a Λ′ edge
+    assert {(v[1], w[1]) for v, w in lam.edges} <= lam_prime.edges
+    return lam_prime
+
+
 class TestLedgerGraphs:
     def test_empty_universe_gives_empty_graph(self):
         sc = make_scenario(32)
@@ -312,6 +324,15 @@ class TestLedgerGraphs:
         assert lam_prime.initial == frozenset(u for _, u, _ in lam.initial)
         for q, u, t in lam.vertices:
             assert phi((q, u, t)) == u
+
+    def test_projected_edges_match_brute_force(self, ledger_graph):
+        _, _, _, lam = ledger_graph
+        assert assert_projected_edges(lam).edges
+
+    def test_projected_edges_match_brute_force_on_collisions(self, non_well_founded):
+        u0, txs = non_well_founded
+        for universe in ([txs[1]], txs):
+            assert_projected_edges(build_ledger_graph([u0], [0], universe, [0, 1]))
 
     def test_successors_match_brute_force(self, ledger_graph):
         sc, txs, slots, lam = ledger_graph

@@ -286,6 +286,13 @@ class TestValidation:
         verdict = validate_trace_prefix(p, [scenario.initial_slot + 999])
         assert verdict.reason == "not-initial-slot"
 
+    def test_no_declared_initial_slot_admits_any(self, scenario):
+        for p in gen_traces(scenario, depth=4, count=4, seed=45):
+            first = p.annotations[0][0]
+            assert validate_trace_prefix(p, [])
+            verdict = validate_trace_prefix(p, [first + 1])
+            assert verdict.reason == "not-initial-slot"
+
     def test_decreasing_slots_detected(self, scenario):
         p = gen_traces(scenario, depth=4, count=1, seed=43)[0]
         ann = list(p.annotations)
