@@ -74,8 +74,9 @@ def _emit(command: str, verdicts: List[dict], inputs_digest: str, **extra) -> in
 class _Inputs:
     """A command's input files, read in order as they are iterated.
 
-    Each text is digested as it is yielded, so no text outlives its parse;
-    ``digest`` is sha256 over the per-file sha256 digests.
+    Each file is digested as it is yielded, so no text outlives its parse;
+    ``digest`` is sha256 over the sha256 digests of the files' own bytes,
+    which are decoded as UTF-8 whatever the locale, newlines untouched.
     """
 
     def __init__(self, *paths: str):
@@ -85,10 +86,15 @@ class _Inputs:
     def __iter__(self):
         for path in self.paths:
             try:
-                text = Path(path).read_text()
+                data = Path(path).read_bytes()
             except OSError as exc:
                 raise ValueError("cannot read %s: %s" % (path, exc)) from exc
-            self._digests.append(hashlib.sha256(text.encode("utf-8")).digest())
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError("cannot decode %s: %s" % (path, exc)) from exc
+            self._digests.append(hashlib.sha256(data).digest())
+            del data  # only the text is held while it is parsed
             yield text
 
     @property
@@ -145,9 +151,13 @@ def cmd_trace_gen(args) -> int:
     out = _out_dir(args.out)
     manifest = {"seed": args.seed, "depth": args.depth, "count": args.count,
                 "files": []}
+    # every trace starts from the scenario's state: convert its entries once,
+    # and give each trace a copy, so no trace keeps another's entries alive
+    shared = {}
+    serialize.utxo_to_json(scenario.initial_utxo, shared)
     for k, prefix in enumerate(traces):
         text = serialize.dump_trace(
-            prefix, scenario.genesis_txs, [scenario.initial_slot]
+            prefix, scenario.genesis_txs, [scenario.initial_slot], dict(shared)
         )
         name = "trace_%03d.json" % k
         manifest["files"].append(
@@ -318,15 +328,16 @@ def cmd_graph_dump(args) -> int:
     )
     lam_prime, _phi = project_ledger_graph(lam)
     out = _out_dir(args.out)
+    written = {}  # the vertices share their entries: convert each once
 
     def label_triple(v):
         q, u, t = v
         return _vertex_label(
-            [q, serialize.utxo_to_json(u), serialize.tx_to_json(t)]
+            [q, serialize.utxo_to_json(u, written), serialize.tx_to_json(t, written)]
         )
 
     def label_state(u):
-        return _vertex_label(serialize.utxo_to_json(u))
+        return _vertex_label(serialize.utxo_to_json(u, written))
 
     lam_text = serialize.dump_graph(lam, label_triple)
     prime_text = serialize.dump_graph(lam_prime, label_state)

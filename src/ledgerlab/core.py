@@ -125,9 +125,20 @@ class Tx:
         if start > end:
             raise ValueError("bad validity interval: %r" % (self.validity_interval,))
 
-    # Derived once per instance, for hash_tx and mk_outs.  A cached_property
-    # writes the instance __dict__ and is not a dataclass field: __eq__,
-    # __hash__ and repr do not see it, and dataclasses.replace starts empty.
+    # Derived once per instance, for __hash__, hash_tx and mk_outs.  A
+    # cached_property writes the instance __dict__ and is not a dataclass
+    # field: __eq__, repr and the hashed fields do not see it, and
+    # dataclasses.replace starts empty.  The hash is computed once per
+    # instance and is the value the dataclass __hash__ would compute.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(
+            (self.inputs, self.outputs, self.validity_interval, self.additional_data)
+        )
+
     @cached_property
     def _id(self) -> bytes:
         return hashlib.sha256(tx_bytes(self)).digest()
@@ -153,8 +164,15 @@ class UtxoSet:
 
     # The refs only, so equal states still hash equal: frozenset(dict) reuses
     # the dict's stored hashes and runs no Python-level __hash__.  Hashing the
-    # items made the state-repeat scan 20x slower on 2000-entry states.
+    # items made the state-repeat scan 20x slower on 2000-entry states.  The
+    # hash is computed once per instance; this is sound because the only
+    # writer of ``entries`` after construction is apply_tx, which edits the
+    # fresh state it is building before anything can hash it.
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash(frozenset(self.entries))
 
     def __len__(self) -> int:

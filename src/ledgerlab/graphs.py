@@ -153,10 +153,16 @@ def build_ledger_graph(
     exactly when step_ledger takes (q,u,t) to u' (a refused step has no
     edge), (q',u',t') is again checkable, and the slot does not decrease.
     Only the part reachable from the initial vertices is built.
+
+    The checkable ``(q', t')`` pairs are computed once per distinct
+    after-state u' and shared by every vertex that steps to it, each
+    keeping those with q' >= q; so ``additional_checks`` must be a pure
+    function of ``(slot, utxo, tx)``.
     """
     initial_utxos = list(initial_utxos)
     txs = list(tx_universe)
     slots = sorted(set(slot_universe))
+    checkable = {}  # after-state -> its checkable (slot, tx) pairs, in order
     initial = frozenset(
         (q, u, t)
         for q in sorted(set(initial_slots))
@@ -173,14 +179,19 @@ def build_ledger_graph(
         u2 = step_ledger(q, u, t, additional_checks)
         if isinstance(u2, CheckResult):
             continue
-        for q2 in slots:
-            for t2 in txs:
-                if q2 >= q and check_tx(q2, u2, t2, additional_checks):
-                    w = (q2, u2, t2)
-                    edges.add((v, w))
-                    if w not in vertices:
-                        vertices.add(w)
-                        frontier.append(w)
+        pairs = checkable.get(u2)
+        if pairs is None:
+            pairs = checkable[u2] = [
+                (q2, t2) for q2 in slots for t2 in txs
+                if check_tx(q2, u2, t2, additional_checks)
+            ]
+        for q2, t2 in pairs:
+            if q2 >= q:
+                w = (q2, u2, t2)
+                edges.add((v, w))
+                if w not in vertices:
+                    vertices.add(w)
+                    frontier.append(w)
     return SimpleGraph(frozenset(vertices), frozenset(edges), initial)
 
 

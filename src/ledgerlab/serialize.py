@@ -11,7 +11,7 @@ import hashlib
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
+from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain, mk_outs
 from .graphs import SimpleGraph
 from .traces import TracePrefix
 
@@ -86,14 +86,31 @@ def ref_from_json(obj: dict) -> OutputRef:
         raise FormatError("bad output ref: %s" % exc) from exc
 
 
-def tx_to_json(tx: Tx) -> dict:
+def _entry_to_json(ref: OutputRef, out: Output, written: dict) -> dict:
+    """The ``{"output_ref", "output"}`` object of one entry, reused from
+    ``written`` when ``out`` is the very object converted for ``ref`` last."""
+    seen = written.get(ref)
+    if seen is None or seen[0] is not out:
+        seen = written[ref] = (
+            out, {"output_ref": ref_to_json(ref), "output": output_to_json(out)}
+        )
+    return seen[1]
+
+
+def tx_to_json(tx: Tx, written: Optional[dict] = None) -> dict:
+    """A transaction; ``written`` as for ``utxo_to_json``.
+
+    An input is spelled like a state entry, and each output is the entry
+    it creates, so both reuse what a writer converted for the states.
+    """
+    if written is None:
+        written = {}
     inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
     return {
-        "inputs": [
-            {"output_ref": ref_to_json(i.output_ref), "output": output_to_json(i.output)}
-            for i in inputs
+        "inputs": [_entry_to_json(i.output_ref, i.output, written) for i in inputs],
+        "outputs": [
+            _entry_to_json(ref, o, written)["output"] for ref, o in mk_outs(tx).items()
         ],
-        "outputs": [output_to_json(o) for o in tx.outputs],
         "validity_interval": list(tx.validity_interval),
         "additional_data": tx.additional_data.hex(),
     }
@@ -182,15 +199,7 @@ def utxo_to_json(utxo: UtxoSet, written: Optional[dict] = None) -> list:
     """
     if written is None:
         written = {}
-    entries = []
-    for ref, out in utxo.items():
-        seen = written.get(ref)
-        if seen is None or seen[0] is not out:
-            seen = written[ref] = (
-                out, {"output_ref": ref_to_json(ref), "output": output_to_json(out)}
-            )
-        entries.append(seen[1])
-    return entries
+    return [_entry_to_json(ref, out, written) for ref, out in utxo.items()]
 
 
 def utxo_from_json(obj: list) -> UtxoSet:
@@ -203,19 +212,27 @@ def dump_trace(
     prefix: TracePrefix,
     genesis_txs: Sequence[Tx] = (),
     initial_slots: Sequence[Slot] = (),
+    written: Optional[dict] = None,
 ) -> str:
-    """Trace file: state list, lift annotations, and generation context."""
+    """Trace file: state list, lift annotations, and generation context.
+
+    ``written`` is as for ``utxo_to_json``; a writer of several traces of
+    one scenario can pass each a copy of one dict that already holds their
+    shared first state, which is then converted once.
+    """
+    if written is None:
+        written = {}
+    states = [utxo_to_json(u, written) for u in prefix.states]
     lifts = None
     if prefix.annotations is not None:
-        lifts = [[slot, tx_to_json(tx)] for slot, tx in prefix.annotations]
-    written = {}
+        lifts = [[slot, tx_to_json(tx, written)] for slot, tx in prefix.annotations]
     return _dump(
         {
             "kind": "trace",
-            "states": [utxo_to_json(u, written) for u in prefix.states],
+            "states": states,
             "lifts": lifts,
             "truncated": prefix.truncated,
-            "genesis": [tx_to_json(t) for t in genesis_txs],
+            "genesis": [tx_to_json(t, written) for t in genesis_txs],
             "initial_slots": sorted(initial_slots),
         }
     )
@@ -258,12 +275,13 @@ def dump_run(
     genesis_txs: Sequence[Tx] = (),
 ) -> str:
     """Run file: an initial state and the (slot, tx) list to replay."""
+    written = {}
     return _dump(
         {
             "kind": "run",
-            "initial": utxo_to_json(initial),
-            "steps": [[slot, tx_to_json(tx)] for slot, tx in steps],
-            "genesis": [tx_to_json(t) for t in genesis_txs],
+            "initial": utxo_to_json(initial, written),
+            "steps": [[slot, tx_to_json(tx, written)] for slot, tx in steps],
+            "genesis": [tx_to_json(t, written) for t in genesis_txs],
         }
     )
 

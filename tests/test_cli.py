@@ -708,6 +708,37 @@ class TestFileBoundary:
         assert read_json(stdout)["inputs_digest"] == expected
 
     @pytest.mark.parametrize("command", sorted(READING_COMMANDS))
+    def test_digest_is_of_the_file_bytes(self, command, inputs, tmp_path, capsys):
+        argv = READING_COMMANDS[command](*inputs)
+        last = max(k for k, a in enumerate(argv) if a.endswith(".json"))
+        lf = Path(argv[last])
+        # an LF UTF-8 file keeps the digest of its decoded text
+        text_digest = hashlib.sha256(lf.read_text(encoding="utf-8").encode("utf-8"))
+        assert text_digest.digest() == hashlib.sha256(lf.read_bytes()).digest()
+        code, stdout, _ = run_cli(capsys, *argv)
+        lf_report = read_json(stdout)
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        argv[last] = str(crlf)
+        crlf_code, stdout, _ = run_cli(capsys, *argv)
+        crlf_report = read_json(stdout)
+        assert crlf_code == code == EXIT_CLEAN
+        assert crlf_report.pop("inputs_digest") != lf_report.pop("inputs_digest")
+        assert crlf_report == lf_report
+
+    @pytest.mark.parametrize("command", sorted(READING_COMMANDS))
+    def test_non_utf8_input_is_a_usage_error(self, command, inputs, tmp_path, capsys):
+        argv = READING_COMMANDS[command](*inputs)
+        last = max(k for k, a in enumerate(argv) if a.endswith(".json"))
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(Path(argv[last]).read_bytes().replace(b'"', b'"\xe9', 1))
+        argv[last] = str(latin1)
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert stderr.startswith("error: cannot decode ")
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command", sorted(READING_COMMANDS))
     def test_missing_input_is_a_usage_error(self, command, inputs, tmp_path, capsys):
         argv = READING_COMMANDS[command](*inputs)
         last = max(k for k, a in enumerate(argv) if a.endswith(".json"))

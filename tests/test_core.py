@@ -199,6 +199,53 @@ class TestTxCache:
         assert mk_outs(tx) == mk_outs(golden_tx())
 
 
+def field_tuple(value) -> tuple:
+    return tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+
+
+class TestHashCache:
+    """Tx and UtxoSet hashes are computed once per instance, unchanged in value."""
+
+    def test_tx_hash_is_the_hash_of_its_fields(self):
+        tx = golden_tx()
+        assert hash(tx) == hash(field_tuple(tx))
+        assert hash(tx) == hash(field_tuple(tx))  # again, from the cache
+
+    def test_utxo_hash_is_the_hash_of_its_refs(self):
+        u = mk_outs(golden_tx())
+        assert hash(u) == hash(frozenset(u.entries)) == hash(frozenset(u.keys()))
+
+    def test_equal_distinct_values_hash_equal(self):
+        tx, twin = golden_tx(), golden_tx()
+        assert tx is not twin and tx == twin
+        hash(tx)
+        assert hash(tx) == hash(twin)
+        u = mk_outs(tx)
+        copy = UtxoSet(dict(u.entries))
+        assert u is not copy and u == copy and hash(u) == hash(copy)
+
+    def test_apply_tx_result_hashes_like_a_fresh_state(self):
+        a, b = OutputRef(b"a", 0), OutputRef(b"b", 0)
+        u = UtxoSet({a: out("p"), b: out("q")})
+        hash(u)
+        tx = tx_of([TxInput(a, out("p"))], [out("r")])
+        after = apply_tx(u, tx)
+        fresh = UtxoSet({b: out("q"), OutputRef(hash_tx(tx), 0): out("r")})
+        assert after == fresh and hash(after) == hash(fresh)
+        assert hash(u) == hash(UtxoSet({a: out("p"), b: out("q")}))
+
+    def test_replace_does_not_inherit_the_cached_hash(self):
+        tx = golden_tx()
+        hash(tx)
+        other = dataclasses.replace(tx, additional_data=b"other")
+        assert "_hash" not in vars(other)
+        assert hash(other) == hash(field_tuple(other)) != hash(tx)
+        u = mk_outs(tx)
+        hash(u)
+        smaller = dataclasses.replace(u, entries=dict(list(u.entries.items())[:1]))
+        assert hash(smaller) == hash(frozenset(smaller.entries)) != hash(u)
+
+
 class TestAuxiliary:
     def test_mk_outs_keys(self):
         tx = tx_of((), [out("p"), out("q")])

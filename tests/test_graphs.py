@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from conftest import forward_closure, gen_traces, out, random_graph, random_hom, tx_of
 from ledgerlab.contracts import nft_contract
-from ledgerlab.core import CheckResult, check_tx, step_ledger
+from ledgerlab.core import (
+    CheckResult,
+    OutputRef,
+    TxInput,
+    check_tx,
+    hash_tx,
+    mk_outs,
+    step_ledger,
+)
 from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import (
     PartialSieveHom,
@@ -375,3 +383,82 @@ class TestLedgerGraphs:
         lam_prime, phi = project_ledger_graph(lam)
         assert check_hom(phi)
         assert len(lam_prime.vertices) == 3 and len(lam_prime.edges) == 2
+
+
+def claim(tx, ix):
+    return TxInput(OutputRef(hash_tx(tx), ix), tx.outputs[ix])
+
+
+@pytest.fixture
+def narrow_universe():
+    """Narrow validity intervals where one after-state is reached at two slots.
+
+    a is valid at slots 0 and 1, so (0,u0,a) and (1,u0,a) both step to the
+    same state; from it b is checkable only at slot 0, so the first vertex
+    has b as a successor and the second does not.  c and d need later slots;
+    d adds a second token unit next to g1's, which the NFT policy refuses.
+    """
+    token = b"NFT"
+    genesis = tx_of((), [out("g0"), out("g1", token=token, token_qty=1)])
+    u0 = mk_outs(genesis)
+    a = tx_of([claim(genesis, 0)], [out("a0")], interval=(0, 2))
+    b = tx_of([claim(a, 0)], [out("b0")], interval=(0, 1))
+    c = tx_of([claim(genesis, 1)], [out("c0", token=token, token_qty=1)],
+              interval=(1, 3))
+    d = tx_of([claim(a, 0)], [out("d0", token=token, token_qty=1)],
+              interval=(2, 4))
+    return u0, [a, b, c, d], nft_contract(token).additional_checks
+
+
+@st.composite
+def narrow_universes(draw, token=b"NFT"):
+    """A genesis state and up to five txs with intervals of one or two slots.
+
+    Each tx spends one or two outputs of genesis or of earlier txs, so
+    conflicts, chains and double spends all occur; outputs carry 0-2 units
+    of ``token`` so the NFT policy both passes and refuses.
+    """
+    def outs(tag, n):
+        return [out("%s%d" % (tag, k), token=token,
+                    token_qty=draw(st.integers(0, 2))) for k in range(n)]
+
+    genesis = tx_of((), outs("g", draw(st.integers(1, 3))))
+    pool = [claim(genesis, k) for k in range(len(genesis.outputs))]
+    txs = []
+    for n in range(draw(st.integers(1, 5))):
+        spent = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=2))
+        start = draw(st.integers(0, 3))
+        tx = tx_of(spent, outs("t%d." % n, draw(st.integers(1, 2))),
+                   interval=(start, start + draw(st.integers(1, 2))))
+        txs.append(tx)
+        pool += [claim(tx, k) for k in range(len(tx.outputs))]
+    initial_slots = sorted(draw(st.sets(st.integers(0, 3), min_size=1, max_size=3)))
+    slots = sorted(set(initial_slots) | draw(st.sets(st.integers(0, 4), max_size=4)))
+    return mk_outs(genesis), txs, initial_slots, slots
+
+
+class TestLedgerGraphSlots:
+    """The per-state successor memo against the memo-free oracle, slots mattering."""
+
+    def test_state_reached_at_two_slots_keeps_its_own_successors(self, narrow_universe):
+        u0, (a, b, c, d), hook = narrow_universe
+        built = {}
+        for checks in (None, hook):
+            lam = built[checks] = build_ledger_graph(
+                [u0], [0, 1], [a, b, c, d], [0, 1, 2, 3], checks
+            )
+            assert_ledger_successors(lam, [u0], [0, 1], [a, b, c, d], [0, 1, 2, 3], checks)
+            ua = step_ledger(0, u0, a)
+            assert step_ledger(1, u0, a) == ua
+            assert (0, ua, b) in lam.successors((0, u0, a))
+            assert (0, ua, b) not in lam.successors((1, u0, a))
+            assert lam.successors((1, u0, a)) < lam.successors((0, u0, a))
+        assert built[hook] != built[None]
+
+    @settings(max_examples=60, deadline=None)
+    @given(narrow_universes(), st.booleans())
+    def test_successors_match_brute_force_on_narrow_intervals(self, universe, policy):
+        u0, txs, initial_slots, slots = universe
+        hook = nft_contract(b"NFT").additional_checks if policy else None
+        lam = build_ledger_graph([u0], initial_slots, txs, slots, hook)
+        assert_ledger_successors(lam, [u0], initial_slots, txs, slots, hook)

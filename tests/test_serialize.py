@@ -136,6 +136,75 @@ class TestTraceFiles:
             serialize.load_trace("[1,2]")
 
 
+def plain_output(o):
+    return {"address": o.address.hex(), "datum": o.datum.hex(),
+            "value": {t.hex(): q for t, q in o.value}}
+
+
+def plain_entry(ref, o):
+    return {"output_ref": {"tx_hash": ref.tx_hash.hex(), "index": ref.index},
+            "output": plain_output(o)}
+
+
+def plain_tx(tx):
+    """A transaction spelled field by field, with no reuse of converted entries."""
+    inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
+    return {"inputs": [plain_entry(i.output_ref, i.output) for i in inputs],
+            "outputs": [plain_output(o) for o in tx.outputs],
+            "validity_interval": list(tx.validity_interval),
+            "additional_data": tx.additional_data.hex()}
+
+
+class TestWriterReuse:
+    """One ``written`` dict across traces and their txs changes no byte."""
+
+    def test_shared_dict_across_traces_keeps_the_bytes(self, scenario):
+        traces = gen_traces(scenario, depth=5, count=4, seed=3)
+        context = (scenario.genesis_txs, [scenario.initial_slot])
+        written = {}
+        for prefix in traces:
+            shared = serialize.dump_trace(prefix, *context, written)
+            assert shared == serialize.dump_trace(prefix, *context)
+            expected = {
+                "kind": "trace", "version": serialize.FORMAT_VERSION,
+                "states": [[plain_entry(r, o) for r, o in u.items()]
+                           for u in prefix.states],
+                "lifts": [[q, plain_tx(t)] for q, t in prefix.annotations],
+                "truncated": prefix.truncated,
+                "genesis": [plain_tx(t) for t in scenario.genesis_txs],
+                "initial_slots": [scenario.initial_slot],
+            }
+            assert json.loads(shared) == expected
+
+    def test_run_file_keeps_the_bytes(self, scenario):
+        prefix = gen_traces(scenario, depth=5, count=1, seed=8)[0]
+        text = serialize.dump_run(
+            scenario.initial_utxo, prefix.annotations, scenario.genesis_txs
+        )
+        assert json.loads(text) == {
+            "kind": "run", "version": serialize.FORMAT_VERSION,
+            "initial": [plain_entry(r, o) for r, o in scenario.initial_utxo.items()],
+            "steps": [[q, plain_tx(t)] for q, t in prefix.annotations],
+            "genesis": [plain_tx(t) for t in scenario.genesis_txs],
+        }
+
+    def test_genesis_outputs_reuse_the_state_entries(self, scenario):
+        written = {}
+        entries = serialize.utxo_to_json(scenario.initial_utxo, written)
+        outputs = {id(e["output"]) for e in entries}
+        for tx in scenario.genesis_txs:
+            spelled = serialize.tx_to_json(tx, written)
+            assert spelled == plain_tx(tx)
+            assert all(id(o) in outputs for o in spelled["outputs"])
+
+    def test_another_output_under_a_written_ref_is_spelled_afresh(self, sample_tx):
+        (txin,) = sample_tx.inputs
+        forged = out("forged")
+        written = {txin.output_ref: (forged, plain_entry(txin.output_ref, forged))}
+        assert serialize.tx_to_json(sample_tx, written) == plain_tx(sample_tx)
+        assert written[txin.output_ref][0] is txin.output
+
+
 class TestRunFiles:
     def test_round_trip(self, scenario):
         prefix = gen_traces(scenario, depth=4, count=1, seed=8)[0]
