@@ -125,18 +125,11 @@ def _well_founded(start, genesis) -> dict:
     return {"check": "well-founded", "clean": wf.ok, "witness": wf.reason}
 
 
-def _vertex_label(payload) -> str:
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
-
 # --- trace commands ---------------------------------------------------------
 
 def cmd_trace_gen(args) -> int:
     token = bytes.fromhex(args.token) if args.token else None
-    scenario = gen.make_scenario(
-        args.seed, n_outputs=args.outputs, token=token, token_present=False
-    )
+    scenario = gen.make_scenario(args.seed, n_outputs=args.outputs)
     contract = CONTRACTS["nft"](token) if token else None
     hook = contract.additional_checks if contract else None
     traces = generate_valid_traces(
@@ -320,27 +313,15 @@ def cmd_graph_dump(args) -> int:
         count=1,
         seed=args.seed,
     )
-    annotations = traces[0].annotations or ()
+    annotations = traces[0].annotations
     tx_universe = [tx for _, tx in annotations]
-    slot_universe = sorted({scenario.initial_slot} | {s for s, _ in annotations})
+    slot_universe = {scenario.initial_slot} | {s for s, _ in annotations}
     lam = build_ledger_graph(
         [scenario.initial_utxo], [scenario.initial_slot], tx_universe, slot_universe
     )
     lam_prime, _phi = project_ledger_graph(lam)
     out = _out_dir(args.out)
-    written = {}  # the vertices share their entries: convert each once
-
-    def label_triple(v):
-        q, u, t = v
-        return _vertex_label(
-            [q, serialize.utxo_to_json(u, written), serialize.tx_to_json(t, written)]
-        )
-
-    def label_state(u):
-        return _vertex_label(serialize.utxo_to_json(u, written))
-
-    lam_text = serialize.dump_graph(lam, label_triple)
-    prime_text = serialize.dump_graph(lam_prime, label_state)
+    lam_text, prime_text = serialize.dump_ledger_graphs(lam, lam_prime)
     print(
         json.dumps(
             {

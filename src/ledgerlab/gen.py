@@ -33,9 +33,11 @@ def make_genesis(
     rng: random.Random,
     n_outputs: int = 4,
     token: Optional[bytes] = None,
-    token_present: bool = False,
 ) -> Tuple[List[Tx], UtxoSet]:
-    """Inputless genesis transactions and the well-founded state they found."""
+    """Inputless genesis transactions and the well-founded state they found.
+
+    When ``token`` is given, the first output holds one unit of it.
+    """
     if n_outputs < 1:
         raise ValueError("n_outputs must be at least 1")
     txs = []
@@ -43,8 +45,7 @@ def make_genesis(
     for k in range((n_outputs + 1) // 2):
         outs = []
         for j in range(min(2, n_outputs - 2 * k)):
-            with_token = token_present and k == 0 and j == 0
-            outs.append(_random_output(rng, token, 1 if with_token else 0))
+            outs.append(_random_output(rng, token, 1 if k == j == 0 else 0))
         tx = Tx(
             inputs=frozenset(),
             outputs=tuple(outs),
@@ -116,8 +117,7 @@ def make_scenario(
     seed: int,
     n_outputs: int = 4,
     token: Optional[bytes] = None,
-    token_present: bool = False,
 ) -> Scenario:
     rng = random.Random(seed)
-    txs, utxo = make_genesis(rng, n_outputs, token, token_present)
+    txs, utxo = make_genesis(rng, n_outputs, token)
     return Scenario(tuple(txs), utxo, initial_slot=rng.randint(0, 8))

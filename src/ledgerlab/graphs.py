@@ -7,6 +7,7 @@ These compose, with domain ``Def f ∩ f⁻¹(Def g)``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Tuple
@@ -154,22 +155,22 @@ def build_ledger_graph(
     edge), (q',u',t') is again checkable, and the slot does not decrease.
     Only the part reachable from the initial vertices is built.
 
-    The checkable ``(q', t')`` pairs are computed once per distinct
-    after-state u' and shared by every vertex that steps to it, each
-    keeping those with q' >= q; so ``additional_checks`` must be a pure
-    function of ``(slot, utxo, tx)``.
+    A state tries only the transactions that spend one of its refs: check_tx
+    refuses every other one (it has no input, or an input the state lacks).
     """
-    initial_utxos = list(initial_utxos)
-    txs = list(tx_universe)
+    spenders = {}  # ref -> the universe txs spending it, in universe order
+    for t in tx_universe:
+        for txin in t.inputs:
+            spenders.setdefault(txin.output_ref, []).append(t)
+
+    def checkable(u, slots):
+        txs = dict.fromkeys(t for ref in u.keys() for t in spenders.get(ref, ()))
+        return [(q, u, t) for q in slots for t in txs
+                if check_tx(q, u, t, additional_checks)]
+
     slots = sorted(set(slot_universe))
-    checkable = {}  # after-state -> its checkable (slot, tx) pairs, in order
-    initial = frozenset(
-        (q, u, t)
-        for q in sorted(set(initial_slots))
-        for u in initial_utxos
-        for t in txs
-        if check_tx(q, u, t, additional_checks)
-    )
+    initial_slots = sorted(set(initial_slots))
+    initial = frozenset(v for u in initial_utxos for v in checkable(u, initial_slots))
     vertices = set(initial)
     edges = set()
     frontier = deque(initial)
@@ -179,19 +180,11 @@ def build_ledger_graph(
         u2 = step_ledger(q, u, t, additional_checks)
         if isinstance(u2, CheckResult):
             continue
-        pairs = checkable.get(u2)
-        if pairs is None:
-            pairs = checkable[u2] = [
-                (q2, t2) for q2 in slots for t2 in txs
-                if check_tx(q2, u2, t2, additional_checks)
-            ]
-        for q2, t2 in pairs:
-            if q2 >= q:
-                w = (q2, u2, t2)
-                edges.add((v, w))
-                if w not in vertices:
-                    vertices.add(w)
-                    frontier.append(w)
+        for w in checkable(u2, slots[bisect_left(slots, q):]):
+            edges.add((v, w))
+            if w not in vertices:
+                vertices.add(w)
+                frontier.append(w)
     return SimpleGraph(frozenset(vertices), frozenset(edges), initial)
 
 

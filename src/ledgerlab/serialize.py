@@ -22,9 +22,12 @@ class FormatError(Exception):
     """Malformed, unversioned, or wrong-version input file."""
 
 
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _dump(payload: dict) -> str:
-    payload = dict(payload, version=FORMAT_VERSION)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical(dict(payload, version=FORMAT_VERSION)) + "\n"
 
 
 def _load(text: str, kind: str) -> dict:
@@ -185,10 +188,6 @@ class _Reader:
         return UtxoSet(entries)
 
 
-def tx_from_json(obj: dict) -> Tx:
-    return _Reader().tx(obj)
-
-
 def utxo_to_json(utxo: UtxoSet, written: Optional[dict] = None) -> list:
     """The entries of ``utxo`` in ref order.
 
@@ -200,10 +199,6 @@ def utxo_to_json(utxo: UtxoSet, written: Optional[dict] = None) -> list:
     if written is None:
         written = {}
     return [_entry_to_json(ref, out, written) for ref, out in utxo.items()]
-
-
-def utxo_from_json(obj: list) -> UtxoSet:
-    return _Reader().utxo(obj)
 
 
 # --- trace files ------------------------------------------------------------
@@ -335,6 +330,26 @@ def dump_graph(graph: SimpleGraph, label) -> str:
             "initial": sorted(ids[v] for v in graph.initial),
         }
     )
+
+
+def dump_ledger_graphs(lam: SimpleGraph, lam_prime: SimpleGraph) -> Tuple[str, str]:
+    """The graph files of a ledger graph Λ and of its state projection Λ′.
+
+    A vertex's id is the first 16 hex digits of the digest of its canonical
+    JSON: ``[q, utxo, tx]`` for a vertex of Λ, the entry list for a state
+    of Λ′.  The vertices share their entries, so both files convert each once.
+    """
+    written = {}
+
+    def label(payload) -> str:
+        return digest(_canonical(payload))[:16]
+
+    def vertex_label(v) -> str:
+        q, u, t = v
+        return label([q, utxo_to_json(u, written), tx_to_json(t, written)])
+
+    return (dump_graph(lam, vertex_label),
+            dump_graph(lam_prime, lambda u: label(utxo_to_json(u, written))))
 
 
 def digest(text: str) -> str:

@@ -328,7 +328,7 @@ def test_c7_nft_contract():
 
         traces = []
         for k in range(10):
-            sc = make_scenario(7000 + k, token=token, token_present=(k % 2 == 0))
+            sc = make_scenario(7000 + k, token=token if k % 2 == 0 else None)
             traces.extend(
                 generate_valid_traces(
                     [sc.initial_utxo],

@@ -41,7 +41,7 @@ def nft():
 
 @pytest.fixture
 def token_scenario():
-    return make_scenario(21, token=TOKEN, token_present=True)
+    return make_scenario(21, token=TOKEN)
 
 
 def nft_traces(sc, nft, count=10, seed=8, depth=5):

@@ -28,7 +28,7 @@ TOKEN = b"NFT"
 
 
 def _generated():
-    sc = make_scenario(7, n_outputs=5, token=TOKEN, token_present=True)
+    sc = make_scenario(7, n_outputs=5, token=TOKEN)
     prefix = generate_valid_traces(
         [sc.initial_utxo],
         [sc.initial_slot],

@@ -256,20 +256,26 @@ class TestPaths:
             enumerate_paths(g, 0)
 
 
-@pytest.fixture
-def ledger_graph():
-    sc = make_scenario(31, n_outputs=2)
+def dump_universe(seed, depth):
+    """The scenario and tx/slot universe ``graph dump --seed --depth`` builds Λ on."""
+    sc = make_scenario(seed, n_outputs=2)
     traces = generate_valid_traces(
         [sc.initial_utxo],
         [sc.initial_slot],
         make_proposer(max_spend=2, max_create=2),
-        depth=4,
+        depth=depth,
         count=1,
-        seed=31,
+        seed=seed,
     )
     ann = traces[0].annotations
     txs = [tx for _, tx in ann]
     slots = sorted({sc.initial_slot} | {s for s, _ in ann})
+    return sc, txs, slots
+
+
+@pytest.fixture
+def ledger_graph():
+    sc, txs, slots = dump_universe(31, 4)
     lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
     return sc, txs, slots, lam
 
@@ -356,7 +362,7 @@ class TestLedgerGraphs:
     def test_successors_match_brute_force_under_the_nft_policy(self):
         token = b"NFT"
         hook = nft_contract(token).additional_checks
-        sc = make_scenario(21, token=token, token_present=True)
+        sc = make_scenario(21, token=token)
         trace = gen_traces(sc, depth=3, count=1, seed=8, token=token, hook=hook)[0]
         txs = [tx for _, tx in trace.annotations]
         # each step again, minting one more unit: the policy must refuse these
@@ -366,6 +372,34 @@ class TestLedgerGraphs:
         lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots, hook)
         assert_ledger_successors(lam, [sc.initial_utxo], [sc.initial_slot], txs, slots, hook)
         assert lam != build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
+
+    def test_benchmark_graph_matches_brute_force(self):
+        # the graph the benchmark's `graph dump --seed 0 --depth 25` writes
+        sc, txs, slots = dump_universe(0, 25)
+        lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
+        assert len(lam.vertices) == 642
+        assert_ledger_successors(lam, [sc.initial_utxo], [sc.initial_slot], txs, slots)
+        assert len(assert_projected_edges(lam).vertices) == 50
+
+    def test_each_state_tries_only_txs_spending_its_refs(
+        self, monkeypatch, non_well_founded, narrow_universe
+    ):
+        tried = []
+
+        def spy(q, u, t, hook=None):
+            tried.append((u, t))
+            return check_tx(q, u, t, hook)
+
+        monkeypatch.setattr("ledgerlab.graphs.check_tx", spy)
+        sc, txs, slots = dump_universe(31, 6)
+        build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
+        u0, universe = non_well_founded
+        build_ledger_graph([u0], [0], universe, [0, 1])
+        u0, universe, hook = narrow_universe
+        build_ledger_graph([u0], [0, 1], universe, [0, 1, 2, 3], hook)
+        assert tried
+        for u, t in tried:
+            assert any(txin.output_ref in u for txin in t.inputs)
 
     def test_refused_step_has_no_successor(self, non_well_founded):
         # u0 already holds the ref t1 creates, so t1 collides on u0
@@ -438,7 +472,7 @@ def narrow_universes(draw, token=b"NFT"):
 
 
 class TestLedgerGraphSlots:
-    """The per-state successor memo against the memo-free oracle, slots mattering."""
+    """Λ against the brute-force oracle where validity intervals make slots matter."""
 
     def test_state_reached_at_two_slots_keeps_its_own_successors(self, narrow_universe):
         u0, (a, b, c, d), hook = narrow_universe

@@ -534,7 +534,7 @@ class TestReplayDriver:
     @pytest.mark.parametrize("token", [None, b"NFT"], ids=["plain", "token"])
     @pytest.mark.parametrize("seed", range(4))
     def test_replay_rebuilds_generated_traces(self, seed, token):
-        sc = make_scenario(seed, n_outputs=6, token=token)
+        sc = make_scenario(seed, n_outputs=6)
         hook = nft_contract(token).additional_checks if token else None
         traces = gen_traces(
             sc, depth=8, count=4, seed=seed, token=token, hook=hook
@@ -558,7 +558,7 @@ class TestReplayDriver:
             token = data.draw(st.sampled_from([None, b"NFT"]), label="token")
             seed = data.draw(st.integers(0, 30), label="seed")
             sc = make_scenario(seed, n_outputs=data.draw(st.integers(1, 6)),
-                               token=token, token_present=token is not None)
+                               token=token)
             hook = nft_contract(token).additional_checks if token else None
             trace = gen_traces(sc, depth=data.draw(st.integers(1, 6)), count=1,
                                seed=seed, token=token, hook=hook)[0]

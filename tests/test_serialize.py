@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from conftest import gen_traces, out, tx_of
 from ledgerlab import serialize
 from ledgerlab.core import OutputRef, TxInput, mk_outs
-from ledgerlab.graphs import SimpleGraph
+from ledgerlab.graphs import SimpleGraph, build_ledger_graph, project_ledger_graph
 
 
 @pytest.fixture
@@ -29,11 +30,11 @@ class TestValueRoundTrips:
         assert serialize.ref_from_json(serialize.ref_to_json(ref)) == ref
 
     def test_tx(self, sample_tx):
-        assert serialize.tx_from_json(serialize.tx_to_json(sample_tx)) == sample_tx
+        assert serialize._Reader().tx(serialize.tx_to_json(sample_tx)) == sample_tx
 
     def test_utxo(self, sample_tx):
         u = mk_outs(sample_tx)
-        assert serialize.utxo_from_json(serialize.utxo_to_json(u)) == u
+        assert serialize._Reader().utxo(serialize.utxo_to_json(u)) == u
 
     def test_bad_output_rejected(self):
         with pytest.raises(serialize.FormatError):
@@ -86,7 +87,7 @@ class TestHex:
         obj = serialize.tx_to_json(sample_tx)
         obj["additional_data"] = obj["additional_data"].upper()
         with pytest.raises(serialize.FormatError):
-            serialize.tx_from_json(obj)
+            serialize._Reader().tx(obj)
 
 
 class TestTraceFiles:
@@ -288,6 +289,35 @@ class TestGraphFiles:
         g = SimpleGraph(frozenset(["a", "b"]), frozenset())
         with pytest.raises(ValueError):
             serialize.dump_graph(g, lambda v: "same")
+
+
+class TestLedgerGraphFiles:
+    def test_ids_are_digests_of_the_plain_spelling(self, scenario):
+        prefix = gen_traces(scenario, depth=3, count=1, seed=4)[0]
+        txs = [t for _, t in prefix.annotations]
+        slots = [scenario.initial_slot] + [q for q, _ in prefix.annotations]
+        lam = build_ledger_graph([scenario.initial_utxo], slots[:1], txs, slots)
+        lam_prime, _ = project_ledger_graph(lam)
+
+        def plain_state(u):
+            return [plain_entry(r, o) for r, o in u.items()]
+
+        def plain_id(payload):
+            raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
+
+        texts = serialize.dump_ledger_graphs(lam, lam_prime)
+        for graph, text, spell in (
+            (lam, texts[0], lambda v: [v[0], plain_state(v[1]), plain_tx(v[2])]),
+            (lam_prime, texts[1], plain_state),
+        ):
+            ids = {v: plain_id(spell(v)) for v in graph.vertices}
+            assert len(ids) > 1 and json.loads(text) == {
+                "kind": "graph", "version": serialize.FORMAT_VERSION,
+                "vertices": sorted(ids.values()),
+                "edges": sorted([ids[a], ids[b]] for a, b in graph.edges),
+                "initial": sorted(ids[v] for v in graph.initial),
+            }
 
 
 class TestDigest:

@@ -116,10 +116,7 @@ def assert_same(kind, text):
 def generated(draw, kind):
     seed = draw(st.integers(0, 10 ** 6))
     token = draw(st.sampled_from([None, TOKEN]))
-    sc = make_scenario(
-        seed, n_outputs=draw(st.integers(1, 6)), token=token,
-        token_present=token is not None,
-    )
+    sc = make_scenario(seed, n_outputs=draw(st.integers(1, 6)), token=token)
     prefix = generate_valid_traces(
         [sc.initial_utxo], [sc.initial_slot], make_proposer(token=token),
         depth=draw(st.integers(1, 5)), count=1, seed=seed,
@@ -245,7 +242,7 @@ class TestSharing:
 
 def _scenario_traces(seed, count=3):
     """The trace files of one scenario: they share its genesis and first state."""
-    sc = make_scenario(seed, n_outputs=4, token=TOKEN, token_present=True)
+    sc = make_scenario(seed, n_outputs=4, token=TOKEN)
     prefixes = generate_valid_traces(
         [sc.initial_utxo], [sc.initial_slot], make_proposer(token=TOKEN),
         depth=4, count=count, seed=seed,

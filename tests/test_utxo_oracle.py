@@ -23,9 +23,9 @@ from ledgerlab.core import (
 )
 from ledgerlab.serialize import (
     FormatError,
+    _Reader,
     output_to_json,
     ref_to_json,
-    utxo_from_json,
     utxo_to_json,
 )
 from utxo_oracle import UtxoSet as OracleUtxoSet
@@ -81,7 +81,7 @@ def read(pairs):
     listed = [{"output_ref": ref_to_json(r), "output": output_to_json(o)}
               for r, o in pairs]
     try:
-        return utxo_from_json(listed)
+        return _Reader().utxo(listed)
     except FormatError as exc:
         assert str(exc) == "bad UTxO set: duplicate output ref in UTxO set"
         return ValueError
