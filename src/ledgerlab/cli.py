@@ -144,20 +144,18 @@ def cmd_trace_gen(args) -> int:
     out = _out_dir(args.out)
     manifest = {"seed": args.seed, "depth": args.depth, "count": args.count,
                 "files": []}
-    # every trace starts from the scenario's state: convert its entries once,
-    # and give each trace a copy, so no trace keeps another's entries alive
-    shared = {}
-    serialize.utxo_to_json(scenario.initial_utxo, shared)
+    # the traces share the scenario's genesis and first state: spell them once
+    writer = serialize._Writer()
     for k, prefix in enumerate(traces):
         text = serialize.dump_trace(
-            prefix, scenario.genesis_txs, [scenario.initial_slot], dict(shared)
+            prefix, scenario.genesis_txs, [scenario.initial_slot], writer
         )
         name = "trace_%03d.json" % k
         manifest["files"].append(
             {"name": name, "digest": _write(out, name, text),
              "truncated": prefix.truncated}
         )
-    manifest_text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    manifest_text = serialize.dump_manifest(manifest)
     print(json.dumps({"manifest_digest": _write(out, "manifest.json", manifest_text),
                       "written": len(traces)}, sort_keys=True))
     return EXIT_CLEAN

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Optional, Tuple, Union
 
 MAX_INDEX = 2 ** 32
@@ -125,28 +124,21 @@ class Tx:
         if start > end:
             raise ValueError("bad validity interval: %r" % (self.validity_interval,))
 
-    # Derived once per instance, for __hash__, hash_tx and mk_outs.  A
-    # cached_property writes the instance __dict__ and is not a dataclass
-    # field: __eq__, repr and the hashed fields do not see it, and
-    # dataclasses.replace starts empty.  The hash is computed once per
-    # instance and is the value the dataclass __hash__ would compute.
+    # Derived once per instance, by __hash__, hash_tx and mk_outs, and stored
+    # in the instance __dict__ over these class-level None defaults.  They
+    # are not dataclass fields: __eq__, repr and the hashed fields do not see
+    # them, and dataclasses.replace starts empty.  The hash is the value the
+    # dataclass __hash__ would compute.  (A functools.cached_property would
+    # take a lock on every first access on Python 3.11.)
+    _hash = _id = _created = None
+
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(
-            (self.inputs, self.outputs, self.validity_interval, self.additional_data)
-        )
-
-    @cached_property
-    def _id(self) -> bytes:
-        return hashlib.sha256(tx_bytes(self)).digest()
-
-    @cached_property
-    def _created(self) -> "UtxoSet":
-        h = hash_tx(self)
-        return UtxoSet({OutputRef(h, ix): out for ix, out in enumerate(self.outputs)})
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.inputs, self.outputs, self.validity_interval, self.additional_data)
+            )
+        return h
 
 
 @dataclass(frozen=True)
@@ -168,12 +160,13 @@ class UtxoSet:
     # hash is computed once per instance; this is sound because the only
     # writer of ``entries`` after construction is apply_tx, which edits the
     # fresh state it is building before anything can hash it.
-    def __hash__(self) -> int:
-        return self._hash
+    _hash = None
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(frozenset(self.entries))
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash(frozenset(self.entries))
+        return h
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -248,7 +241,10 @@ def hash_tx(tx: Tx) -> bytes:
 
     Each ``Tx`` instance is hashed once; later calls return the stored id.
     """
-    return tx._id
+    h = tx._id
+    if h is None:
+        h = tx.__dict__["_id"] = hashlib.sha256(tx_bytes(tx)).digest()
+    return h
 
 
 # --- auxiliary UTxO functions ----------------------------------------------
@@ -259,7 +255,13 @@ def mk_outs(tx: Tx) -> UtxoSet:
     Built once per ``Tx`` instance: every call returns the same shared,
     read-only state.
     """
-    return tx._created
+    created = tx._created
+    if created is None:
+        h = hash_tx(tx)
+        created = tx.__dict__["_created"] = UtxoSet(
+            {OutputRef(h, ix): out for ix, out in enumerate(tx.outputs)}
+        )
+    return created
 
 
 def get_orefs(tx: Tx) -> frozenset:

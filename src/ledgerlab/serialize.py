@@ -11,7 +11,7 @@ import hashlib
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain, mk_outs
+from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
 from .graphs import SimpleGraph
 from .traces import TracePrefix
 
@@ -26,8 +26,38 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _dump(payload: dict) -> str:
-    return _canonical(dict(payload, version=FORMAT_VERSION)) + "\n"
+def _dump(kind: str, **fields: List[str]) -> str:
+    """A format file: one object of ``kind``, the version and ``fields``,
+    keys sorted, then a newline.
+
+    A field's value is given as the pieces of its text.  The file's pieces
+    go into one list that is joined once, so the text is
+    ``_canonical(payload) + "\\n"`` of the payload they spell.
+    """
+    fields.update(kind=[_canonical(kind)], version=[_canonical(FORMAT_VERSION)])
+    pieces = []
+    sep = "{"
+    for key in sorted(fields):
+        pieces += (sep, _canonical(key), ":")
+        pieces += fields[key]
+        sep = ","
+    pieces.append("}\n")
+    return "".join(pieces)
+
+
+def _array(pieces: List[str], items: Iterable, write=list.append) -> List[str]:
+    """``pieces`` with the JSON array of ``items`` appended.
+
+    ``write(pieces, item)`` appends one item's text; by default an item is
+    its own text.  Only ``[``, ``,`` and ``]`` are written here.
+    """
+    sep = "["
+    for item in items:
+        pieces.append(sep)
+        write(pieces, item)
+        sep = ","
+    pieces.append("]" if sep == "," else "[]")
+    return pieces
 
 
 def _load(text: str, kind: str) -> dict:
@@ -89,34 +119,58 @@ def ref_from_json(obj: dict) -> OutputRef:
         raise FormatError("bad output ref: %s" % exc) from exc
 
 
-def _entry_to_json(ref: OutputRef, out: Output, written: dict) -> dict:
-    """The ``{"output_ref", "output"}`` object of one entry, reused from
-    ``written`` when ``out`` is the very object converted for ``ref`` last."""
-    seen = written.get(ref)
-    if seen is None or seen[0] is not out:
-        seen = written[ref] = (
-            out, {"output_ref": ref_to_json(ref), "output": output_to_json(out)}
-        )
-    return seen[1]
-
-
-def tx_to_json(tx: Tx, written: Optional[dict] = None) -> dict:
-    """A transaction; ``written`` as for ``utxo_to_json``.
-
-    An input is spelled like a state entry, and each output is the entry
-    it creates, so both reuse what a writer converted for the states.
-    """
-    if written is None:
-        written = {}
+def tx_to_json(tx: Tx) -> dict:
     inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
     return {
-        "inputs": [_entry_to_json(i.output_ref, i.output, written) for i in inputs],
-        "outputs": [
-            _entry_to_json(ref, o, written)["output"] for ref, o in mk_outs(tx).items()
+        "inputs": [
+            {"output_ref": ref_to_json(i.output_ref), "output": output_to_json(i.output)}
+            for i in inputs
         ],
+        "outputs": [output_to_json(o) for o in tx.outputs],
         "validity_interval": list(tx.validity_interval),
         "additional_data": tx.additional_data.hex(),
     }
+
+
+class _Writer:
+    """Spells ledger values as canonical JSON text, each distinct entry and
+    transaction once: the mirror of ``_Reader``.
+
+    A trace file writes every state in full, and the files of one scenario
+    share their genesis and first state.  ``entries`` maps a ref to the
+    ``Output`` last spelled for it and the text of its ``{"output",
+    "output_ref"}`` object; an entry whose ``Output`` is that very object
+    reuses the text.  ``txs`` maps a transaction to its text, which depends
+    only on its value.  Every such text is spelled by ``_canonical``;
+    ``utxo`` and ``step`` append them to a list that the caller joins once.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.txs = {}
+
+    def entry(self, ref: OutputRef, out: Output) -> str:
+        seen = self.entries.get(ref)
+        if seen is None or seen[0] is not out:
+            seen = self.entries[ref] = (out, _canonical(
+                {"output": output_to_json(out), "output_ref": ref_to_json(ref)}))
+        return seen[1]
+
+    def tx(self, tx: Tx) -> str:
+        text = self.txs.get(tx)
+        if text is None:
+            text = self.txs[tx] = _canonical(tx_to_json(tx))
+        return text
+
+    def utxo(self, pieces: List[str], utxo: UtxoSet) -> List[str]:
+        """``pieces`` with the entries of ``utxo`` appended, in ref order."""
+        return _array(pieces, [self.entry(ref, out) for ref, out in utxo.items()])
+
+    def step(self, pieces: List[str], step: Tuple[Slot, Tx]) -> List[str]:
+        """``pieces`` with the pair ``[slot, tx]`` appended."""
+        slot, tx = step
+        pieces += ("[", _canonical(slot), ",", self.tx(tx), "]")
+        return pieces
 
 
 class _Reader:
@@ -188,49 +242,37 @@ class _Reader:
         return UtxoSet(entries)
 
 
-def utxo_to_json(utxo: UtxoSet, written: Optional[dict] = None) -> list:
-    """The entries of ``utxo`` in ref order.
-
-    ``written`` maps a ref to the last ``Output`` converted for it and its
-    entry object; an entry whose ``Output`` is that same object reuses the
-    entry, so a writer that passes one dict for all states of a file
-    converts each shared entry once.
-    """
-    if written is None:
-        written = {}
-    return [_entry_to_json(ref, out, written) for ref, out in utxo.items()]
-
-
 # --- trace files ------------------------------------------------------------
 
 def dump_trace(
     prefix: TracePrefix,
     genesis_txs: Sequence[Tx] = (),
     initial_slots: Sequence[Slot] = (),
-    written: Optional[dict] = None,
+    writer: Optional[_Writer] = None,
 ) -> str:
     """Trace file: state list, lift annotations, and generation context.
 
-    ``written`` is as for ``utxo_to_json``; a writer of several traces of
-    one scenario can pass each a copy of one dict that already holds their
-    shared first state, which is then converted once.
+    A writer of several traces of one scenario can pass each the same
+    ``writer``, so that their shared entries and txs are spelled once.
     """
-    if written is None:
-        written = {}
-    states = [utxo_to_json(u, written) for u in prefix.states]
-    lifts = None
+    w = writer if writer is not None else _Writer()
+    lifts = [_canonical(None)]
     if prefix.annotations is not None:
-        lifts = [[slot, tx_to_json(tx, written)] for slot, tx in prefix.annotations]
+        lifts = _array([], prefix.annotations, w.step)
     return _dump(
-        {
-            "kind": "trace",
-            "states": states,
-            "lifts": lifts,
-            "truncated": prefix.truncated,
-            "genesis": [tx_to_json(t, written) for t in genesis_txs],
-            "initial_slots": sorted(initial_slots),
-        }
+        "trace",
+        states=_array([], prefix.states, w.utxo),
+        lifts=lifts,
+        truncated=[_canonical(prefix.truncated)],
+        genesis=_array([], map(w.tx, genesis_txs)),
+        initial_slots=[_canonical(sorted(initial_slots))],
     )
+
+
+def dump_manifest(manifest: dict) -> str:
+    """The text of ``trace gen``'s ``manifest.json``: spelled like a format
+    file, but with no kind or version."""
+    return _canonical(manifest) + "\n"
 
 
 def load_traces(texts: Iterable[str]) -> List[Tuple[TracePrefix, List[Tx], List[Slot]]]:
@@ -270,14 +312,12 @@ def dump_run(
     genesis_txs: Sequence[Tx] = (),
 ) -> str:
     """Run file: an initial state and the (slot, tx) list to replay."""
-    written = {}
+    w = _Writer()
     return _dump(
-        {
-            "kind": "run",
-            "initial": utxo_to_json(initial, written),
-            "steps": [[slot, tx_to_json(tx, written)] for slot, tx in steps],
-            "genesis": [tx_to_json(t, written) for t in genesis_txs],
-        }
+        "run",
+        initial=w.utxo([], initial),
+        steps=_array([], steps, w.step),
+        genesis=_array([], map(w.tx, genesis_txs)),
     )
 
 
@@ -303,11 +343,9 @@ def dump_contract_trace(prefix: TracePrefix) -> str:
     if prefix.annotations is not None:
         lifts = [[None, inp] for _, inp in prefix.annotations]
     return _dump(
-        {
-            "kind": "contract-trace",
-            "states": list(prefix.states),
-            "lifts": lifts,
-        }
+        "contract-trace",
+        states=[_canonical(list(prefix.states))],
+        lifts=[_canonical(lifts)],
     )
 
 
@@ -323,12 +361,10 @@ def dump_graph(graph: SimpleGraph, label) -> str:
     if len(set(ids.values())) != len(ids):
         raise ValueError("vertex labeling is not injective")
     return _dump(
-        {
-            "kind": "graph",
-            "vertices": sorted(ids.values()),
-            "edges": sorted([ids[a], ids[b]] for a, b in graph.edges),
-            "initial": sorted(ids[v] for v in graph.initial),
-        }
+        "graph",
+        vertices=[_canonical(sorted(ids.values()))],
+        edges=[_canonical(sorted([ids[a], ids[b]] for a, b in graph.edges))],
+        initial=[_canonical(sorted(ids[v] for v in graph.initial))],
     )
 
 
@@ -337,19 +373,19 @@ def dump_ledger_graphs(lam: SimpleGraph, lam_prime: SimpleGraph) -> Tuple[str, s
 
     A vertex's id is the first 16 hex digits of the digest of its canonical
     JSON: ``[q, utxo, tx]`` for a vertex of Λ, the entry list for a state
-    of Λ′.  The vertices share their entries, so both files convert each once.
+    of Λ′.  The vertices share their entries, so both files spell each once.
     """
-    written = {}
+    w = _Writer()
 
-    def label(payload) -> str:
-        return digest(_canonical(payload))[:16]
+    def label(pieces: List[str]) -> str:
+        return digest("".join(pieces))[:16]
 
     def vertex_label(v) -> str:
         q, u, t = v
-        return label([q, utxo_to_json(u, written), tx_to_json(t, written)])
+        return label(w.utxo(["[", _canonical(q), ","], u) + [",", w.tx(t), "]"])
 
     return (dump_graph(lam, vertex_label),
-            dump_graph(lam_prime, lambda u: label(utxo_to_json(u, written))))
+            dump_graph(lam_prime, lambda u: label(w.utxo([], u))))
 
 
 def digest(text: str) -> str:

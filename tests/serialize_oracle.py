@@ -1,11 +1,13 @@
-"""The plain JSON reader that ``ledgerlab.serialize`` replaced.
+"""The plain JSON reader and writer that ``ledgerlab.serialize`` replaced.
 
-Kept verbatim as the oracle of the differential tests in
-``test_serialize_oracle.py``: it builds a fresh ``OutputRef`` and ``Output``
-for every entry it reads, so each occurrence of an entry runs every check
-on its own.  ``FormatError`` is the library's, so both readers raise the
-same exception class.  The repeated-ref check in ``utxo_from_json`` is the
-one the ``UtxoSet`` constructor made when it still took a pair sequence.
+Kept as the oracles of the differential tests in ``test_serialize_oracle.py``.
+The reader builds a fresh ``OutputRef`` and ``Output`` for every entry it
+reads, so each occurrence of an entry runs every check on its own.  The
+writer builds the JSON tree of every value at every occurrence and encodes
+the whole file with one ``json.dumps``.  ``FormatError`` is the library's,
+so both readers raise the same exception class.  The repeated-ref check in
+``utxo_from_json`` is the one the ``UtxoSet`` constructor made when it
+still took a pair sequence.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ import json
 from typing import List, Tuple
 
 from ledgerlab.core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
-from ledgerlab.serialize import FORMAT_VERSION, FormatError
+from ledgerlab.graphs import SimpleGraph
+from ledgerlab.serialize import FORMAT_VERSION, FormatError, digest
 from ledgerlab.traces import TracePrefix
 
 
@@ -120,3 +123,99 @@ def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad run file: %s" % exc) from exc
     return initial, steps, genesis
+
+
+# --- the writer ---------------------------------------------------------------
+
+def canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _dump(payload: dict) -> str:
+    return canonical(dict(payload, version=FORMAT_VERSION)) + "\n"
+
+
+def output_to_json(out: Output) -> dict:
+    return {
+        "address": out.address.hex(),
+        "value": {token.hex(): qty for token, qty in out.value},
+        "datum": out.datum.hex(),
+    }
+
+
+def ref_to_json(ref: OutputRef) -> dict:
+    return {"tx_hash": ref.tx_hash.hex(), "index": ref.index}
+
+
+def entry_to_json(ref: OutputRef, out: Output) -> dict:
+    return {"output_ref": ref_to_json(ref), "output": output_to_json(out)}
+
+
+def tx_to_json(tx: Tx) -> dict:
+    inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
+    return {
+        "inputs": [entry_to_json(i.output_ref, i.output) for i in inputs],
+        "outputs": [output_to_json(o) for o in tx.outputs],
+        "validity_interval": list(tx.validity_interval),
+        "additional_data": tx.additional_data.hex(),
+    }
+
+
+def utxo_to_json(utxo) -> list:
+    return [entry_to_json(ref, out) for ref, out in utxo.items()]
+
+
+def dump_trace(prefix: TracePrefix, genesis_txs=(), initial_slots=()) -> str:
+    lifts = None
+    if prefix.annotations is not None:
+        lifts = [[slot, tx_to_json(tx)] for slot, tx in prefix.annotations]
+    return _dump(
+        {
+            "kind": "trace",
+            "states": [utxo_to_json(u) for u in prefix.states],
+            "lifts": lifts,
+            "truncated": prefix.truncated,
+            "genesis": [tx_to_json(t) for t in genesis_txs],
+            "initial_slots": sorted(initial_slots),
+        }
+    )
+
+
+def dump_run(initial: UtxoSet, steps, genesis_txs=()) -> str:
+    return _dump(
+        {
+            "kind": "run",
+            "initial": utxo_to_json(initial),
+            "steps": [[slot, tx_to_json(tx)] for slot, tx in steps],
+            "genesis": [tx_to_json(t) for t in genesis_txs],
+        }
+    )
+
+
+def dump_contract_trace(prefix: TracePrefix) -> str:
+    lifts = None
+    if prefix.annotations is not None:
+        lifts = [[None, inp] for _, inp in prefix.annotations]
+    return _dump({"kind": "contract-trace", "states": list(prefix.states), "lifts": lifts})
+
+
+def dump_graph(graph: SimpleGraph, label) -> str:
+    ids = {v: label(v) for v in graph.vertices}
+    return _dump(
+        {
+            "kind": "graph",
+            "vertices": sorted(ids.values()),
+            "edges": sorted([ids[a], ids[b]] for a, b in graph.edges),
+            "initial": sorted(ids[v] for v in graph.initial),
+        }
+    )
+
+
+def dump_ledger_graphs(lam: SimpleGraph, lam_prime: SimpleGraph) -> Tuple[str, str]:
+    def label(payload) -> str:
+        return digest(canonical(payload))[:16]
+
+    return (
+        dump_graph(lam, lambda v: label([v[0], utxo_to_json(v[1]), tx_to_json(v[2])])),
+        dump_graph(lam_prime, lambda u: label(utxo_to_json(u))),
+    )

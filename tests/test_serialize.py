@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -34,7 +35,8 @@ class TestValueRoundTrips:
 
     def test_utxo(self, sample_tx):
         u = mk_outs(sample_tx)
-        assert serialize._Reader().utxo(serialize.utxo_to_json(u)) == u
+        text = "".join(serialize._Writer().utxo([], u))
+        assert serialize._Reader().utxo(json.loads(text)) == u
 
     def test_bad_output_rejected(self):
         with pytest.raises(serialize.FormatError):
@@ -157,14 +159,14 @@ def plain_tx(tx):
 
 
 class TestWriterReuse:
-    """One ``written`` dict across traces and their txs changes no byte."""
+    """One writer across traces and their txs changes no byte."""
 
-    def test_shared_dict_across_traces_keeps_the_bytes(self, scenario):
+    def test_shared_writer_across_traces_keeps_the_bytes(self, scenario):
         traces = gen_traces(scenario, depth=5, count=4, seed=3)
         context = (scenario.genesis_txs, [scenario.initial_slot])
-        written = {}
+        writer = serialize._Writer()
         for prefix in traces:
-            shared = serialize.dump_trace(prefix, *context, written)
+            shared = serialize.dump_trace(prefix, *context, writer)
             assert shared == serialize.dump_trace(prefix, *context)
             expected = {
                 "kind": "trace", "version": serialize.FORMAT_VERSION,
@@ -189,21 +191,25 @@ class TestWriterReuse:
             "genesis": [plain_tx(t) for t in scenario.genesis_txs],
         }
 
-    def test_genesis_outputs_reuse_the_state_entries(self, scenario):
-        written = {}
-        entries = serialize.utxo_to_json(scenario.initial_utxo, written)
-        outputs = {id(e["output"]) for e in entries}
+    def test_each_tx_is_spelled_once(self, scenario):
+        writer = serialize._Writer()
+        writer.utxo([], scenario.initial_utxo)
         for tx in scenario.genesis_txs:
-            spelled = serialize.tx_to_json(tx, written)
-            assert spelled == plain_tx(tx)
-            assert all(id(o) in outputs for o in spelled["outputs"])
+            spelled = writer.tx(tx)
+            assert json.loads(spelled) == plain_tx(tx)
+            twin = dataclasses.replace(tx)
+            assert twin is not tx and writer.tx(twin) is spelled
+        assert len(writer.txs) == len(set(scenario.genesis_txs))
 
     def test_another_output_under_a_written_ref_is_spelled_afresh(self, sample_tx):
         (txin,) = sample_tx.inputs
-        forged = out("forged")
-        written = {txin.output_ref: (forged, plain_entry(txin.output_ref, forged))}
-        assert serialize.tx_to_json(sample_tx, written) == plain_tx(sample_tx)
-        assert written[txin.output_ref][0] is txin.output
+        ref, forged = txin.output_ref, out("forged")
+        writer = serialize._Writer()
+        writer.entries[ref] = (forged, json.dumps(plain_entry(ref, forged)))
+        spelled = writer.entry(ref, txin.output)
+        assert json.loads(spelled) == plain_entry(ref, txin.output)
+        memo_out, memo_text = writer.entries[ref]
+        assert memo_out is txin.output and memo_text is spelled
 
 
 class TestRunFiles:

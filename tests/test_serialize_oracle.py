@@ -1,4 +1,5 @@
-"""Differential tests: the interning reader against the plain-reader oracle.
+"""Differential tests: the interning reader and the memoizing writer
+against the plain oracles.
 
 ``serialize.load_trace`` and ``serialize.load_run`` build one value per
 distinct entry of a file; ``serialize_oracle`` builds one per occurrence.
@@ -7,9 +8,14 @@ that serialize to the same text, or raise ``FormatError`` with the same
 message.  The hand-built texts spell a valid entry's ``1`` as ``true`` or
 ``1.0`` where the entry recurs, which a memo keyed by ``==`` would accept,
 since ``True == 1 == 1.0`` in Python.
+
+The writers spell each distinct entry and transaction once and join a
+file's pieces; the oracle encodes the whole JSON tree of the file with one
+``json.dumps``.  Both must write the same bytes.
 """
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 
@@ -20,8 +26,11 @@ from hypothesis import strategies as st
 import serialize_oracle as oracle
 from conftest import json_nodes, json_parent, out, tx_of
 from ledgerlab import cli, serialize
-from ledgerlab.core import OutputRef, TxInput, UtxoSet, apply_tx, hash_tx, mk_outs
+from ledgerlab.core import (
+    Output, OutputRef, TxInput, UtxoSet, apply_tx, hash_tx, mk_outs,
+)
 from ledgerlab.gen import make_proposer, make_scenario
+from ledgerlab.graphs import build_ledger_graph, project_ledger_graph
 from ledgerlab.traces import TracePrefix, generate_valid_traces
 
 TOKEN = b"NFT"
@@ -224,20 +233,24 @@ class TestSharing:
     def test_writer_reuses_entry_of_the_same_output(self):
         prefix, _, _ = serialize.load_trace(HAND_BUILT["trace"])
         u0, u1, _ = prefix.states
-        written = {}
-        first = serialize.utxo_to_json(u0, written)
-        second = serialize.utxo_to_json(u1, written)
+        writer = serialize._Writer()
+        first = [writer.entry(r, o) for r, o in u0.items()]
+        second = [writer.entry(r, o) for r, o in u1.items()]
         shared = [e for e in second if any(e is f for f in first)]
         assert len(shared) == len(u0.keys() & u1.keys()) == 1
-        assert first == serialize.utxo_to_json(u0)
-        assert second == serialize.utxo_to_json(u1)
+        for u in (u0, u1):
+            assert state_text(writer, u) == oracle.canonical(oracle.utxo_to_json(u))
 
     def test_writer_converts_another_output_of_a_ref(self):
         [ref] = mk_outs(tx_of((), [out("a")])).keys()
-        written = {}
-        serialize.utxo_to_json(UtxoSet({ref: out("a")}), written)
-        [entry] = serialize.utxo_to_json(UtxoSet({ref: out("b")}), written)
-        assert entry["output"] == serialize.output_to_json(out("b"))
+        writer = serialize._Writer()
+        for tag in ("a", "b", "a"):
+            u = UtxoSet({ref: out(tag)})
+            assert state_text(writer, u) == oracle.canonical(oracle.utxo_to_json(u))
+
+
+def state_text(writer, u):
+    return "".join(writer.utxo([], u))
 
 
 def _scenario_traces(seed, count=3):
@@ -293,3 +306,114 @@ class TestLoadTraces:
             assert both == alone
         else:
             assert both == [serialize.load_trace(first), alone]
+
+
+def ledger_files(prefixes, genesis, slots, writer=None):
+    """The trace and run files of ``prefixes``, written by the library (with
+    ``writer`` shared by the traces, if given) and by the oracle."""
+    new, old = [], []
+    for p in prefixes:
+        new.append(serialize.dump_trace(p, genesis, slots, writer))
+        old.append(oracle.dump_trace(p, genesis, slots))
+        if p.annotations is not None:
+            new.append(serialize.dump_run(p.states[0], p.annotations, genesis))
+            old.append(oracle.dump_run(p.states[0], p.annotations, genesis))
+    return new, old
+
+
+@st.composite
+def generated_files(draw):
+    """Traces of one generated scenario, each perhaps truncated or without
+    lifts, with their genesis and a drawn, unsorted slot list."""
+    seed = draw(st.integers(0, 10 ** 6))
+    token = draw(st.sampled_from([None, TOKEN]))
+    sc = make_scenario(seed, n_outputs=draw(st.integers(1, 6)), token=token)
+    prefixes = generate_valid_traces(
+        [sc.initial_utxo], [sc.initial_slot], make_proposer(token=token),
+        depth=draw(st.integers(1, 5)), count=draw(st.integers(1, 3)), seed=seed,
+    )
+    prefixes = [
+        dataclasses.replace(
+            p, truncated=draw(st.booleans()),
+            annotations=draw(st.sampled_from([p.annotations, None])),
+        )
+        for p in prefixes
+    ]
+    slots = draw(st.lists(st.integers(0, 2 ** 20), max_size=3))
+    return prefixes, sc.genesis_txs, slots
+
+
+def _hand_built_values():
+    """Edge cases: an empty state, a ref re-bound to another output and back,
+    a multi-token value, empty address and datum, an inputless lift, no
+    lifts, and unsorted initial slots."""
+    plain = Output(b"", {b"coin": 1}, b"")
+    multi = Output(b"a", {b"coin": 3, b"T": 1, b"U": 2 ** 64 - 1}, b"")
+    genesis = tx_of((), [plain, multi, out("g")])
+    u0 = mk_outs(genesis)
+    [r0, r1, r2] = sorted(u0.keys())
+    spend = tx_of([TxInput(r0, plain)], [Output(b"x", {}, b"d")], extra=b"\x00")
+    mint = tx_of((), [out("m", token=TOKEN, token_qty=1)], interval=(3, 9))
+    rebound = UtxoSet({r0: out("other"), r1: multi})
+    states = (u0, apply_tx(u0, spend), rebound, u0, UtxoSet({}))
+    steps = ((0, spend), (4, mint), (4, mint), (2 ** 20, genesis))
+    return [
+        (TracePrefix((UtxoSet({}),)), (), ()),
+        (TracePrefix((UtxoSet({}),), ()), (), (7,)),
+        (TracePrefix(states, steps, True), (genesis,), (5, 0, 3)),
+        (TracePrefix(states, None), (genesis, mint), (2, 1)),
+        (TracePrefix((u0, u0), ((1, mint),)), (), (1, 1)),
+    ]
+
+
+HAND_BUILT_VALUES = _hand_built_values()
+
+
+class TestWriterAgreesWithOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(files=generated_files(), shared=st.booleans())
+    def test_generated(self, files, shared):
+        new, old = ledger_files(*files, serialize._Writer() if shared else None)
+        assert new == old
+
+    @pytest.mark.parametrize("case", range(len(HAND_BUILT_VALUES)))
+    def test_hand_built(self, case):
+        prefix, genesis, slots = HAND_BUILT_VALUES[case]
+        new, old = ledger_files([prefix], genesis, slots)
+        assert new == old
+
+    @settings(max_examples=30, deadline=None)
+    @given(files=generated_files())
+    def test_one_writer_for_several_files(self, files):
+        """A writer that already spelled other files, with entries and txs of
+        other scenarios, writes what a fresh writer writes."""
+        prefixes, genesis, slots = files
+        writer = serialize._Writer()
+        for prefix, g, s in HAND_BUILT_VALUES:
+            serialize.dump_trace(prefix, g, s, writer)
+        shared = [serialize.dump_trace(p, genesis, slots, writer) for p in prefixes]
+        assert shared == [serialize.dump_trace(p, genesis, slots) for p in prefixes]
+        assert shared == [oracle.dump_trace(p, genesis, slots) for p in prefixes]
+
+    @pytest.mark.parametrize("seed, depth", [(0, 3), (1, 8), (2, 14), (0, 25)])
+    def test_ledger_graphs(self, seed, depth):
+        sc = make_scenario(seed, n_outputs=2)
+        [prefix] = generate_valid_traces(
+            [sc.initial_utxo], [sc.initial_slot],
+            make_proposer(max_spend=2, max_create=2), depth=depth, count=1, seed=seed,
+        )
+        txs = [t for _, t in prefix.annotations]
+        slots = {sc.initial_slot} | {q for q, _ in prefix.annotations}
+        lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
+        lam_prime, _ = project_ledger_graph(lam)
+        new = serialize.dump_ledger_graphs(lam, lam_prime)
+        assert new == oracle.dump_ledger_graphs(lam, lam_prime)
+
+    @pytest.mark.parametrize("prefix", [
+        TracePrefix((0,)),
+        TracePrefix((0, 1, 0), ((None, "mint"), (None, "burn"))),
+        TracePrefix(({"b": [1], "a": None}, "s"), None),
+    ])
+    def test_contract_traces(self, prefix):
+        new = serialize.dump_contract_trace(prefix)
+        assert new == oracle.dump_contract_trace(prefix)
