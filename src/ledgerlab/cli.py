@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import gen, serialize
-from .contracts import CONTRACTS, check_contract_on_traces, induce_trace_map
+from .contracts import CONTRACTS, check_contract_on_traces
 from .core import CheckResult
 from .graphs import build_ledger_graph, project_ledger_graph
 from .properties import (
@@ -284,12 +284,14 @@ def cmd_contract_check(args) -> int:
     extra = {"steps_checked": report.steps_checked}
     if args.induce:
         out = _out_dir(args.out)
-        for k, prefix in enumerate(traces):
-            induced = induce_trace_map(sc, prefix)
+        for k, image in enumerate(report.induced):
+            holes = [i for i, s in enumerate(image.states) if s is None]
+            if holes:
+                raise ValueError("state %d outside the projection domain" % holes[0])
             _write(out, "contract_trace_%03d.json" % k,
-                   serialize.dump_contract_trace(induced))
+                   serialize.dump_contract_trace(image))
     if args.nonexpanding:
-        nonexp = check_non_expanding(sc.pi, sc.pi_defined, traces)
+        nonexp = check_non_expanding(traces, report.induced)
         verdicts.append(
             {"check": "non-expanding", "clean": not nonexp.violations,
              "witness": nonexp.violations[:5]}

@@ -12,10 +12,11 @@ correctness is stated relative to that ledger.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .core import CheckResult, Tx, UtxoSet
+from .core import Tx, UtxoSet
 from .graphs import PartialSieveHom, SimpleGraph, project_graph
 from .traces import TracePrefix
 
@@ -35,6 +36,13 @@ class ContractSpec:
 
 @dataclass(frozen=True)
 class StructuredContract:
+    """A contract spec with its state projection pi and input projection kappa.
+
+    ``pi`` is defined on the states ``pi_defined`` accepts.  No contract
+    state is None, since ``spec.step`` answers None for a refusal, so None
+    can mark a ledger state outside Def pi.
+    """
+
     name: str
     spec: ContractSpec
     pi_defined: Callable[[UtxoSet], bool]
@@ -45,47 +53,42 @@ class StructuredContract:
     additional_checks: Optional[Callable] = None
 
 
-def check_step_correctness(
-    sc: StructuredContract, before: UtxoSet, tx: Tx, after: UtxoSet
-) -> CheckResult:
-    """The executable proof obligation for one ledger step before -tx-> after.
-
-    Vacuously true when the source state is outside Def pi; otherwise the
-    target must be projectable and the contract step must agree.
-    """
-    if not sc.pi_defined(before):
-        return CheckResult(True, "vacuous")
-    if not sc.pi_defined(after):
-        return CheckResult(False, "to-state-unprojectable")
-    expected = sc.spec.step(sc.pi(before), sc.kappa(tx))
-    if expected is None or expected != sc.pi(after):
-        return CheckResult(False, "contract-step-mismatch")
-    return CheckResult(True)
-
-
 @dataclass(frozen=True)
 class ContractReport:
     steps_checked: int
     failures: Tuple
+    #: each trace's image under ``induce_trace_map``, in input order
+    induced: Tuple
 
 
 def check_contract_on_traces(
     sc: StructuredContract, traces: Sequence[TracePrefix]
 ) -> ContractReport:
-    """Check step correctness at every annotated step of whole traces."""
+    """Check step correctness at every annotated step of whole traces.
+
+    Each trace is projected once, and each step's verdict is read off its
+    image: a step from a state outside Def pi holds vacuously, a step onto
+    one is ``to-state-unprojectable``, and otherwise the contract's step
+    from the image of the source must reach the image of the target.
+    """
     checked = 0
     failures = []
+    induced = []
     for t_idx, prefix in enumerate(traces):
         if prefix.annotations is None:
             raise ValueError("contract checking needs lifted traces")
-        for k, (_, tx) in enumerate(prefix.annotations):
+        image = induce_trace_map(sc, prefix)
+        induced.append(image)
+        states = image.states
+        for k, (_, inp) in enumerate(image.annotations):
             checked += 1
-            verdict = check_step_correctness(
-                sc, prefix.states[k], tx, prefix.states[k + 1]
-            )
-            if not verdict:
-                failures.append((t_idx, k, verdict.reason))
-    return ContractReport(checked, tuple(failures))
+            if states[k] is None:
+                continue
+            if states[k + 1] is None:
+                failures.append((t_idx, k, "to-state-unprojectable"))
+            elif sc.spec.step(states[k], inp) != states[k + 1]:
+                failures.append((t_idx, k, "contract-step-mismatch"))
+    return ContractReport(checked, tuple(failures), tuple(induced))
 
 
 def induce_trace_map(
@@ -93,12 +96,11 @@ def induce_trace_map(
 ) -> TracePrefix:
     """Pointwise projection of a ledger trace to a contract trace.
 
+    Each state maps through pi, or to None when it lies outside Def pi.
     Lift annotations are mapped through kappa with the trivial environment.
     """
-    for k, state in enumerate(ledger_trace.states):
-        if not sc.pi_defined(state):
-            raise ValueError("state %d outside the projection domain" % k)
-    states = tuple(sc.pi(u) for u in ledger_trace.states)
+    states = tuple(sc.pi(u) if sc.pi_defined(u) else None
+                   for u in ledger_trace.states)
     annotations = None
     if ledger_trace.annotations is not None:
         annotations = tuple((None, sc.kappa(tx)) for _, tx in ledger_trace.annotations)
@@ -116,20 +118,18 @@ def build_contract_graphs(
     function is defined; edges follow the step relation.  The second graph
     is its projection onto states.
     """
-    states = list(state_universe)
     inputs = list(input_universe)
-    vertices = frozenset(
-        (s, i) for s in states for i in inputs if sc.spec.step(s, i) is not None
-    )
-    edges = frozenset(
-        (v, w)
-        for v in vertices
-        for w in vertices
-        if sc.spec.step(v[0], v[1]) == w[0]
-    )
+    # each candidate pair is stepped once; the vertices are those it accepts
+    after = {(s, i): t for s in state_universe for i in inputs
+             if (t := sc.spec.step(s, i)) is not None}
+    vertices = frozenset(after)
+    by_state = defaultdict(list)
+    for v in vertices:
+        by_state[v[0]].append(v)
+    edges = frozenset((v, w) for v in vertices for w in by_state.get(after[v], ()))
     initial = frozenset(v for v in vertices if sc.spec.is_initial(v[0]))
     gamma = SimpleGraph(vertices, edges, initial)
-    gamma_prime, psi = project_graph(gamma, lambda v: v[0], lambda v: sc.spec.step(*v))
+    gamma_prime, psi = project_graph(gamma, lambda v: v[0], after.__getitem__)
     return gamma, gamma_prime, psi
 
 

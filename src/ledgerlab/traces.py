@@ -161,39 +161,30 @@ class NonExpansionReport:
     violations: Tuple
 
 
-def map_trace(f: Callable, prefix: TracePrefix) -> TracePrefix:
-    """Apply a state map to each state of a prefix."""
-    return TracePrefix(tuple(f(s) for s in prefix.states))
-
-
 def check_non_expanding(
-    f: Callable,
-    defined: Callable[[object], bool],
-    traces: Sequence[TracePrefix],
+    traces: Sequence[TracePrefix], images: Sequence[TracePrefix]
 ) -> NonExpansionReport:
     """Check d(f(a), f(b)) <= d(a, b) on every pair of traces.
 
-    ``f`` is any state map with domain predicate ``defined``, such as
-    ``hom, hom.defined_at`` or a contract's ``pi, pi_defined``.  Each trace
-    is mapped once; pairs i < j are visited in ``itertools.combinations``
-    order and a violation is reported as its position in that order.  Pairs
-    containing a state outside the domain are skipped and reported; on
-    traces reachable from initial vertices this cannot happen because the
-    domain is a sieve.
+    ``images[i]`` is the image of ``traces[i]`` under a state map f, such as
+    a contract's pi as ``contracts.induce_trace_map`` applies it, with None
+    for a state outside f's domain.  Pairs i < j are visited in
+    ``itertools.combinations`` order and a violation is reported as its
+    position in that order.  A pair whose image holds a None is skipped and
+    counted in ``pairs_skipped``; on traces reachable from initial vertices
+    this cannot happen because the domain is a sieve.
 
-    ``map_trace`` maps pointwise, so for any ``f`` this only confirms that
-    ``f`` is a function: traces that agree up to index k have images that
-    agree there too, and only an ``f`` giving equal states unequal images
-    can report a violation.
+    For a pointwise image this only confirms that f is a function: traces
+    that agree up to index k have images that agree there too, and only an
+    f giving equal states unequal images can report a violation.  It does
+    not test the contract claim itself, that the projection is a
+    homomorphism out of the ledger's trace graph.
     """
-    images = [
-        map_trace(f, t) if all(defined(s) for s in t.states) else None
-        for t in traces
-    ]
+    whole = [None if any(s is None for s in fa.states) else fa for fa in images]
     checked = 0
     skipped = 0
     violations = []
-    pairs = itertools.combinations(zip(traces, images), 2)
+    pairs = itertools.combinations(zip(traces, whole), 2)
     for idx, ((a, fa), (b, fb)) in enumerate(pairs):
         if fa is None or fb is None:
             skipped += 1

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,9 +18,10 @@ from ledgerlab.cli import (
     EXIT_VIOLATION,
     main,
 )
+from ledgerlab.contracts import nft_contract
 from ledgerlab.core import UtxoSet
 from ledgerlab.gen import make_scenario
-from ledgerlab.traces import TracePrefix, check_monitor_monotone
+from ledgerlab.traces import TracePrefix, check_monitor_monotone, check_non_expanding
 
 
 def run_cli(capsys, *argv):
@@ -549,6 +551,99 @@ class TestContractCommands:
         assert all(s in (0, 1) for s in payload["states"])
 
 
+class TestOneProjection:
+    """``contract check`` projects each trace once, and reads every verdict
+    and every written file off that one image."""
+
+    @pytest.fixture
+    def nft_traces(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "6", "--depth", "8", "--count", "12",
+            "--outputs", "12", "--token", "4e4654", "--out", str(tmp_path / "gen"),
+        )
+        assert code == EXIT_CLEAN
+        paths = sorted(str(p) for p in (tmp_path / "gen").glob("trace_*.json"))
+        return paths, [serialize.load_trace(Path(p).read_text())[0] for p in paths]
+
+    def check(self, capsys, tmp_path, paths, *flags):
+        return run_cli(
+            capsys, "contract", "check", "--name", "nft", "--token", "4e4654",
+            "--traces", *paths, *flags, "--out", str(tmp_path / "induced"),
+        )
+
+    def test_pi_once_per_state_and_kappa_once_per_step(
+        self, nft_traces, tmp_path, capsys, monkeypatch
+    ):
+        calls = {"pi": 0, "kappa": 0}
+
+        def counted(name, f):
+            def wrapper(arg):
+                calls[name] += 1
+                return f(arg)
+            return wrapper
+
+        def contract(token):
+            sc = nft_contract(token)
+            return dataclasses.replace(
+                sc, pi=counted("pi", sc.pi), kappa=counted("kappa", sc.kappa))
+
+        monkeypatch.setitem(cli.CONTRACTS, "nft", contract)
+        paths, traces = nft_traces
+        code, _, _ = self.check(capsys, tmp_path, paths, "--nonexpanding", "--induce")
+        assert code == EXIT_CLEAN
+        assert calls == {"pi": sum(len(t.states) for t in traces),
+                         "kappa": sum(len(t.annotations) for t in traces)}
+
+    @pytest.fixture
+    def partial(self, nft_traces, monkeypatch):
+        """The NFT contract undefined on the last state of trace 3."""
+        _, traces = nft_traces
+        hole = traces[3].states[-1]
+        monkeypatch.setitem(
+            cli.CONTRACTS, "nft",
+            lambda token: dataclasses.replace(
+                nft_contract(token), pi_defined=lambda u: u != hole))
+        return [k for k, t in enumerate(traces) if hole in t.states], hole
+
+    def test_induce_stops_at_the_first_hole(
+        self, nft_traces, partial, tmp_path, capsys
+    ):
+        paths, traces = nft_traces
+        holed, hole = partial
+        code, stdout, stderr = self.check(capsys, tmp_path, paths, "--induce")
+        assert code == EXIT_USAGE and stdout == ""
+        first = traces[holed[0]].states.index(hole)
+        assert stderr == "error: state %d outside the projection domain\n" % first
+        # the images before the first trace with a hole are written
+        assert sorted(p.name for p in (tmp_path / "induced").iterdir()) == [
+            "contract_trace_%03d.json" % k for k in range(holed[0])]
+
+    def test_nonexpanding_skips_the_pairs_with_a_hole(
+        self, nft_traces, partial, tmp_path, capsys, monkeypatch
+    ):
+        paths, traces = nft_traces
+        holed, _ = partial
+        reports = []
+
+        def spy(*args):
+            reports.append(check_non_expanding(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_non_expanding", spy)
+        code, stdout, _ = self.check(capsys, tmp_path, paths, "--nonexpanding")
+        assert code == EXIT_VIOLATION
+        report = read_json(stdout)
+        assert {v["check"]: v["clean"] for v in report["verdicts"]} == {
+            "step-correctness": False, "non-expanding": True}
+        kept = [p for k, p in enumerate(paths) if k not in holed]
+        _, stdout, _ = self.check(capsys, tmp_path, kept, "--nonexpanding")
+        n = len(paths)
+        affected = n * (n - 1) // 2 - len(kept) * (len(kept) - 1) // 2
+        assert report["pairs_checked"] == read_json(stdout)["pairs_checked"]
+        assert reports[0].pairs_checked == report["pairs_checked"]
+        assert reports[0].pairs_skipped == reports[1].pairs_skipped + affected
+
+
 class TestGraphDump:
     def test_writes_both_graphs(self, tmp_path, capsys):
         out = tmp_path / "graphs"
@@ -641,6 +736,50 @@ class TestPinnedBytes:
         assert code == EXIT_CLEAN
         assert read_json(stdout) == {"manifest_digest": manifest_digest,
                                      "written": 10}
+
+    @pytest.mark.parametrize("mutant, exit_code, stdout_digest, induced_digest", [
+        (False, EXIT_CLEAN,
+         "9bbe5ea30db5980f68c101ca3f75f43632676e6a1afd725cffe0259b8c0626cb",
+         "56148066b7aba562949cb81cf9cf2f493e5eac99a70efd9e92c102d5c4522186"),
+        (True, EXIT_VIOLATION,
+         "23466e4c01cc815871ed0bfe5d0ba9702f61b47b6c0f358f4418c16f2154b5d7",
+         "b25f89b909d69c91bd9d06793c13790d17d9e238817e0f17ee31ad4ae01824b1"),
+    ])
+    def test_contract_check(self, tmp_path, capsys, mutant, exit_code,
+                            stdout_digest, induced_digest):
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "6", "--depth", "8", "--count", "12",
+            "--outputs", "12", "--token", "4e4654", "--out", str(tmp_path / "gen"),
+        )
+        assert code == EXIT_CLEAN
+        traces = sorted(str(p) for p in (tmp_path / "gen").glob("trace_*.json"))
+        if mutant:
+            # one more token in the last state breaks the last step
+            traces.append(str(add_token_to_last_state(
+                Path(traces[0]), tmp_path / "mutant.json", "4e4654")))
+        code, stdout, _ = run_cli(
+            capsys, "contract", "check", "--name", "nft", "--token", "4e4654",
+            "--traces", *traces, "--nonexpanding", "--induce",
+            "--out", str(tmp_path / "induced"),
+        )
+        assert code == exit_code
+        assert serialize.digest(stdout) == stdout_digest
+        induced = sorted((tmp_path / "induced").iterdir())
+        assert [p.name for p in induced] == [
+            "contract_trace_%03d.json" % k for k in range(len(traces))]
+        combined = hashlib.sha256()
+        for path in induced:
+            combined.update(hashlib.sha256(path.read_bytes()).digest())
+        assert combined.hexdigest() == induced_digest
+
+
+def add_token_to_last_state(source: Path, target: Path, token: str) -> Path:
+    """Copy a trace file with one more ``token`` in its last state's first entry."""
+    trace = read_json(source.read_text())
+    value = trace["states"][-1][0]["output"]["value"]
+    value[token] = value.get(token, 0) + 1
+    target.write_text(json.dumps(trace))
+    return target
 
 
 class TestSizesBelowOne:

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+import contract_oracle
 from conftest import gen_traces, out, tx_of
 from ledgerlab.contracts import (
     BURN,
@@ -12,7 +14,6 @@ from ledgerlab.contracts import (
     StructuredContract,
     build_contract_graphs,
     check_contract_on_traces,
-    check_step_correctness,
     induce_trace_map,
     nft_contract,
 )
@@ -29,7 +30,7 @@ from ledgerlab.core import (
 )
 from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import build_ledger_graph, check_hom
-from ledgerlab.traces import check_non_expanding, ultra_distance
+from ledgerlab.traces import TracePrefix, check_non_expanding, ultra_distance
 
 TOKEN = b"NFT"
 
@@ -49,6 +50,30 @@ def nft_traces(sc, nft, count=10, seed=8, depth=5):
         sc, depth=depth, count=count, seed=seed, token=TOKEN,
         hook=nft.additional_checks,
     )
+
+
+def one_step(before, tx, after, slot=1):
+    return TracePrefix((before, after), ((slot, tx),))
+
+
+def len_partial():
+    """Defined on non-empty states; the contract state is the entry count."""
+    return StructuredContract(
+        name="partial",
+        spec=ContractSpec(step=lambda s, i: s, is_initial=lambda s: True),
+        pi_defined=lambda u: len(u) > 0,
+        pi=lambda u: len(u),
+        kappa=lambda tx: NOOP,
+    )
+
+
+def emptying_step():
+    """A one-entry state and the step that spends its only entry."""
+    genesis = tx_of((), [out("g")])
+    u0 = mk_outs(genesis)
+    ref = OutputRef(hash_tx(genesis), 0)
+    emptier = tx_of([TxInput(ref, genesis.outputs[0])], [])
+    return u0, emptier, step_ledger(1, u0, emptier)
 
 
 class TestKappa:
@@ -100,37 +125,26 @@ class TestStepCorrectness:
     def test_valid_move_step(self, nft, token_scenario):
         sc = token_scenario
         trace = nft_traces(sc, nft, count=1, depth=4)[0]
-        for k, (_, tx) in enumerate(trace.annotations):
-            assert check_step_correctness(
-                nft, trace.states[k], tx, trace.states[k + 1]
-            )
+        for k, (q, tx) in enumerate(trace.annotations):
+            step = one_step(trace.states[k], tx, trace.states[k + 1], q)
+            assert check_contract_on_traces(nft, [step]).failures == ()
 
     def test_vacuous_outside_projection_domain(self):
-        partial = StructuredContract(
-            name="partial",
-            spec=ContractSpec(step=lambda s, i: s, is_initial=lambda s: True),
-            pi_defined=lambda u: len(u) > 0,
-            pi=lambda u: len(u),
-            kappa=lambda tx: NOOP,
-        )
-        verdict = check_step_correctness(partial, UtxoSet(), None, UtxoSet())
+        partial = len_partial()
+        report = check_contract_on_traces(
+            partial, [one_step(UtxoSet(), None, UtxoSet())])
+        assert report.steps_checked == 1 and report.failures == ()
+        assert report.induced[0].states == (None, None)
+        verdict = contract_oracle.check_step_correctness(
+            partial, UtxoSet(), None, UtxoSet())
         assert verdict and verdict.reason == "vacuous"
 
     def test_unprojectable_target_detected(self):
-        genesis = tx_of((), [out("g")])
-        u0 = mk_outs(genesis)
-        ref = OutputRef(hash_tx(genesis), 0)
-        emptier = tx_of([TxInput(ref, genesis.outputs[0])], [])
-        outcome = step_ledger(1, u0, emptier)
-        partial = StructuredContract(
-            name="partial",
-            spec=ContractSpec(step=lambda s, i: s, is_initial=lambda s: True),
-            pi_defined=lambda u: len(u) > 0,
-            pi=lambda u: len(u),
-            kappa=lambda tx: NOOP,
-        )
-        verdict = check_step_correctness(partial, u0, emptier, outcome)
-        assert not verdict and verdict.reason == "to-state-unprojectable"
+        u0, emptier, outcome = emptying_step()
+        report = check_contract_on_traces(
+            len_partial(), [one_step(u0, emptier, outcome)])
+        assert report.failures == ((0, 0, "to-state-unprojectable"),)
+        assert report.induced[0].states == (1, None)
 
     def test_broken_projection_detected(self, nft, token_scenario):
         sc = token_scenario
@@ -199,6 +213,50 @@ class TestContractOnTraces:
                 assert nft.pi(u) <= 1
 
 
+def variants(nft):
+    """Contracts whose verdicts on NFT traces cover every kind of step."""
+    return {
+        "nft": nft,
+        # always reports an empty contract state
+        "broken-pi": dataclasses.replace(nft, name="broken-pi", pi=lambda u: 0),
+        # every tx looks like a noop
+        "broken-kappa": dataclasses.replace(
+            nft, name="broken-kappa", kappa=lambda tx: NOOP),
+        # the NFT contract with holes in Def pi
+        "partial-nft": dataclasses.replace(
+            nft, name="partial-nft", pi_defined=lambda u: len(u) % 3 != 0),
+        "partial-len": len_partial(),
+    }
+
+
+class TestAgreesWithOracle:
+    """One projection per trace gives the plain obligation's verdicts."""
+
+    @pytest.mark.parametrize("name", ["nft", "broken-pi", "broken-kappa",
+                                      "partial-nft", "partial-len"])
+    def test_same_steps_and_failures(self, nft, token_scenario, name):
+        sc = variants(nft)[name]
+        traces = nft_traces(token_scenario, nft, count=12, depth=6, seed=41)
+        report = check_contract_on_traces(sc, traces)
+        assert (report.steps_checked, report.failures) == \
+            contract_oracle.check_contract_on_traces(sc, traces)
+        assert report.induced == tuple(induce_trace_map(sc, t) for t in traces)
+        if name == "nft":
+            assert report.failures == ()
+        else:
+            assert report.failures
+
+    def test_partial_contract_has_every_kind_of_step(self, nft, token_scenario):
+        sc = variants(nft)["partial-nft"]
+        traces = nft_traces(token_scenario, nft, count=12, depth=6, seed=41)
+        kinds = {
+            contract_oracle.check_step_correctness(
+                sc, t.states[k], tx, t.states[k + 1]).reason
+            for t in traces for k, (_, tx) in enumerate(t.annotations)
+        }
+        assert kinds >= {"vacuous", "to-state-unprojectable", None}
+
+
 class TestPolicy:
     def test_agrees_with_the_applied_step(self, nft, token_scenario):
         """The policy equals the bound on the state after apply_tx."""
@@ -259,36 +317,25 @@ class TestInducedTraces:
         assert induced.states == (0, 1, 0)
         assert [inp for _, inp in induced.annotations] == [MINT, BURN]
 
-    def test_rejects_unprojectable_state(self):
-        partial = StructuredContract(
-            name="partial",
-            spec=ContractSpec(step=lambda s, i: s, is_initial=lambda s: True),
-            pi_defined=lambda u: False,
-            pi=lambda u: None,
-            kappa=lambda tx: NOOP,
-        )
-        from ledgerlab.traces import TracePrefix
-
-        with pytest.raises(ValueError):
-            induce_trace_map(partial, TracePrefix((UtxoSet(),)))
+    def test_unprojectable_state_maps_to_none(self):
+        u0, emptier, outcome = emptying_step()
+        induced = induce_trace_map(len_partial(), one_step(u0, emptier, outcome))
+        assert induced.states == (1, None)
+        assert induced.annotations == ((None, NOOP),)
 
     def test_induced_map_is_non_expanding(self, nft, token_scenario):
         traces = nft_traces(token_scenario, nft, count=12, depth=5, seed=31)
+        images = [induce_trace_map(nft, t) for t in traces]
         checked = 0
         for i in range(len(traces)):
             for j in range(i + 1, len(traces)):
                 d_src = ultra_distance(traces[i], traces[j])
-                d_img = ultra_distance(
-                    induce_trace_map(nft, traces[i]),
-                    induce_trace_map(nft, traces[j]),
-                )
+                d_img = ultra_distance(images[i], images[j])
                 if d_src.exact and d_img.exact:
                     checked += 1
-                    assert d_img.value <= d_src.value
-                else:
-                    assert d_img.value <= d_src.value
+                assert d_img.value <= d_src.value
         assert checked > 0
-        report = check_non_expanding(nft.pi, nft.pi_defined, traces)
+        report = check_non_expanding(traces, images)
         assert report.pairs_checked == checked
         assert report.violations == ()
 
@@ -319,6 +366,46 @@ class TestContractGraphs:
         gamma, gamma_prime, psi = build_contract_graphs(nft, [], [])
         assert gamma.vertices == frozenset()
         assert gamma_prime.vertices == frozenset()
+
+
+def hand_built(step, is_initial=lambda s: True):
+    spec = ContractSpec(step=step, is_initial=is_initial)
+    return StructuredContract("hand-built", spec, lambda u: True, len, len)
+
+
+GRAPH_CASES = {
+    "nft": (nft_contract(TOKEN), [0, 1, 2], [MINT, BURN, NOOP, "other"]),
+    # a counter mod 5; every pair is a vertex
+    "counter": (hand_built(lambda s, i: (s + i) % 5, lambda s: s == 0),
+                range(5), [0, 1, 4]),
+    # a bounded sum: steps past 4 are refused and 4 is outside the universe
+    "bounded": (hand_built(lambda s, i: s + i if s + i <= 4 else None),
+                [0, 1, 2, 3], [0, 1, 2]),
+}
+
+
+class TestContractGraphsAgainstOracle:
+    @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+    def test_same_graphs_and_hom(self, case):
+        sc, states, inputs = GRAPH_CASES[case]
+        built = build_contract_graphs(sc, states, inputs)
+        assert built == contract_oracle.build_contract_graphs(sc, states, inputs)
+        assert built[0].edges and check_hom(built[2])
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+    def test_steps_each_candidate_pair_once(self, case):
+        sc, states, inputs = GRAPH_CASES[case]
+        calls = []
+
+        def step(s, i):
+            calls.append((s, i))
+            return sc.spec.step(s, i)
+
+        counted = dataclasses.replace(
+            sc, spec=dataclasses.replace(sc.spec, step=step))
+        build_contract_graphs(counted, iter(states), iter(inputs))
+        assert sorted(calls, key=repr) == sorted(
+            ((s, i) for s in states for i in inputs), key=repr)
 
 
 class TestRegistry:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import gen_traces, out, tx_of
+import serialize_oracle as oracle
 from ledgerlab import serialize
 from ledgerlab.core import OutputRef, TxInput, mk_outs
 from ledgerlab.graphs import SimpleGraph, build_ledger_graph, project_ledger_graph
@@ -139,25 +140,6 @@ class TestTraceFiles:
             serialize.load_trace("[1,2]")
 
 
-def plain_output(o):
-    return {"address": o.address.hex(), "datum": o.datum.hex(),
-            "value": {t.hex(): q for t, q in o.value}}
-
-
-def plain_entry(ref, o):
-    return {"output_ref": {"tx_hash": ref.tx_hash.hex(), "index": ref.index},
-            "output": plain_output(o)}
-
-
-def plain_tx(tx):
-    """A transaction spelled field by field, with no reuse of converted entries."""
-    inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
-    return {"inputs": [plain_entry(i.output_ref, i.output) for i in inputs],
-            "outputs": [plain_output(o) for o in tx.outputs],
-            "validity_interval": list(tx.validity_interval),
-            "additional_data": tx.additional_data.hex()}
-
-
 class TestWriterReuse:
     """One writer across traces and their txs changes no byte."""
 
@@ -170,11 +152,10 @@ class TestWriterReuse:
             assert shared == serialize.dump_trace(prefix, *context)
             expected = {
                 "kind": "trace", "version": serialize.FORMAT_VERSION,
-                "states": [[plain_entry(r, o) for r, o in u.items()]
-                           for u in prefix.states],
-                "lifts": [[q, plain_tx(t)] for q, t in prefix.annotations],
+                "states": [oracle.utxo_to_json(u) for u in prefix.states],
+                "lifts": [[q, oracle.tx_to_json(t)] for q, t in prefix.annotations],
                 "truncated": prefix.truncated,
-                "genesis": [plain_tx(t) for t in scenario.genesis_txs],
+                "genesis": [oracle.tx_to_json(t) for t in scenario.genesis_txs],
                 "initial_slots": [scenario.initial_slot],
             }
             assert json.loads(shared) == expected
@@ -186,9 +167,9 @@ class TestWriterReuse:
         )
         assert json.loads(text) == {
             "kind": "run", "version": serialize.FORMAT_VERSION,
-            "initial": [plain_entry(r, o) for r, o in scenario.initial_utxo.items()],
-            "steps": [[q, plain_tx(t)] for q, t in prefix.annotations],
-            "genesis": [plain_tx(t) for t in scenario.genesis_txs],
+            "initial": oracle.utxo_to_json(scenario.initial_utxo),
+            "steps": [[q, oracle.tx_to_json(t)] for q, t in prefix.annotations],
+            "genesis": [oracle.tx_to_json(t) for t in scenario.genesis_txs],
         }
 
     def test_each_tx_is_spelled_once(self, scenario):
@@ -196,7 +177,7 @@ class TestWriterReuse:
         writer.utxo([], scenario.initial_utxo)
         for tx in scenario.genesis_txs:
             spelled = writer.tx(tx)
-            assert json.loads(spelled) == plain_tx(tx)
+            assert json.loads(spelled) == oracle.tx_to_json(tx)
             twin = dataclasses.replace(tx)
             assert twin is not tx and writer.tx(twin) is spelled
         assert len(writer.txs) == len(set(scenario.genesis_txs))
@@ -205,9 +186,9 @@ class TestWriterReuse:
         (txin,) = sample_tx.inputs
         ref, forged = txin.output_ref, out("forged")
         writer = serialize._Writer()
-        writer.entries[ref] = (forged, json.dumps(plain_entry(ref, forged)))
+        writer.entries[ref] = (forged, json.dumps(oracle.entry_to_json(ref, forged)))
         spelled = writer.entry(ref, txin.output)
-        assert json.loads(spelled) == plain_entry(ref, txin.output)
+        assert json.loads(spelled) == oracle.entry_to_json(ref, txin.output)
         memo_out, memo_text = writer.entries[ref]
         assert memo_out is txin.output and memo_text is spelled
 
@@ -305,17 +286,15 @@ class TestLedgerGraphFiles:
         lam = build_ledger_graph([scenario.initial_utxo], slots[:1], txs, slots)
         lam_prime, _ = project_ledger_graph(lam)
 
-        def plain_state(u):
-            return [plain_entry(r, o) for r, o in u.items()]
-
         def plain_id(payload):
             raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
         texts = serialize.dump_ledger_graphs(lam, lam_prime)
         for graph, text, spell in (
-            (lam, texts[0], lambda v: [v[0], plain_state(v[1]), plain_tx(v[2])]),
-            (lam_prime, texts[1], plain_state),
+            (lam, texts[0],
+             lambda v: [v[0], oracle.utxo_to_json(v[1]), oracle.tx_to_json(v[2])]),
+            (lam_prime, texts[1], oracle.utxo_to_json),
         ):
             ids = {v: plain_id(spell(v)) for v in graph.vertices}
             assert len(ids) > 1 and json.loads(text) == {

@@ -18,7 +18,6 @@ from ledgerlab.traces import (
     floor_neg_log2,
     generate_valid_traces,
     has_truncated_lift,
-    map_trace,
     monitor_trace,
     ultra_distance,
     validate_trace_prefix,
@@ -211,27 +210,35 @@ class TestNonExpansion:
             src, tgt, src.vertices, {"a": "x", "b": "y", "c": "y"}
         )
 
+    @staticmethod
+    def images(hom, traces):
+        """Each trace mapped pointwise, with None outside the domain."""
+        return [plain(*(hom(s) if hom.defined_at(s) else None for s in t.states))
+                for t in traces]
+
     def test_merge_only_shrinks(self):
         hom = self.make_hom()
         # ab/ba and ba/ac: images differ at index 0, both distances exact;
         # ab/ac: images agree everywhere, so only a bound is known
         traces = [plain("a", "b"), plain("b", "a"), plain("a", "c")]
-        report = check_non_expanding(hom, hom.defined_at, traces)
+        report = check_non_expanding(traces, self.images(hom, traces))
         assert report.pairs_checked == 2
         assert report.pairs_skipped == 1
         assert report.violations == ()
 
     def test_out_of_domain_pairs_are_skipped(self):
         hom = self.make_hom()
-        report = check_non_expanding(
-            hom, hom.defined_at, [plain("zz"), plain("a")]
-        )
+        traces = [plain("zz"), plain("a")]
+        report = check_non_expanding(traces, self.images(hom, traces))
         assert report.pairs_checked == 0
         assert report.pairs_skipped == 1
 
-    def test_map_trace(self):
-        hom = self.make_hom()
-        assert map_trace(hom, plain("a", "b")).states == ("x", "y")
+    def test_unequal_images_of_equal_states_are_reported(self):
+        traces = [plain("a", "b"), plain("a", "c"), plain("b")]
+        images = [plain("x", "y"), plain("y", "y"), plain("x")]
+        report = check_non_expanding(traces, images)
+        # pair 0 (index 1 apart, images apart at 0) is the only violation
+        assert report.violations == (0,)
 
 
 class TestMonitors:
