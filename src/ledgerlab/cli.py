@@ -283,11 +283,12 @@ def cmd_contract_check(args) -> int:
     ]
     extra = {"steps_checked": report.steps_checked}
     if args.induce:
+        for image in report.induced:
+            if None in image.states:
+                raise ValueError("state %d outside the projection domain"
+                                 % image.states.index(None))
         out = _out_dir(args.out)
         for k, image in enumerate(report.induced):
-            holes = [i for i, s in enumerate(image.states) if s is None]
-            if holes:
-                raise ValueError("state %d outside the projection domain" % holes[0])
             _write(out, "contract_trace_%03d.json" % k,
                    serialize.dump_contract_trace(image))
     if args.nonexpanding:

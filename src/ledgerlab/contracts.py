@@ -38,14 +38,11 @@ class ContractSpec:
 class StructuredContract:
     """A contract spec with its state projection pi and input projection kappa.
 
-    ``pi`` is defined on the states ``pi_defined`` accepts.  No contract
-    state is None, since ``spec.step`` answers None for a refusal, so None
-    can mark a ledger state outside Def pi.
+    ``pi`` is partial: it returns None on a ledger state outside Def pi.  No
+    contract state is None, since ``spec.step`` answers None for a refusal.
     """
 
-    name: str
     spec: ContractSpec
-    pi_defined: Callable[[UtxoSet], bool]
     pi: Callable[[UtxoSet], object]
     kappa: Callable[[Tx], object]
     #: ledger-side policy hook carving out the transactions this contract
@@ -96,11 +93,10 @@ def induce_trace_map(
 ) -> TracePrefix:
     """Pointwise projection of a ledger trace to a contract trace.
 
-    Each state maps through pi, or to None when it lies outside Def pi.
+    Each state maps through pi, so a state outside Def pi maps to None.
     Lift annotations are mapped through kappa with the trivial environment.
     """
-    states = tuple(sc.pi(u) if sc.pi_defined(u) else None
-                   for u in ledger_trace.states)
+    states = tuple(map(sc.pi, ledger_trace.states))
     annotations = None
     if ledger_trace.annotations is not None:
         annotations = tuple((None, sc.kappa(tx)) for _, tx in ledger_trace.annotations)
@@ -115,8 +111,8 @@ def build_contract_graphs(
     """Explicit contract transition graph, its state projection, and the hom.
 
     Vertices of the first graph are (state, input) pairs on which the step
-    function is defined; edges follow the step relation.  The second graph
-    is its projection onto states.
+    function is defined; v -> w is an edge when v steps to w's state.  The
+    second graph is its image under (state, input) -> state.
     """
     inputs = list(input_universe)
     # each candidate pair is stepped once; the vertices are those it accepts
@@ -129,7 +125,7 @@ def build_contract_graphs(
     edges = frozenset((v, w) for v in vertices for w in by_state.get(after[v], ()))
     initial = frozenset(v for v in vertices if sc.spec.is_initial(v[0]))
     gamma = SimpleGraph(vertices, edges, initial)
-    gamma_prime, psi = project_graph(gamma, lambda v: v[0], after.__getitem__)
+    gamma_prime, psi = project_graph(gamma, lambda v: v[0])
     return gamma, gamma_prime, psi
 
 
@@ -180,9 +176,7 @@ def nft_contract(token: bytes = b"NFT") -> StructuredContract:
         return held <= 1 and held + delta(tx) <= 1
 
     return StructuredContract(
-        name="nft",
         spec=ContractSpec(step=step, is_initial=lambda s: s in (0, 1)),
-        pi_defined=lambda u: True,
         pi=lambda u: _nft_quantity(u, token),
         kappa=kappa,
         additional_checks=policy,

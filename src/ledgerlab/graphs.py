@@ -189,32 +189,30 @@ def build_ledger_graph(
 
 
 def project_graph(
-    graph: SimpleGraph, state_of: Callable, step: Callable
+    graph: SimpleGraph, state_of: Callable
 ) -> Tuple[SimpleGraph, PartialSieveHom]:
-    """Collapse a transition graph onto the states of its vertices.
+    """The image of a transition graph under the state map ``state_of``.
 
-    Returns the state graph, with an edge ``state_of(v) -> step(v)``
-    whenever the step lands on a state and the states of the initial
-    vertices as initial, together with the everywhere-defined projection
-    homomorphism ``state_of``.
+    Its vertices are the states of the vertices, with one edge
+    ``state_of(a) -> state_of(b)`` per edge ``a -> b`` and the states of the
+    initial vertices as initial; ``state_of`` is returned as the everywhere
+    defined homomorphism onto it.
     """
-    states = frozenset(state_of(v) for v in graph.vertices)
-    edges = set()
-    for v in graph.vertices:
-        after = step(v)
-        if after in states:  # a refusal is never a state
-            edges.add((state_of(v), after))
-    initial = frozenset(state_of(v) for v in graph.initial)
-    projected = SimpleGraph(states, frozenset(edges), initial)
+    projected = SimpleGraph(
+        frozenset(map(state_of, graph.vertices)),
+        frozenset((state_of(a), state_of(b)) for a, b in graph.edges),
+        frozenset(map(state_of, graph.initial)),
+    )
     return projected, PartialSieveHom(graph, projected, graph.vertices, state_of)
 
 
 def project_ledger_graph(
     lam: SimpleGraph,
 ) -> Tuple[SimpleGraph, PartialSieveHom]:
-    """Collapse a ledger graph onto its UTxO component.
+    """Λ′, the image of a ledger graph under (q,u,t) -> u, with that hom.
 
-    The projected graph has an edge u -> u' whenever some vertex (q,u,t)
-    steps to u'; ``project_graph`` builds it with the projection hom.
+    An edge u -> u' of Λ′ comes from an edge (q,u,t) -> (q',u',t') of Λ, so
+    a step onto u' is an edge only when u' has a checkable transaction at a
+    slot no earlier than q.
     """
-    return project_graph(lam, lambda v: v[1], lambda v: step_ledger(*v))
+    return project_graph(lam, lambda v: v[1])

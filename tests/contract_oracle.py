@@ -21,9 +21,9 @@ def check_step_correctness(
     Vacuously true when the source state is outside Def pi; otherwise the
     target must be projectable and the contract step must agree.
     """
-    if not sc.pi_defined(before):
+    if sc.pi(before) is None:
         return CheckResult(True, "vacuous")
-    if not sc.pi_defined(after):
+    if sc.pi(after) is None:
         return CheckResult(False, "to-state-unprojectable")
     expected = sc.spec.step(sc.pi(before), sc.kappa(tx))
     if expected is None or expected != sc.pi(after):
@@ -61,5 +61,5 @@ def build_contract_graphs(sc: StructuredContract, state_universe, input_universe
     )
     initial = frozenset(v for v in vertices if sc.spec.is_initial(v[0]))
     gamma = SimpleGraph(vertices, edges, initial)
-    gamma_prime, psi = project_graph(gamma, lambda v: v[0], lambda v: sc.spec.step(*v))
+    gamma_prime, psi = project_graph(gamma, lambda v: v[0])
     return gamma, gamma_prime, psi

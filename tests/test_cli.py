@@ -599,10 +599,13 @@ class TestOneProjection:
         """The NFT contract undefined on the last state of trace 3."""
         _, traces = nft_traces
         hole = traces[3].states[-1]
-        monkeypatch.setitem(
-            cli.CONTRACTS, "nft",
-            lambda token: dataclasses.replace(
-                nft_contract(token), pi_defined=lambda u: u != hole))
+
+        def contract(token):
+            sc = nft_contract(token)
+            return dataclasses.replace(
+                sc, pi=lambda u: None if u == hole else sc.pi(u))
+
+        monkeypatch.setitem(cli.CONTRACTS, "nft", contract)
         return [k for k, t in enumerate(traces) if hole in t.states], hole
 
     def test_induce_stops_at_the_first_hole(
@@ -614,9 +617,8 @@ class TestOneProjection:
         assert code == EXIT_USAGE and stdout == ""
         first = traces[holed[0]].states.index(hole)
         assert stderr == "error: state %d outside the projection domain\n" % first
-        # the images before the first trace with a hole are written
-        assert sorted(p.name for p in (tmp_path / "induced").iterdir()) == [
-            "contract_trace_%03d.json" % k for k in range(holed[0])]
+        # every image is checked before the output directory is made
+        assert not (tmp_path / "induced").exists()
 
     def test_nonexpanding_skips_the_pairs_with_a_hole(
         self, nft_traces, partial, tmp_path, capsys, monkeypatch
@@ -793,6 +795,16 @@ class TestSizesBelowOne:
         out = tmp_path / "gen"
         code, stdout, err = run_cli(
             capsys, "trace", "gen", "--seed", "1", flag, value, "--out", str(out)
+        )
+        assert code == EXIT_USAGE
+        assert stdout == "" and "must be at least 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_graph_dump_writes_nothing(self, tmp_path, capsys, depth):
+        out = tmp_path / "graphs"
+        code, stdout, err = run_cli(
+            capsys, "graph", "dump", "--seed", "1", "--depth", depth, "--out", str(out)
         )
         assert code == EXIT_USAGE
         assert stdout == "" and "must be at least 1" in err

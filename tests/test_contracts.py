@@ -59,10 +59,8 @@ def one_step(before, tx, after, slot=1):
 def len_partial():
     """Defined on non-empty states; the contract state is the entry count."""
     return StructuredContract(
-        name="partial",
         spec=ContractSpec(step=lambda s, i: s, is_initial=lambda s: True),
-        pi_defined=lambda u: len(u) > 0,
-        pi=lambda u: len(u),
+        pi=lambda u: len(u) if len(u) > 0 else None,
         kappa=lambda tx: NOOP,
     )
 
@@ -150,9 +148,7 @@ class TestStepCorrectness:
         sc = token_scenario
         traces = nft_traces(sc, nft, count=6, depth=5)
         broken = StructuredContract(
-            name="broken-pi",
             spec=nft.spec,
-            pi_defined=nft.pi_defined,
             # wrong projection: always reports an empty contract state
             pi=lambda u: 0,
             kappa=nft.kappa,
@@ -173,9 +169,7 @@ class TestStepCorrectness:
         sc = token_scenario
         traces = nft_traces(sc, nft, count=6, depth=5, seed=9)
         broken = StructuredContract(
-            name="broken-kappa",
             spec=nft.spec,
-            pi_defined=nft.pi_defined,
             pi=nft.pi,
             # wrong input projection: every tx looks like a noop
             kappa=lambda tx: NOOP,
@@ -218,13 +212,12 @@ def variants(nft):
     return {
         "nft": nft,
         # always reports an empty contract state
-        "broken-pi": dataclasses.replace(nft, name="broken-pi", pi=lambda u: 0),
+        "broken-pi": dataclasses.replace(nft, pi=lambda u: 0),
         # every tx looks like a noop
-        "broken-kappa": dataclasses.replace(
-            nft, name="broken-kappa", kappa=lambda tx: NOOP),
+        "broken-kappa": dataclasses.replace(nft, kappa=lambda tx: NOOP),
         # the NFT contract with holes in Def pi
         "partial-nft": dataclasses.replace(
-            nft, name="partial-nft", pi_defined=lambda u: len(u) % 3 != 0),
+            nft, pi=lambda u: nft.pi(u) if len(u) % 3 != 0 else None),
         "partial-len": len_partial(),
     }
 
@@ -370,7 +363,7 @@ class TestContractGraphs:
 
 def hand_built(step, is_initial=lambda s: True):
     spec = ContractSpec(step=step, is_initial=is_initial)
-    return StructuredContract("hand-built", spec, lambda u: True, len, len)
+    return StructuredContract(spec, len, len)
 
 
 GRAPH_CASES = {
@@ -393,6 +386,15 @@ class TestContractGraphsAgainstOracle:
         assert built[0].edges and check_hom(built[2])
 
     @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+    def test_state_graph_joins_each_state_to_its_steps(self, case):
+        """Γ′, the image of Γ, has s -> step(s, i) for every vertex (s, i)
+        whose step lands on a state of Γ′."""
+        sc, states, inputs = GRAPH_CASES[case]
+        gamma, gamma_prime, _ = build_contract_graphs(sc, states, inputs)
+        stepped = {(s, sc.spec.step(s, i)) for s, i in gamma.vertices}
+        assert gamma_prime.edges == {e for e in stepped if e[1] in gamma_prime.vertices}
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
     def test_steps_each_candidate_pair_once(self, case):
         sc, states, inputs = GRAPH_CASES[case]
         calls = []
@@ -412,4 +414,5 @@ class TestRegistry:
     def test_nft_is_registered(self):
         assert "nft" in CONTRACTS
         sc = CONTRACTS["nft"](b"T")
-        assert sc.name == "nft"
+        assert isinstance(sc, StructuredContract)
+        assert sc.kappa(tx_of([], [out("t", token=b"T", token_qty=1)])) == MINT

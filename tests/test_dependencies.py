@@ -53,3 +53,23 @@ def test_file_io_only_in_cli(path):
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "open"]
     assert found == [], path.name
+
+
+#: the ledger step and check; the successor relation written with them
+SUCCESSOR_NAMES = {"step_ledger", "check_tx"}
+
+
+def test_ledger_successors_only_in_build_ledger_graph():
+    """In ``graphs``, only ``build_ledger_graph`` steps or checks the ledger,
+    so Λ′ and every other graph there are read off Λ's edges."""
+    path = Path(ledgerlab.__file__).parent / "graphs.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    builder = {id(node) for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name == "build_ledger_graph"
+               for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in SUCCESSOR_NAMES and id(node) not in builder:
+            found.append((node.lineno, name))
+    assert found == []

@@ -296,15 +296,19 @@ def assert_ledger_successors(lam, utxos, initial_slots, txs, slots, hook=None):
     assert lam.vertices == forward_closure(lam, lam.initial)
 
 
-def assert_projected_edges(lam):
-    """Λ′ against brute force: u -> w iff some vertex (q,u,t) steps to w."""
+def assert_projected_edges(lam, txs, slots, hook=None):
+    """Λ′ against brute force, without reading Λ's edges: u -> w iff some
+    vertex (q,u,t) steps to w and some (q2, w, t2) with q2 >= q is checkable."""
     lam_prime, _ = project_ledger_graph(lam)
-    assert lam_prime.edges == {
-        (u, w) for u in lam_prime.vertices for w in lam_prime.vertices
-        if any(step_ledger(q, u2, t) == w for q, u2, t in lam.vertices if u2 == u)
-    }
-    # every Λ edge projects onto a Λ′ edge
-    assert {(v[1], w[1]) for v, w in lam.edges} <= lam_prime.edges
+    expected = set()
+    for q, u, t in lam.vertices:
+        w = step_ledger(q, u, t, hook)
+        if not isinstance(w, CheckResult) and any(
+            check_tx(q2, w, t2, hook) for q2 in slots if q2 >= q for t2 in txs
+        ):
+            expected.add((u, w))
+    assert lam_prime.edges == expected
+    assert lam_prime.vertices == {u for _, u, _ in lam.vertices}
     return lam_prime
 
 
@@ -340,13 +344,14 @@ class TestLedgerGraphs:
             assert phi((q, u, t)) == u
 
     def test_projected_edges_match_brute_force(self, ledger_graph):
-        _, _, _, lam = ledger_graph
-        assert assert_projected_edges(lam).edges
+        _, txs, slots, lam = ledger_graph
+        assert assert_projected_edges(lam, txs, slots).edges
 
     def test_projected_edges_match_brute_force_on_collisions(self, non_well_founded):
         u0, txs = non_well_founded
         for universe in ([txs[1]], txs):
-            assert_projected_edges(build_ledger_graph([u0], [0], universe, [0, 1]))
+            lam = build_ledger_graph([u0], [0], universe, [0, 1])
+            assert_projected_edges(lam, universe, [0, 1])
 
     def test_successors_match_brute_force(self, ledger_graph):
         sc, txs, slots, lam = ledger_graph
@@ -379,7 +384,7 @@ class TestLedgerGraphs:
         lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
         assert len(lam.vertices) == 642
         assert_ledger_successors(lam, [sc.initial_utxo], [sc.initial_slot], txs, slots)
-        assert len(assert_projected_edges(lam).vertices) == 50
+        assert len(assert_projected_edges(lam, txs, slots).vertices) == 50
 
     def test_each_state_tries_only_txs_spending_its_refs(
         self, monkeypatch, non_well_founded, narrow_universe
@@ -489,6 +494,26 @@ class TestLedgerGraphSlots:
             assert lam.successors((1, u0, a)) < lam.successors((0, u0, a))
         assert built[hook] != built[None]
 
+    def test_projection_keeps_only_steps_that_continue(self):
+        """Λ′ is Λ's image: a step onto a state of Λ′ from which nothing is
+        checkable at a later slot gives no edge, though the state is reached
+        with a successor at an earlier slot."""
+        genesis = tx_of((), [out("g0"), out("g1")])
+        u0 = mk_outs(genesis)
+        a = tx_of([claim(genesis, 0)], [out("a0")], interval=(1, 3))
+        b = tx_of([claim(genesis, 1)], [out("b0")], interval=(0, 3))
+        t0 = tx_of([claim(a, 0)], [out("c0")], interval=(0, 2))
+        txs, slots = [a, b, t0], [0, 1, 2]
+        lam = build_ledger_graph([u0], [0, 2], txs, slots)
+        lam_prime = assert_projected_edges(lam, txs, slots)
+        ua = step_ledger(2, u0, a)
+        uab = step_ledger(2, ua, b)
+        # (2, ua, b) steps onto uab, where t0 is checkable only at slot 1
+        assert (2, ua, b) in lam.vertices and uab in lam_prime.vertices
+        assert (1, uab, t0) in lam.vertices and not lam.successors((2, ua, b))
+        assert (ua, uab) not in lam_prime.edges
+        assert len(lam_prime.edges) == 3
+
     @settings(max_examples=60, deadline=None)
     @given(narrow_universes(), st.booleans())
     def test_successors_match_brute_force_on_narrow_intervals(self, universe, policy):
@@ -496,3 +521,4 @@ class TestLedgerGraphSlots:
         hook = nft_contract(b"NFT").additional_checks if policy else None
         lam = build_ledger_graph([u0], initial_slots, txs, slots, hook)
         assert_ledger_successors(lam, [u0], initial_slots, txs, slots, hook)
+        assert_projected_edges(lam, txs, slots, hook)
