@@ -31,7 +31,6 @@ from .properties import (
     valid_orders,
 )
 from .traces import (
-    SafetyMonitor,
     check_non_expanding,
     generate_valid_traces,
     monitor_trace,
@@ -47,18 +46,17 @@ EXIT_INTERNAL = 3
 OUT_DIR_ENV = "LEDGERLAB_OUT"
 
 
+#: each monitor's bad-prefix predicate, by name
 MONITORS = {
-    "utxo-empty": SafetyMonitor(
-        "utxo-empty", lambda p: any(len(u) == 0 for u in p.states)
-    ),
-    "duplicate-tx": SafetyMonitor(
-        "duplicate-tx",
-        lambda p: p.annotations is not None and not check_replay_protection(p),
-    ),
-    "duplicate-state": SafetyMonitor(
-        "duplicate-state", lambda p: not check_trivial_update_protection(p)
-    ),
+    "utxo-empty": lambda p: any(len(u) == 0 for u in p.states),
+    "duplicate-tx": lambda p: (p.annotations is not None
+                               and not check_replay_protection(p)),
+    "duplicate-state": lambda p: not check_trivial_update_protection(p),
 }
+
+
+def _verdict(check: str, clean: bool, witness) -> dict:
+    return {"check": check, "clean": clean, "witness": witness}
 
 
 def _emit(command: str, verdicts: List[dict], inputs_digest: str, **extra) -> int:
@@ -122,7 +120,7 @@ def _write(out: Path, name: str, text: str) -> str:
 
 def _well_founded(start, genesis) -> dict:
     wf = check_well_founded(start, genesis)
-    return {"check": "well-founded", "clean": wf.ok, "witness": wf.reason}
+    return _verdict("well-founded", wf.ok, wf.reason)
 
 
 # --- trace commands ---------------------------------------------------------
@@ -166,9 +164,7 @@ def cmd_trace_validate(args) -> int:
     prefix, genesis, initial_slots = serialize.load_trace(*inputs)
     verdicts = [_well_founded(prefix.states[0], genesis)] if genesis else []
     result = validate_trace_prefix(prefix, initial_slots)
-    verdicts.append(
-        {"check": "valid-trace", "clean": result.ok, "witness": result.reason}
-    )
+    verdicts.append(_verdict("valid-trace", result.ok, result.reason))
     return _emit("trace validate", verdicts, inputs.digest)
 
 
@@ -196,14 +192,8 @@ def cmd_trace_monitor(args) -> int:
     inputs = _Inputs(args.file)
     prefix, _, _ = serialize.load_trace(*inputs)
     violated_at = monitor_trace(MONITORS[args.monitor], prefix)
-    verdicts = [
-        {
-            "check": "monitor:%s" % args.monitor,
-            "clean": violated_at is None,
-            "witness": violated_at,
-        }
-    ]
-    return _emit("trace monitor", verdicts, inputs.digest)
+    verdict = _verdict("monitor:%s" % args.monitor, violated_at is None, violated_at)
+    return _emit("trace monitor", [verdict], inputs.digest)
 
 
 # --- props commands ---------------------------------------------------------
@@ -218,8 +208,8 @@ def _replay(path: str):
     initial, steps, genesis = serialize.load_run(*inputs)
     run = replay_sequence(initial, [slot for slot, _ in steps], [tx for _, tx in steps])
     refused = isinstance(run, CheckResult)
-    verdict = {"check": "replay-valid", "clean": not refused,
-               "witness": [run.witness, run.reason] if refused else None}
+    verdict = _verdict("replay-valid", not refused,
+                       [run.witness, run.reason] if refused else None)
     return run, genesis, verdict, inputs.digest
 
 
@@ -235,9 +225,7 @@ def cmd_props_check(args) -> int:
             ("disjointness", check_disjointness),
         ):
             result = checker(run)
-            verdicts.append(
-                {"check": name, "clean": result.ok, "witness": result.witness or None}
-            )
+            verdicts.append(_verdict(name, result.ok, result.witness or None))
     return _emit("props check", verdicts, digest)
 
 
@@ -269,18 +257,12 @@ def cmd_contract_check(args) -> int:
     if args.name not in CONTRACTS:
         raise ValueError("unknown contract %r; have %s"
                          % (args.name, sorted(CONTRACTS)))
-    token = bytes.fromhex(args.token) if args.token else b"NFT"
-    sc = CONTRACTS[args.name](token)
+    make = CONTRACTS[args.name]
+    sc = make(bytes.fromhex(args.token)) if args.token else make()
     inputs = _Inputs(*args.traces)
     traces = [prefix for prefix, _, _ in serialize.load_traces(inputs)]
     report = check_contract_on_traces(sc, traces)
-    verdicts = [
-        {
-            "check": "step-correctness",
-            "clean": not report.failures,
-            "witness": report.failures[:5],
-        }
-    ]
+    verdicts = [_verdict("step-correctness", not report.failures, report.failures[:5])]
     extra = {"steps_checked": report.steps_checked}
     if args.induce:
         for image in report.induced:
@@ -293,10 +275,8 @@ def cmd_contract_check(args) -> int:
                    serialize.dump_contract_trace(image))
     if args.nonexpanding:
         nonexp = check_non_expanding(traces, report.induced)
-        verdicts.append(
-            {"check": "non-expanding", "clean": not nonexp.violations,
-             "witness": nonexp.violations[:5]}
-        )
+        verdicts.append(_verdict("non-expanding", not nonexp.violations,
+                                 nonexp.violations[:5]))
         extra["pairs_checked"] = nonexp.pairs_checked
     return _emit("contract check", verdicts, inputs.digest, **extra)
 

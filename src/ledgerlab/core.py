@@ -37,6 +37,13 @@ def _in_domain(value, what: str, bound: Optional[int] = 2 ** 64):
     return value
 
 
+def _of_type(value, cls: type, what: str):
+    """``value`` if it is a ``cls``, else ValueError."""
+    if not isinstance(value, cls):
+        raise ValueError("%s is not %s: %r" % (what, cls.__name__, value))
+    return value
+
+
 class KeyCollisionError(Exception):
     """A freshly created output reference already exists unspent.
 
@@ -100,6 +107,10 @@ class TxInput:
     output_ref: OutputRef
     output: Output
 
+    def __post_init__(self):
+        _of_type(self.output_ref, OutputRef, "input ref")
+        _of_type(self.output, Output, "claimed output")
+
 
 @dataclass(frozen=True)
 class Tx:
@@ -114,7 +125,9 @@ class Tx:
         object.__setattr__(self, "inputs", frozenset(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "validity_interval", tuple(self.validity_interval))
-        refs = [i.output_ref for i in self.inputs]
+        refs = [_of_type(i, TxInput, "input").output_ref for i in self.inputs]
+        for out in self.outputs:
+            _of_type(out, Output, "output")
         if len(set(refs)) != len(refs):
             raise ValueError("transaction inputs must have distinct output refs")
         start, end = self.validity_interval

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .core import Output, Tx, TxInput, UtxoSet, mk_outs
 
@@ -27,34 +27,6 @@ def _random_output(rng: random.Random, token: Optional[bytes] = None,
         value=value,
         datum=rng.randbytes(4),
     )
-
-
-def make_genesis(
-    rng: random.Random,
-    n_outputs: int = 4,
-    token: Optional[bytes] = None,
-) -> Tuple[List[Tx], UtxoSet]:
-    """Inputless genesis transactions and the well-founded state they found.
-
-    When ``token`` is given, the first output holds one unit of it.
-    """
-    if n_outputs < 1:
-        raise ValueError("n_outputs must be at least 1")
-    txs = []
-    entries = {}
-    for k in range((n_outputs + 1) // 2):
-        outs = []
-        for j in range(min(2, n_outputs - 2 * k)):
-            outs.append(_random_output(rng, token, 1 if k == j == 0 else 0))
-        tx = Tx(
-            inputs=frozenset(),
-            outputs=tuple(outs),
-            validity_interval=WIDE_INTERVAL,
-            additional_data=rng.randbytes(4),
-        )
-        txs.append(tx)
-        entries.update(mk_outs(tx).entries)
-    return txs, UtxoSet(entries)
 
 
 def make_proposer(
@@ -118,6 +90,26 @@ def make_scenario(
     n_outputs: int = 4,
     token: Optional[bytes] = None,
 ) -> Scenario:
+    """Inputless genesis transactions, the well-founded state they found and
+    a slot, all drawn from ``seed``.
+
+    When ``token`` is given, the first output holds one unit of it.
+    """
+    if n_outputs < 1:
+        raise ValueError("n_outputs must be at least 1")
     rng = random.Random(seed)
-    txs, utxo = make_genesis(rng, n_outputs, token)
-    return Scenario(tuple(txs), utxo, initial_slot=rng.randint(0, 8))
+    txs = []
+    entries = {}
+    for k in range((n_outputs + 1) // 2):
+        outs = []
+        for j in range(min(2, n_outputs - 2 * k)):
+            outs.append(_random_output(rng, token, 1 if k == j == 0 else 0))
+        tx = Tx(
+            inputs=frozenset(),
+            outputs=tuple(outs),
+            validity_interval=WIDE_INTERVAL,
+            additional_data=rng.randbytes(4),
+        )
+        txs.append(tx)
+        entries.update(mk_outs(tx).entries)
+    return Scenario(tuple(txs), UtxoSet(entries), initial_slot=rng.randint(0, 8))

@@ -82,11 +82,7 @@ class PartialSieveHom:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", frozenset(self.domain))
-        if callable(self.mapping) and not isinstance(self.mapping, Mapping):
-            restricted = {v: self.mapping(v) for v in self.domain}
-        else:
-            restricted = {v: self.mapping[v] for v in self.domain}
-        object.__setattr__(self, "mapping", restricted)
+        object.__setattr__(self, "mapping", {v: self.mapping[v] for v in self.domain})
 
     def __call__(self, v):
         return self.mapping[v]
@@ -96,7 +92,8 @@ class PartialSieveHom:
 
 
 def identity_hom(graph: SimpleGraph) -> PartialSieveHom:
-    return PartialSieveHom(graph, graph, graph.vertices, lambda v: v)
+    return PartialSieveHom(graph, graph, graph.vertices,
+                           {v: v for v in graph.vertices})
 
 
 def check_hom(hom: PartialSieveHom) -> CheckResult:
@@ -125,8 +122,8 @@ def compose_homs(f: PartialSieveHom, g: PartialSieveHom) -> PartialSieveHom:
     """Composition g∘f with domain Def f ∩ f⁻¹(Def g)."""
     if f.target != g.source:
         raise ValueError("target of f must equal source of g")
-    domain = frozenset(v for v in f.domain if g.defined_at(f(v)))
-    return PartialSieveHom(f.source, g.target, domain, lambda v: g(f(v)))
+    mapping = {v: g(w) for v, w in f.mapping.items() if g.defined_at(w)}
+    return PartialSieveHom(f.source, g.target, mapping.keys(), mapping)
 
 
 def enumerate_paths(graph: SimpleGraph, depth: int) -> frozenset:
@@ -195,15 +192,17 @@ def project_graph(
 
     Its vertices are the states of the vertices, with one edge
     ``state_of(a) -> state_of(b)`` per edge ``a -> b`` and the states of the
-    initial vertices as initial; ``state_of`` is returned as the everywhere
-    defined homomorphism onto it.
+    initial vertices as initial.  ``state_of`` is called once per vertex,
+    and that mapping is returned as the everywhere defined homomorphism onto
+    the image.
     """
+    image = {v: state_of(v) for v in graph.vertices}
     projected = SimpleGraph(
-        frozenset(map(state_of, graph.vertices)),
-        frozenset((state_of(a), state_of(b)) for a, b in graph.edges),
-        frozenset(map(state_of, graph.initial)),
+        frozenset(image.values()),
+        frozenset((image[a], image[b]) for a, b in graph.edges),
+        frozenset(image[v] for v in graph.initial),
     )
-    return projected, PartialSieveHom(graph, projected, graph.vertices, state_of)
+    return projected, PartialSieveHom(graph, projected, graph.vertices, image)
 
 
 def project_ledger_graph(

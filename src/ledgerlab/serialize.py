@@ -11,7 +11,7 @@ import hashlib
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
+from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain, _of_type
 from .graphs import SimpleGraph
 from .traces import TracePrefix
 
@@ -218,9 +218,11 @@ class _Reader:
             return Tx(
                 inputs=frozenset(
                     TxInput(self.ref(i["output_ref"]), self.output(i["output"]))
-                    for i in obj["inputs"]
+                    for i in _of_type(obj["inputs"], list, "inputs")
                 ),
-                outputs=tuple(self.output(o) for o in obj["outputs"]),
+                outputs=tuple(
+                    map(self.output, _of_type(obj["outputs"], list, "outputs"))
+                ),
                 validity_interval=obj["validity_interval"],
                 additional_data=_hex(obj["additional_data"]),
             )
@@ -232,7 +234,7 @@ class _Reader:
         every entry has parsed, so a malformed later entry reports first."""
         entries = {}
         try:
-            for e in obj:
+            for e in _of_type(obj, list, "state"):
                 ref = self.ref(e["output_ref"])
                 entries[ref] = self.output(e["output"])
             if len(entries) != len(obj):
@@ -289,19 +291,26 @@ def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[S
     """One file; its JSON tree is freed before the next file is parsed."""
     obj = _load(text, "trace")
     try:
-        states = tuple(read.utxo(u) for u in obj["states"])
+        states = tuple(map(read.utxo, _of_type(obj["states"], list, "states")))
         lifts = obj["lifts"]
         annotations = None
         if lifts is not None:
             annotations = tuple(
-                (_in_domain(slot, "slot"), read.tx(tx)) for slot, tx in lifts
+                (_in_domain(slot, "slot"), read.tx(tx))
+                for slot, tx in _of_type(lifts, list, "lifts")
             )
-        prefix = TracePrefix(states, annotations, bool(obj.get("truncated")))
-        genesis = [read.tx(t) for t in obj.get("genesis", [])]
-        slots = [_in_domain(q, "slot") for q in obj.get("initial_slots", [])]
+        truncated = _of_type(obj.get("truncated", False), bool, "truncated")
+        prefix = TracePrefix(states, annotations, truncated)
+        genesis = _read_genesis(read, obj)
+        slots = [_in_domain(q, "slot")
+                 for q in _of_type(obj.get("initial_slots", []), list, "initial_slots")]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad trace file: %s" % exc) from exc
     return prefix, genesis, slots
+
+
+def _read_genesis(read: _Reader, obj: dict) -> List[Tx]:
+    return list(map(read.tx, _of_type(obj.get("genesis", []), list, "genesis")))
 
 
 # --- run files --------------------------------------------------------------
@@ -326,10 +335,9 @@ def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     read = _Reader()
     try:
         initial = read.utxo(obj["initial"])
-        steps = [
-            (_in_domain(slot, "slot"), read.tx(tx)) for slot, tx in obj["steps"]
-        ]
-        genesis = [read.tx(t) for t in obj.get("genesis", [])]
+        steps = [(_in_domain(slot, "slot"), read.tx(tx))
+                 for slot, tx in _of_type(obj["steps"], list, "steps")]
+        genesis = _read_genesis(read, obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad run file: %s" % exc) from exc
     return initial, steps, genesis

@@ -204,39 +204,30 @@ def check_non_expanding(
 
 # --- safety monitors --------------------------------------------------------
 
-@dataclass(frozen=True)
-class SafetyMonitor:
-    """A safety property given as a monotone bad-prefix recognizer.
-
-    ``bad_prefix`` must be irremediable: once true on a prefix it stays
-    true on every extension.  Monotonicity is checked by property tests at
-    registration, not assumed.
-    """
-
-    name: str
-    bad_prefix: Callable[[TracePrefix], bool]
-
-
-def monitor_trace(monitor: SafetyMonitor, prefix: TracePrefix) -> Optional[int]:
+def monitor_trace(
+    bad_prefix: Callable[[TracePrefix], bool], prefix: TracePrefix
+) -> Optional[int]:
     """Smallest index n whose (n+1)-state head is bad, or None if clean.
 
-    Bad heads are irremediable, so badness is monotone in n and a binary
-    search needs O(log n) calls of ``bad_prefix``.
+    A safety property is given by its bad prefixes: ``bad_prefix`` must be
+    irremediable, true on every extension of a prefix it holds on
+    (``check_monitor_monotone`` spot-checks this).  Badness is then
+    monotone in n, and a binary search needs O(log n) calls of it.
     """
     n = bisect.bisect_left(
-        range(len(prefix)), True, key=lambda n: monitor.bad_prefix(prefix.head(n + 1))
+        range(len(prefix)), True, key=lambda n: bad_prefix(prefix.head(n + 1))
     )
     return n if n < len(prefix) else None
 
 
 def check_monitor_monotone(
-    monitor: SafetyMonitor, samples: Iterable[TracePrefix]
+    bad_prefix: Callable[[TracePrefix], bool], samples: Iterable[TracePrefix]
 ) -> bool:
     """Spot-check irremediability: bad heads never become clean again."""
     for prefix in samples:
         bad = False
         for n in range(len(prefix)):
-            now = monitor.bad_prefix(prefix.head(n + 1))
+            now = bad_prefix(prefix.head(n + 1))
             if bad and not now:
                 return False
             bad = bad or now

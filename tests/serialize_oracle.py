@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 from typing import List, Tuple
 
-from ledgerlab.core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain
+from ledgerlab.core import (
+    Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain, _of_type,
+)
 from ledgerlab.graphs import SimpleGraph
 from ledgerlab.serialize import FORMAT_VERSION, FormatError, digest
 from ledgerlab.traces import TracePrefix
@@ -70,9 +72,11 @@ def tx_from_json(obj: dict) -> Tx:
         return Tx(
             inputs=frozenset(
                 TxInput(ref_from_json(i["output_ref"]), output_from_json(i["output"]))
-                for i in obj["inputs"]
+                for i in _of_type(obj["inputs"], list, "inputs")
             ),
-            outputs=tuple(output_from_json(o) for o in obj["outputs"]),
+            outputs=tuple(
+                output_from_json(o) for o in _of_type(obj["outputs"], list, "outputs")
+            ),
             validity_interval=obj["validity_interval"],
             additional_data=_hex(obj["additional_data"]),
         )
@@ -84,7 +88,7 @@ def utxo_from_json(obj: list) -> UtxoSet:
     try:
         pairs = tuple(
             (ref_from_json(e["output_ref"]), output_from_json(e["output"]))
-            for e in obj
+            for e in _of_type(obj, list, "state")
         )
         entries = dict(pairs)
         if len(entries) != len(pairs):
@@ -97,16 +101,25 @@ def utxo_from_json(obj: list) -> UtxoSet:
 def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
     obj = _load(text, "trace")
     try:
-        states = tuple(utxo_from_json(u) for u in obj["states"])
+        states = tuple(
+            utxo_from_json(u) for u in _of_type(obj["states"], list, "states")
+        )
         lifts = obj["lifts"]
         annotations = None
         if lifts is not None:
             annotations = tuple(
-                (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in lifts
+                (_in_domain(slot, "slot"), tx_from_json(tx))
+                for slot, tx in _of_type(lifts, list, "lifts")
             )
-        prefix = TracePrefix(states, annotations, bool(obj.get("truncated")))
-        genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
-        slots = [_in_domain(q, "slot") for q in obj.get("initial_slots", [])]
+        truncated = _of_type(obj.get("truncated", False), bool, "truncated")
+        prefix = TracePrefix(states, annotations, truncated)
+        genesis = [
+            tx_from_json(t) for t in _of_type(obj.get("genesis", []), list, "genesis")
+        ]
+        slots = [
+            _in_domain(q, "slot")
+            for q in _of_type(obj.get("initial_slots", []), list, "initial_slots")
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad trace file: %s" % exc) from exc
     return prefix, genesis, slots
@@ -117,9 +130,12 @@ def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     try:
         initial = utxo_from_json(obj["initial"])
         steps = [
-            (_in_domain(slot, "slot"), tx_from_json(tx)) for slot, tx in obj["steps"]
+            (_in_domain(slot, "slot"), tx_from_json(tx))
+            for slot, tx in _of_type(obj["steps"], list, "steps")
         ]
-        genesis = [tx_from_json(t) for t in obj.get("genesis", [])]
+        genesis = [
+            tx_from_json(t) for t in _of_type(obj.get("genesis", []), list, "genesis")
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad run file: %s" % exc) from exc
     return initial, steps, genesis

@@ -784,6 +784,87 @@ def add_token_to_last_state(source: Path, target: Path, token: str) -> Path:
     return target
 
 
+def assert_json_witness(witness):
+    """A witness is null, a string, an integer or a list of such values."""
+    if isinstance(witness, list):
+        for item in witness:
+            assert_json_witness(item)
+    else:
+        assert witness is None or type(witness) in (str, int), witness
+
+
+class TestVerdictShape:
+    """Every verdict of every checking command, clean or violated, has the
+    keys check, clean and witness, and nothing else."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "6", "--depth", "4", "--count", "1",
+            "--token", "4e4654", "--out", str(gen),
+        )
+        assert code == EXIT_CLEAN
+        trace = gen / "trace_000.json"
+        prefix, genesis, slots = serialize.load_trace(trace.read_text())
+        files = {
+            "trace": trace,
+            "broken": add_token_to_last_state(
+                trace, tmp_path / "broken.json", "4e4654"),
+        }
+        for name, text in (
+            ("repeated", serialize.dump_trace(repeated_tail(prefix), genesis, slots)),
+            ("run", serialize.dump_run(prefix.states[0], prefix.annotations, genesis)),
+            ("replayed", serialize.dump_run(
+                prefix.states[0], prefix.annotations + prefix.annotations[-1:],
+                genesis)),
+        ):
+            files[name] = tmp_path / ("%s.json" % name)
+            files[name].write_text(text)
+        return files
+
+    MONITOR = ("--monitor", "duplicate-tx")
+    CONTRACT = ("--name", "nft", "--nonexpanding", "--traces")
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        pytest.param(("trace", "validate", "{trace}"), EXIT_CLEAN,
+                     id="validate-clean"),
+        pytest.param(("trace", "validate", "{broken}"), EXIT_VIOLATION,
+                     id="validate-violated"),
+        pytest.param(("trace", "monitor", "{trace}", *MONITOR), EXIT_CLEAN,
+                     id="monitor-clean"),
+        pytest.param(("trace", "monitor", "{repeated}", *MONITOR), EXIT_VIOLATION,
+                     id="monitor-violated"),
+        pytest.param(("props", "check", "--run", "{run}"), EXIT_CLEAN,
+                     id="check-clean"),
+        pytest.param(("props", "check", "--run", "{replayed}"), EXIT_VIOLATION,
+                     id="check-violated"),
+        pytest.param(("props", "canon", "--run", "{run}"), EXIT_CLEAN,
+                     id="canon-clean"),
+        pytest.param(("props", "canon", "--run", "{replayed}"), EXIT_VIOLATION,
+                     id="canon-violated"),
+        pytest.param(("contract", "check", *CONTRACT, "{trace}"), EXIT_CLEAN,
+                     id="contract-clean"),
+        pytest.param(("contract", "check", *CONTRACT, "{broken}"), EXIT_VIOLATION,
+                     id="contract-violated"),
+    ])
+    def test_each_verdict_is_check_clean_witness(
+        self, files, capsys, argv, exit_code
+    ):
+        args = [a.format(**{k: str(p) for k, p in files.items()}) for a in argv]
+        code, stdout, _ = run_cli(capsys, *args)
+        assert code == exit_code
+        verdicts = read_json(stdout)["verdicts"]
+        assert verdicts
+        for verdict in verdicts:
+            assert set(verdict) == {"check", "clean", "witness"}
+            assert type(verdict["check"]) is str
+            assert type(verdict["clean"]) is bool
+            assert_json_witness(verdict["witness"])
+        violated = [v["check"] for v in verdicts if not v["clean"]]
+        assert bool(violated) == (exit_code == EXIT_VIOLATION)
+
+
 class TestSizesBelowOne:
     """A size below 1 is a usage error, as ``--depth 0`` is."""
 

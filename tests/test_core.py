@@ -97,6 +97,26 @@ class TestValues:
         with pytest.raises(ValueError):
             tx_of((), [out("r")], interval=(0, 2 ** 64))
 
+    @pytest.mark.parametrize("inputs, outputs", [
+        (frozenset(), (1,)),
+        (frozenset(), (OutputRef(b"h", 0),)),
+        (frozenset([5]), ()),
+        (frozenset([OutputRef(b"h", 0)]), ()),
+    ], ids=["int-output", "ref-output", "int-input", "ref-input"])
+    def test_tx_rejects_parts_of_the_wrong_type(self, inputs, outputs):
+        with pytest.raises(ValueError):
+            Tx(inputs, outputs, (0, 1))
+
+    @pytest.mark.parametrize("ref, claimed", [
+        ("x", Output(b"a")),
+        ((b"h", 0), Output(b"a")),
+        (OutputRef(b"h", 0), "x"),
+        (OutputRef(b"h", 0), None),
+    ], ids=["str-ref", "tuple-ref", "str-output", "no-output"])
+    def test_tx_input_rejects_parts_of_the_wrong_type(self, ref, claimed):
+        with pytest.raises(ValueError):
+            TxInput(ref, claimed)
+
     def test_empty_interval_is_allowed_but_never_valid(self):
         tx = tx_of((), [out("r")], interval=(4, 4))
         assert tx.validity_interval == (4, 4)

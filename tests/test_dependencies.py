@@ -1,6 +1,7 @@
 """The library has no runtime dependencies: every module of ``ledgerlab``
 imports only its own modules (relatively) and the standard library."""
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -73,3 +74,16 @@ def test_ledger_successors_only_in_build_ledger_graph():
         if name in SUCCESSOR_NAMES and id(node) not in builder:
             found.append((node.lineno, name))
     assert found == []
+
+
+def declared_minimum_python():
+    """The (major, minor) of ``requires-python = ">=X.Y"`` in pyproject.toml."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parses_as_the_declared_minimum_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=declared_minimum_python())

@@ -6,7 +6,10 @@ out of range; two steps swapped; a list truncated; a 1 in an entry that
 occurs more than once spelled ``true`` or ``1.0`` in one occurrence.  Every
 command must then exit 0 (clean), 1 (violation) or 2 (usage or parse
 error), never 3, and print no traceback; the respelled entry is a parse
-error.  The unmutated files exit 0.
+error.  The unmutated files exit 0, as do a one-state trace and a stepless
+run.  In those, a field the format calls a list, or the boolean
+``truncated``, spelled as another JSON value that Python would iterate or
+test alike, such as ``{}`` or ``""``, is a parse error.
 """
 import contextlib
 import copy
@@ -22,7 +25,7 @@ from conftest import json_nodes, json_parent
 from ledgerlab import cli, serialize
 from ledgerlab.contracts import CONTRACTS
 from ledgerlab.gen import make_proposer, make_scenario
-from ledgerlab.traces import generate_valid_traces
+from ledgerlab.traces import TracePrefix, generate_valid_traces
 
 TOKEN = b"NFT"
 
@@ -45,6 +48,20 @@ def _generated():
 
 
 FILES = _generated()
+
+
+def _one_state_files():
+    """A one-state trace and a stepless run, whose empty lists read alike."""
+    sc = make_scenario(7, n_outputs=5, token=TOKEN)
+    return {
+        "trace": serialize.dump_trace(
+            TracePrefix((sc.initial_utxo,), ()), sc.genesis_txs, [sc.initial_slot]
+        ),
+        "run": serialize.dump_run(sc.initial_utxo, (), sc.genesis_txs),
+    }
+
+
+ONE_STATE = _one_state_files()
 
 COMMANDS = {
     "trace": [
@@ -163,8 +180,9 @@ def tmp_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", sorted(FILES))
 def test_generated_files_exit_clean(kind, tmp_dir):
-    for command, code, err in run_all(kind, FILES[kind], tmp_dir):
-        assert code == cli.EXIT_CLEAN, (command, err)
+    for text in (FILES[kind], ONE_STATE[kind]):
+        for command, code, err in run_all(kind, text, tmp_dir):
+            assert code == cli.EXIT_CLEAN, (command, err)
 
 
 @pytest.mark.parametrize("kind", sorted(FILES))
@@ -179,3 +197,39 @@ def test_mutated_files_keep_the_exit_contract(kind, tmp_dir, data):
         if edit == "respell-number":
             assert code == cli.EXIT_USAGE, (command, err)
         assert "Traceback" not in err
+
+
+LOOK_ALIKES = [
+    ("trace", ("truncated",), "no"),
+    ("trace", ("truncated",), 7),
+    ("trace", ("truncated",), None),
+    ("trace", ("states", 0), {}),
+    ("trace", ("states", 0), ""),
+    ("trace", ("lifts",), {}),
+    ("trace", ("lifts",), ""),
+    ("trace", ("genesis",), {}),
+    ("trace", ("genesis",), ""),
+    ("trace", ("genesis", 0, "inputs"), {}),
+    ("trace", ("genesis", 0, "outputs"), {}),
+    ("trace", ("initial_slots",), {}),
+    ("trace", ("initial_slots",), ""),
+    ("run", ("initial",), {}),
+    ("run", ("initial",), ""),
+    ("run", ("steps",), {}),
+    ("run", ("steps",), ""),
+    ("run", ("genesis",), {}),
+    ("run", ("genesis", 0, "outputs"), ""),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", LOOK_ALIKES, ids=[
+    "%s.%s=%s" % (kind, ".".join(map(str, path)), json.dumps(value))
+    for kind, path, value in LOOK_ALIKES
+])
+def test_look_alike_containers_are_parse_errors(kind, path, value, tmp_dir):
+    payload = json.loads(ONE_STATE[kind])
+    node, key = json_parent(payload, path)
+    node[key] = value
+    for command, code, err in run_all(kind, json.dumps(payload), tmp_dir):
+        assert code == cli.EXIT_USAGE, (command, err)
+        assert err.startswith("error: ")

@@ -146,7 +146,7 @@ class TestHoms:
     def test_extensional_equality(self):
         g = SimpleGraph(frozenset([1, 2]), frozenset())
         f = PartialSieveHom(g, g, frozenset([1]), {1: 1, 2: 2})
-        h = PartialSieveHom(g, g, frozenset([1]), lambda v: v)
+        h = PartialSieveHom(g, g, frozenset([1]), {1: 1})
         assert f == h
 
     def test_non_sieve_domain_detected(self):
@@ -160,7 +160,7 @@ class TestHoms:
     def test_edge_preservation_detected(self):
         src = SimpleGraph(frozenset([1, 2]), frozenset([(1, 2)]))
         tgt = SimpleGraph(frozenset([9]), frozenset())
-        f = PartialSieveHom(src, tgt, src.vertices, lambda v: 9)
+        f = PartialSieveHom(src, tgt, src.vertices, {1: 9, 2: 9})
         verdict = check_hom(f)
         assert verdict.reason == "edge-not-preserved"
         assert verdict.witness == (1, 2)
@@ -168,7 +168,7 @@ class TestHoms:
     def test_collapsing_needs_a_self_loop(self):
         src = SimpleGraph(frozenset([1, 2]), frozenset([(1, 2)]))
         tgt = SimpleGraph(frozenset([9]), frozenset([(9, 9)]))
-        assert check_hom(PartialSieveHom(src, tgt, src.vertices, lambda v: 9))
+        assert check_hom(PartialSieveHom(src, tgt, src.vertices, {1: 9, 2: 9}))
 
     def test_initial_clauses(self):
         src = SimpleGraph(
@@ -183,8 +183,8 @@ class TestHoms:
     def test_compose_requires_matching_middle(self):
         g1 = SimpleGraph(frozenset([1]), frozenset())
         g2 = SimpleGraph(frozenset([2]), frozenset())
-        f = PartialSieveHom(g1, g1, g1.vertices, lambda v: v)
-        g = PartialSieveHom(g2, g2, g2.vertices, lambda v: v)
+        f = PartialSieveHom(g1, g1, g1.vertices, {1: 1})
+        g = PartialSieveHom(g2, g2, g2.vertices, {2: 2})
         with pytest.raises(ValueError):
             compose_homs(f, g)
 

@@ -242,7 +242,7 @@ class TestLeastShared:
     @settings(max_examples=100, deadline=None)
     @given(planted_runs())
     def test_duplicate_tx_monitor_matches_set_predicate(self, run):
-        bad = MONITORS["duplicate-tx"].bad_prefix
+        bad = MONITORS["duplicate-tx"]
         for n in range(1, len(run) + 1):
             head = run.head(n)
             assert bad(head) == run_oracle.duplicate_tx(head)

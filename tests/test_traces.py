@@ -9,7 +9,6 @@ from conftest import gen_traces
 from ledgerlab.gen import make_scenario
 from ledgerlab.graphs import PartialSieveHom, SimpleGraph
 from ledgerlab.traces import (
-    SafetyMonitor,
     TracePrefix,
     ball_members,
     check_monitor_monotone,
@@ -242,9 +241,9 @@ class TestNonExpansion:
 
 
 class TestMonitors:
-    dup_state = SafetyMonitor(
-        "duplicate-state", lambda p: len(set(p.states)) < len(p.states)
-    )
+    @staticmethod
+    def dup_state(p):
+        return len(set(p.states)) < len(p.states)
 
     def test_clean_trace(self):
         assert monitor_trace(self.dup_state, plain("a", "b", "c")) is None
@@ -266,14 +265,16 @@ class TestMonitors:
                 (n for n in range(length) if bad(trace.head(n + 1))), None
             )
             calls.clear()
-            assert monitor_trace(SafetyMonitor("m", bad), trace) == linear
+            assert monitor_trace(bad, trace) == linear
             assert len(calls) <= length.bit_length()
 
     def test_monotonicity_check(self):
         assert check_monitor_monotone(
             self.dup_state, [plain("a", "b", "a", "c")]
         )
-        flaky = SafetyMonitor("parity", lambda p: len(p) % 2 == 0)
+        def flaky(p):
+            return len(p) % 2 == 0
+
         assert not check_monitor_monotone(flaky, [plain("a", "b", "c")])
 
 
@@ -372,7 +373,7 @@ class TestTruncatedLifts:
         tgt = SimpleGraph(
             frozenset([0, 1]), frozenset([(0, 1)]), frozenset([0])
         )
-        hom = PartialSieveHom(src, tgt, src.vertices, lambda v: v[1])
+        hom = PartialSieveHom(src, tgt, src.vertices, {v: v[1] for v in src.vertices})
         return src, tgt, hom
 
     def test_lift_found(self):
