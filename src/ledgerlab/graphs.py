@@ -71,29 +71,30 @@ def intersect_sieves(graph: SimpleGraph, s1: Iterable, s2: Iterable) -> frozense
 class PartialSieveHom:
     """Vertex map between simple graphs, defined on a sieve of the source.
 
-    The stored mapping is restricted to the domain at construction, so two
+    ``mapping`` is copied at construction and its keys are Def f, so two
     homs compare equal exactly when they agree extensionally.
     """
 
     source: SimpleGraph
     target: SimpleGraph
-    domain: frozenset
     mapping: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", frozenset(self.domain))
-        object.__setattr__(self, "mapping", {v: self.mapping[v] for v in self.domain})
+        object.__setattr__(self, "mapping", dict(self.mapping))
+
+    @property
+    def domain(self):
+        return self.mapping.keys()
 
     def __call__(self, v):
         return self.mapping[v]
 
     def defined_at(self, v) -> bool:
-        return v in self.domain
+        return v in self.mapping
 
 
 def identity_hom(graph: SimpleGraph) -> PartialSieveHom:
-    return PartialSieveHom(graph, graph, graph.vertices,
-                           {v: v for v in graph.vertices})
+    return PartialSieveHom(graph, graph, {v: v for v in graph.vertices})
 
 
 def check_hom(hom: PartialSieveHom) -> CheckResult:
@@ -123,7 +124,7 @@ def compose_homs(f: PartialSieveHom, g: PartialSieveHom) -> PartialSieveHom:
     if f.target != g.source:
         raise ValueError("target of f must equal source of g")
     mapping = {v: g(w) for v, w in f.mapping.items() if g.defined_at(w)}
-    return PartialSieveHom(f.source, g.target, mapping.keys(), mapping)
+    return PartialSieveHom(f.source, g.target, mapping)
 
 
 def enumerate_paths(graph: SimpleGraph, depth: int) -> frozenset:
@@ -202,7 +203,7 @@ def project_graph(
         frozenset((image[a], image[b]) for a, b in graph.edges),
         frozenset(image[v] for v in graph.initial),
     )
-    return projected, PartialSieveHom(graph, projected, graph.vertices, image)
+    return projected, PartialSieveHom(graph, projected, image)
 
 
 def project_ledger_graph(

@@ -326,26 +326,20 @@ def has_truncated_lift(
 ) -> Tuple[bool, Optional[Tuple]]:
     """Search for a source path of n+1 states mapping onto the target head.
 
-    The witness, when found, is one lifting path starting at an initial
-    vertex.
+    The search goes goal state by goal state and keeps one lifting path per
+    last vertex, as paths that end alike extend alike.  The witness, when
+    found, is one lifting path starting at an initial vertex.
     """
+    if n < 0:
+        raise ValueError("n must be at least 0")
     if len(target_prefix) < n + 1:
         raise ValueError("target prefix must have at least n+1 states")
     goal = target_prefix.states[: n + 1]
-
-    def extend(path):
-        pos = len(path)
-        if pos == n + 1:
-            return path
-        candidates = (
-            hom.source.initial if pos == 0 else hom.source.successors(path[-1])
-        )
-        for v in candidates:
-            if hom.defined_at(v) and hom(v) == goal[pos]:
-                found = extend(path + (v,))
-                if found is not None:
-                    return found
-        return None
-
-    witness = extend(())
+    lifts = {v: (v,) for v in hom.source.initial
+             if hom.defined_at(v) and hom(v) == goal[0]}
+    for state in goal[1:]:
+        lifts = {w: path + (w,) for v, path in lifts.items()
+                 for w in hom.source.successors(v)
+                 if hom.defined_at(w) and hom(w) == state}
+    witness = next(iter(lifts.values()), None)
     return (witness is not None), witness

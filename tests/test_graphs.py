@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forward_closure, gen_traces, out, random_graph, random_hom, tx_of
+from conftest import (
+    dump_universe, forward_closure, gen_traces, out, random_graph, random_hom, tx_of,
+)
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
@@ -15,7 +17,7 @@ from ledgerlab.core import (
     mk_outs,
     step_ledger,
 )
-from ledgerlab.gen import make_proposer, make_scenario
+from ledgerlab.gen import make_scenario
 from ledgerlab.graphs import (
     PartialSieveHom,
     SimpleGraph,
@@ -28,7 +30,6 @@ from ledgerlab.graphs import (
     is_sieve,
     project_ledger_graph,
 )
-from ledgerlab.traces import generate_valid_traces
 
 
 @st.composite
@@ -135,23 +136,39 @@ class TestHoms:
         )
         assert check_hom(identity_hom(g))
 
-    def test_mapping_restricted_to_domain(self):
+    def test_domain_is_the_mapping_keys(self):
         g = SimpleGraph(frozenset([1, 2]), frozenset())
-        f = PartialSieveHom(g, g, frozenset([1]), {1: 1, 2: 2})
-        assert f.mapping == {1: 1}
+        f = PartialSieveHom(g, g, {1: 1})
+        assert f.domain == frozenset([1])
         assert f.defined_at(1) and not f.defined_at(2)
         with pytest.raises(KeyError):
             f(2)
 
+    def test_mapping_is_copied(self):
+        g = SimpleGraph(frozenset([1, 2]), frozenset())
+        mapping = {1: 1}
+        f = PartialSieveHom(g, g, mapping)
+        mapping[2] = 2
+        del mapping[1]
+        assert f.mapping == {1: 1}
+        assert f.domain == frozenset([1])
+
     def test_extensional_equality(self):
         g = SimpleGraph(frozenset([1, 2]), frozenset())
-        f = PartialSieveHom(g, g, frozenset([1]), {1: 1, 2: 2})
-        h = PartialSieveHom(g, g, frozenset([1]), {1: 1})
+        f = PartialSieveHom(g, g, {1: 1, 2: 2})
+        h = PartialSieveHom(g, g, dict([(2, 2), (1, 1)]))
         assert f == h
+        assert f != PartialSieveHom(g, g, {1: 1})
+
+    def test_key_outside_source_detected(self):
+        g = SimpleGraph(frozenset([1]), frozenset())
+        verdict = check_hom(PartialSieveHom(g, g, {1: 1, 7: 1}))
+        assert verdict.reason == "domain-not-in-source"
+        assert verdict.witness == frozenset([7])
 
     def test_non_sieve_domain_detected(self):
         g = SimpleGraph(frozenset([1, 2]), frozenset([(1, 2)]))
-        f = PartialSieveHom(g, g, frozenset([1]), {1: 1})
+        f = PartialSieveHom(g, g, {1: 1})
         verdict = check_hom(f)
         assert not verdict
         assert verdict.reason == "domain-not-a-sieve"
@@ -160,7 +177,7 @@ class TestHoms:
     def test_edge_preservation_detected(self):
         src = SimpleGraph(frozenset([1, 2]), frozenset([(1, 2)]))
         tgt = SimpleGraph(frozenset([9]), frozenset())
-        f = PartialSieveHom(src, tgt, src.vertices, {1: 9, 2: 9})
+        f = PartialSieveHom(src, tgt, {1: 9, 2: 9})
         verdict = check_hom(f)
         assert verdict.reason == "edge-not-preserved"
         assert verdict.witness == (1, 2)
@@ -168,23 +185,23 @@ class TestHoms:
     def test_collapsing_needs_a_self_loop(self):
         src = SimpleGraph(frozenset([1, 2]), frozenset([(1, 2)]))
         tgt = SimpleGraph(frozenset([9]), frozenset([(9, 9)]))
-        assert check_hom(PartialSieveHom(src, tgt, src.vertices, {1: 9, 2: 9}))
+        assert check_hom(PartialSieveHom(src, tgt, {1: 9, 2: 9}))
 
     def test_initial_clauses(self):
         src = SimpleGraph(
             frozenset([1, 2]), frozenset([(1, 2)]), frozenset([1])
         )
         tgt = SimpleGraph(frozenset([8, 9]), frozenset([(8, 9)]))
-        outside = PartialSieveHom(src, tgt, frozenset([2]), {2: 9})
+        outside = PartialSieveHom(src, tgt, {2: 9})
         assert check_hom(outside).reason == "initial-not-in-domain"
-        not_kept = PartialSieveHom(src, tgt, src.vertices, {1: 8, 2: 9})
+        not_kept = PartialSieveHom(src, tgt, {1: 8, 2: 9})
         assert check_hom(not_kept).reason == "initial-not-preserved"
 
     def test_compose_requires_matching_middle(self):
         g1 = SimpleGraph(frozenset([1]), frozenset())
         g2 = SimpleGraph(frozenset([2]), frozenset())
-        f = PartialSieveHom(g1, g1, g1.vertices, {1: 1})
-        g = PartialSieveHom(g2, g2, g2.vertices, {2: 2})
+        f = PartialSieveHom(g1, g1, {1: 1})
+        g = PartialSieveHom(g2, g2, {2: 2})
         with pytest.raises(ValueError):
             compose_homs(f, g)
 
@@ -192,8 +209,8 @@ class TestHoms:
         src = SimpleGraph(frozenset([1, 2]), frozenset())
         mid = SimpleGraph(frozenset([3, 4]), frozenset())
         tgt = SimpleGraph(frozenset([5]), frozenset())
-        f = PartialSieveHom(src, mid, src.vertices, {1: 3, 2: 4})
-        g = PartialSieveHom(mid, tgt, frozenset([3]), {3: 5})
+        f = PartialSieveHom(src, mid, {1: 3, 2: 4})
+        g = PartialSieveHom(mid, tgt, {3: 5})
         gf = compose_homs(f, g)
         assert gf.domain == frozenset([1])
         assert gf(1) == 5
@@ -254,23 +271,6 @@ class TestPaths:
         g = SimpleGraph(frozenset([1]), frozenset())
         with pytest.raises(ValueError):
             enumerate_paths(g, 0)
-
-
-def dump_universe(seed, depth):
-    """The scenario and tx/slot universe ``graph dump --seed --depth`` builds Λ on."""
-    sc = make_scenario(seed, n_outputs=2)
-    traces = generate_valid_traces(
-        [sc.initial_utxo],
-        [sc.initial_slot],
-        make_proposer(max_spend=2, max_create=2),
-        depth=depth,
-        count=1,
-        seed=seed,
-    )
-    ann = traces[0].annotations
-    txs = [tx for _, tx in ann]
-    slots = sorted({sc.initial_slot} | {s for s, _ in ann})
-    return sc, txs, slots
 
 
 @pytest.fixture

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_traces
+from conftest import dump_universe, gen_traces
+from ledgerlab.core import apply_tx
 from ledgerlab.gen import make_scenario
-from ledgerlab.graphs import PartialSieveHom, SimpleGraph
+from ledgerlab.graphs import (
+    PartialSieveHom,
+    SimpleGraph,
+    build_ledger_graph,
+    enumerate_paths,
+    project_ledger_graph,
+)
 from ledgerlab.traces import (
     TracePrefix,
     ball_members,
@@ -205,9 +212,7 @@ class TestNonExpansion:
         tgt = SimpleGraph(
             frozenset(["x", "y"]), frozenset(), frozenset(["x"])
         )
-        return PartialSieveHom(
-            src, tgt, src.vertices, {"a": "x", "b": "y", "c": "y"}
-        )
+        return PartialSieveHom(src, tgt, {"a": "x", "b": "y", "c": "y"})
 
     @staticmethod
     def images(hom, traces):
@@ -363,6 +368,23 @@ class TestGeneration:
                 assert t.annotations[0][0] == scenario.initial_slot
 
 
+@st.composite
+def lift_problems(draw):
+    """A small graph, a dict hom out of it, a target head and its n."""
+    vertices = range(draw(st.integers(1, 5)))
+    vertex = st.sampled_from(vertices)
+    source = SimpleGraph(
+        frozenset(vertices),
+        draw(st.frozensets(st.tuples(vertex, vertex), max_size=12)),
+        draw(st.frozensets(vertex, max_size=3)),
+    )
+    target = SimpleGraph(frozenset([0, 1]), frozenset())
+    hom = PartialSieveHom(source, target, draw(st.dictionaries(vertex, st.sampled_from([0, 1]))))
+    n = draw(st.integers(0, 4))
+    head = draw(st.lists(st.sampled_from([0, 1]), min_size=n + 1, max_size=n + 3))
+    return hom, plain(*head), n
+
+
 class TestTruncatedLifts:
     def build(self):
         src = SimpleGraph(
@@ -373,7 +395,7 @@ class TestTruncatedLifts:
         tgt = SimpleGraph(
             frozenset([0, 1]), frozenset([(0, 1)]), frozenset([0])
         )
-        hom = PartialSieveHom(src, tgt, src.vertices, {v: v[1] for v in src.vertices})
+        hom = PartialSieveHom(src, tgt, {v: v[1] for v in src.vertices})
         return src, tgt, hom
 
     def test_lift_found(self):
@@ -397,3 +419,46 @@ class TestTruncatedLifts:
         _, _, hom = self.build()
         with pytest.raises(ValueError):
             has_truncated_lift(plain(0), hom, 3)
+
+    def test_negative_n_refused(self):
+        _, _, hom = self.build()
+        with pytest.raises(ValueError):
+            has_truncated_lift(plain(0), hom, -1)
+
+    @given(lift_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, problem):
+        hom, head, n = problem
+        goal = head.states[: n + 1]
+        images = {tuple(map(hom.mapping.get, p))
+                  for p in enumerate_paths(hom.source, n + 1)}
+        ok, witness = has_truncated_lift(head, hom, n)
+        assert ok == (goal in images)
+        if ok:
+            assert witness[0] in hom.source.initial
+            assert all((a, b) in hom.source.edges for a, b in zip(witness, witness[1:]))
+            assert tuple(hom(v) for v in witness) == goal
+        else:
+            assert witness is None
+
+    def test_failing_search_is_bounded(self, monkeypatch):
+        # Λ of `graph dump --seed 0 --depth 25`, and the run's first 16
+        # states with the last replaced by the first: no path lifts them
+        sc, txs, slots = dump_universe(0, 25)
+        lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
+        _, phi = project_ledger_graph(lam)
+        states = [sc.initial_utxo]
+        for tx in txs[:14]:
+            states.append(apply_tx(states[-1], tx))
+        bound = 16 * len(lam.vertices)
+        calls = []
+        successors = SimpleGraph.successors
+
+        def counted(graph, v):
+            calls.append(v)
+            if len(calls) > bound:
+                raise AssertionError("more than %d successors calls" % bound)
+            return successors(graph, v)
+
+        monkeypatch.setattr(SimpleGraph, "successors", counted)
+        assert has_truncated_lift(plain(*states, states[0]), phi, 15) == (False, None)
