@@ -17,6 +17,18 @@ from .traces import TracePrefix
 
 FORMAT_VERSION = 1
 
+#: The canonical spelling around the states of a trace file and between
+#: the entries of a state, which ``_canonical_states`` cuts on.
+_STATES_HEAD = ',"states":['
+_TRUNCATED_HEAD = ',"truncated":'
+_TRACE_TAILS = tuple(
+    '%s%s,"version":%d}\n' % (_TRUNCATED_HEAD, flag, FORMAT_VERSION)
+    for flag in ("false", "true")
+)
+_ENTRY_HEAD = '{"output":'
+_ENTRY_DELIMITER = '},{"output":'
+_scan = json.JSONDecoder().scan_once
+
 
 class FormatError(Exception):
     """Malformed, unversioned, or wrong-version input file."""
@@ -179,16 +191,20 @@ class _Reader:
     A file repeats most entries: each state is written in full, and tx
     inputs and genesis outputs repeat state entries; the files of one
     scenario share their genesis and first state.  Refs and outputs are
-    memoized by their JSON spelling.  Keys are type-strict, since
+    memoized by their parsed values, keyed type-strictly, since
     ``True == 1 == 1.0`` in Python: a number is keyed with its type, so a
-    bool or float spelling never reuses the value built from an int.  Only
-    values that were built are stored; a miss, or an entry that cannot be
-    keyed, runs the plain reader with all its checks.
+    bool or float spelling never reuses the value built from an int.  The
+    states of a canonically spelled file are read by text instead
+    (``state_text``): ``entries`` maps the canonical text of an entry to
+    its ``(OutputRef, Output)``.  Only values that were built are stored; a
+    miss, or an entry that cannot be keyed, runs the plain reader with all
+    its checks.
     """
 
     def __init__(self):
         self.refs = {}
         self.outputs = {}
+        self.entries = {}
 
     def ref(self, obj) -> OutputRef:
         try:
@@ -243,6 +259,45 @@ class _Reader:
             raise FormatError("bad UTxO set: %s" % exc) from exc
         return UtxoSet(entries)
 
+    def state_text(self, text: str) -> UtxoSet:
+        """The state of a canonical entry list's text, without its brackets.
+
+        The text is split on the canonical entry delimiter, and each piece
+        is looked up in ``entries``; a miss is built by ``entry_text``.
+        Raises on any other spelling.
+        """
+        if not text:
+            return UtxoSet({})
+        pieces = text.split(_ENTRY_DELIMITER)
+        if not (pieces[0].startswith(_ENTRY_HEAD) and pieces[-1].endswith("}")):
+            raise ValueError("not a canonical entry list")
+        pieces[0] = pieces[0][len(_ENTRY_HEAD):]
+        pieces[-1] = pieces[-1][:-1]
+        get = self.entries.get
+        pairs = [get(piece) or self.entry_text(piece) for piece in pieces]
+        entries = dict(pairs)
+        if len(entries) != len(pairs):
+            raise ValueError("duplicate output ref in UTxO set")
+        return UtxoSet(entries)
+
+    def entry_text(self, piece: str) -> Tuple[OutputRef, Output]:
+        """The entry spelled ``{"output":`` + ``piece`` + ``}``, parsed alone.
+
+        The scan must end exactly at the end of the entry, so the piece
+        cannot be a fragment of a longer value.  A canonical entry has
+        exactly the keys read here, so its nesting is fixed and it parses
+        alone as it does inside the file.
+        """
+        text = _ENTRY_HEAD + piece + "}"
+        obj, end = _scan(text, 0)
+        if end != len(text):
+            raise ValueError("not one entry: %r" % (text,))
+        pair = self.ref(obj["output_ref"]), self.output(obj["output"])
+        if not (len(obj) == len(obj["output_ref"]) == 2 and len(obj["output"]) == 3):
+            raise ValueError("not a canonical entry: %r" % (text,))
+        self.entries[piece] = pair
+        return pair
+
 
 # --- trace files ------------------------------------------------------------
 
@@ -288,10 +343,18 @@ def load_trace(text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
 
 
 def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[Slot]]:
-    """One file; its JSON tree is freed before the next file is parsed."""
-    obj = _load(text, "trace")
+    """One file; its JSON tree is freed before the next file is parsed.
+
+    The states of a canonically spelled file are read by their text
+    (``_canonical_states``), and the rest of it by ``json.loads``.  Any
+    other spelling is read whole by the plain reader, so the values and
+    the errors are the same either way.
+    """
+    canonical = _canonical_states(read, text)
+    obj, states = canonical or (_load(text, "trace"), None)
     try:
-        states = tuple(map(read.utxo, _of_type(obj["states"], list, "states")))
+        if states is None:
+            states = tuple(map(read.utxo, _of_type(obj["states"], list, "states")))
         lifts = obj["lifts"]
         annotations = None
         if lifts is not None:
@@ -307,6 +370,44 @@ def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[S
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad trace file: %s" % exc) from exc
     return prefix, genesis, slots
+
+
+def _canonical_states(read: _Reader, text: str) -> Optional[Tuple[dict, tuple]]:
+    """The rest of a canonically spelled trace file, parsed, and its states;
+    ``None`` for any other spelling.
+
+    The top-level ``"states"`` member is cut out of the text, and the rest
+    is parsed by ``json.loads``.  The rest ends in the fixed tail
+    ``,"truncated":…,"version":1}\\n``, which closes exactly one object, so
+    the rest parses only if the cut was made in the top-level object.
+    Each state's entries are then read by ``_Reader.state_text``.  Never
+    raises: an error is the plain reader's to report, in its order.
+    """
+    try:
+        start = text.find(_STATES_HEAD)
+        if start < 0 or not text.endswith(_TRACE_TAILS):
+            return None
+        end = text.rindex(_TRUNCATED_HEAD)
+        obj = json.loads(text[:start] + text[end:])
+        if "states" in obj or obj.get("kind") != "trace":
+            return None
+        # the states are "[" + body + "]" joined by ","; each body is cut
+        # out of the text alone, so no copy of the whole member is made
+        first, last = start + len(_STATES_HEAD), end - 1
+        if text[last] != "]":
+            return None
+        if first == last:
+            return obj, ()
+        if not (text[first] == "[" and text[last - 1] == "]"):
+            return None
+        states, first = [], first + 1
+        while (cut := text.find("],[", first, last - 1)) >= 0:
+            states.append(read.state_text(text[first:cut]))
+            first = cut + 3
+        states.append(read.state_text(text[first:last - 1]))
+        return obj, tuple(states)
+    except Exception:  # whatever fails here, the plain reader reports
+        return None
 
 
 def _read_genesis(read: _Reader, obj: dict) -> List[Tx]:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -179,3 +180,12 @@ def json_parent(payload, path):
     for key in path[:-1]:
         node = node[key]
     return node, path[-1]
+
+
+def both_spellings(payload):
+    """A file's payload spelled by ``json.dumps`` and canonically, as the
+    writers spell it: a reader's canonical-text path sees only the second."""
+    return [
+        json.dumps(payload),
+        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+    ]

@@ -3,13 +3,16 @@
 Generated trace and run files are mutated one edit at a time: a state entry
 dropped, repeated or moved; a number or token value map retyped or pushed
 out of range; two steps swapped; a list truncated; a 1 in an entry that
-occurs more than once spelled ``true`` or ``1.0`` in one occurrence.  Every
-command must then exit 0 (clean), 1 (violation) or 2 (usage or parse
-error), never 3, and print no traceback; the respelled entry is a parse
-error.  The unmutated files exit 0, as do a one-state trace and a stepless
-run.  In those, a field the format calls a list, or the boolean
-``truncated``, spelled as another JSON value that Python would iterate or
-test alike, such as ``{}`` or ``""``, is a parse error.
+occurs more than once spelled ``true`` or ``1.0`` in one occurrence.  Each
+mutant is spelled as ``json.dumps`` spells it and canonically, as the
+writers spell a file, so that it meets both the plain reader and the reader
+of canonical text.  Every command must then exit 0 (clean), 1 (violation)
+or 2 (usage or parse error), never 3, and print no traceback; the respelled
+entry is a parse error.  The unmutated files exit 0, as do a one-state
+trace and a stepless run.  In those, a field the format calls a list, or
+the boolean ``truncated``, spelled as another JSON value that Python would
+iterate or test alike, such as ``{}`` or ``""``, is a parse error; so it is
+in both spellings.
 """
 import contextlib
 import copy
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import json_nodes, json_parent
+from conftest import both_spellings, json_nodes, json_parent
 from ledgerlab import cli, serialize
 from ledgerlab.contracts import CONTRACTS
 from ledgerlab.gen import make_proposer, make_scenario
@@ -109,7 +112,8 @@ def _entry_of(payload, path):
 
 @st.composite
 def mutated(draw, kind):
-    """A copy of the generated ``kind`` file with one edit, and its label."""
+    """A copy of the generated ``kind`` file with one edit, and its label;
+    the copy is spelled both ways of ``both_spellings``."""
     payload = json.loads(FILES[kind])
     nodes = list(json_nodes(payload))
     edit = draw(st.sampled_from([
@@ -154,7 +158,7 @@ def mutated(draw, kind):
         lists = [n for _, n in nodes if isinstance(n, list) and n]
         target = draw(st.sampled_from(lists))
         del target[draw(st.integers(0, len(target) - 1)):]
-    return edit, json.dumps(payload)
+    return edit, both_spellings(payload)
 
 
 def run_all(kind, text, tmp_dir):
@@ -189,14 +193,15 @@ def test_generated_files_exit_clean(kind, tmp_dir):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_files_keep_the_exit_contract(kind, tmp_dir, data):
-    edit, text = data.draw(mutated(kind), label="edit")
-    for command, code, err in run_all(kind, text, tmp_dir):
-        assert code in (cli.EXIT_CLEAN, cli.EXIT_VIOLATION, cli.EXIT_USAGE), (
-            edit, command, err,
-        )
-        if edit == "respell-number":
-            assert code == cli.EXIT_USAGE, (command, err)
-        assert "Traceback" not in err
+    edit, texts = data.draw(mutated(kind), label="edit")
+    for text in texts:
+        for command, code, err in run_all(kind, text, tmp_dir):
+            assert code in (cli.EXIT_CLEAN, cli.EXIT_VIOLATION, cli.EXIT_USAGE), (
+                edit, command, err,
+            )
+            if edit == "respell-number":
+                assert code == cli.EXIT_USAGE, (command, err)
+            assert "Traceback" not in err
 
 
 LOOK_ALIKES = [
@@ -230,6 +235,7 @@ def test_look_alike_containers_are_parse_errors(kind, path, value, tmp_dir):
     payload = json.loads(ONE_STATE[kind])
     node, key = json_parent(payload, path)
     node[key] = value
-    for command, code, err in run_all(kind, json.dumps(payload), tmp_dir):
-        assert code == cli.EXIT_USAGE, (command, err)
-        assert err.startswith("error: ")
+    for text in both_spellings(payload):
+        for command, code, err in run_all(kind, text, tmp_dir):
+            assert code == cli.EXIT_USAGE, (command, err)
+            assert err.startswith("error: ")

@@ -7,7 +7,10 @@ On generated, mutated and hand-built texts, both must return equal values
 that serialize to the same text, or raise ``FormatError`` with the same
 message.  The hand-built texts spell a valid entry's ``1`` as ``true`` or
 ``1.0`` where the entry recurs, which a memo keyed by ``==`` would accept,
-since ``True == 1 == 1.0`` in Python.
+since ``True == 1 == 1.0`` in Python.  Every mutated or respelled file is
+spelled both by ``json.dumps`` and canonically, so that it also reaches the
+reader of canonical text; the hand-built canonical cases each depart from
+what the writer writes in one way, and pin which reader runs.
 
 The writers spell each distinct entry and transaction once and join a
 file's pieces; the oracle encodes the whole JSON tree of the file with one
@@ -24,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serialize_oracle as oracle
-from conftest import json_nodes, json_parent, out, tx_of
+from conftest import both_spellings, json_nodes, json_parent, out, tx_of
 from ledgerlab import cli, serialize
 from ledgerlab.core import (
     Output, OutputRef, TxInput, UtxoSet, apply_tx, hash_tx, mk_outs,
@@ -85,7 +88,8 @@ RESPELLED = [
 
 
 def respelled(kind, place, field, spelling):
-    """The hand-built ``kind`` file, its entry's 1 respelled at ``place``."""
+    """The hand-built ``kind`` file, its entry's 1 respelled at ``place``,
+    spelled both ways of ``both_spellings``."""
     payload = json.loads(HAND_BUILT[kind])
     prefix = PLACES[kind, place]
     [node] = [
@@ -96,7 +100,7 @@ def respelled(kind, place, field, spelling):
         node["index"] = spelling
     else:
         node["value"][TOKEN.hex()] = spelling
-    return json.dumps(payload)
+    return both_spellings(payload)
 
 
 def outcome(load, text):
@@ -143,7 +147,7 @@ REPLACEMENTS = [
 
 @st.composite
 def mutated(draw, kind):
-    """A generated file with one to three edits."""
+    """A generated file with one to three edits, spelled both ways."""
     return draw(edited(draw(generated(kind))))
 
 
@@ -153,7 +157,8 @@ def edited(draw, text):
 
     An edit respells a number (``1`` as ``true``, ``7`` as ``7.0``), puts
     a copy of another node with the same key in place of a node (an entry,
-    a ref, an output, an index), deletes a node, or replaces it.
+    a ref, an output, an index), deletes a node, or replaces it.  The
+    result is spelled both ways of ``both_spellings``.
     """
     payload = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
@@ -171,7 +176,7 @@ def edited(draw, text):
             del parent[key]
         else:
             parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
-    return json.dumps(payload)
+    return both_spellings(payload)
 
 
 class TestAgreesWithOracle:
@@ -185,7 +190,8 @@ class TestAgreesWithOracle:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutated(self, kind, data):
-        assert_same(kind, data.draw(mutated(kind)))
+        for text in data.draw(mutated(kind)):
+            assert_same(kind, text)
 
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_hand_built(self, kind):
@@ -194,28 +200,202 @@ class TestAgreesWithOracle:
 
     @pytest.mark.parametrize("kind, place, field, spelling", RESPELLED)
     def test_respelled(self, kind, place, field, spelling):
-        assert_same(kind, respelled(kind, place, field, spelling))
+        for text in respelled(kind, place, field, spelling):
+            assert_same(kind, text)
 
 
 class TestMemoIsTypeStrict:
     @pytest.mark.parametrize("kind, place, field, spelling", RESPELLED)
     def test_load_rejects_respelled_entry(self, kind, place, field, spelling):
-        with pytest.raises(serialize.FormatError):
-            LOADERS[kind][0](respelled(kind, place, field, spelling))
+        for text in respelled(kind, place, field, spelling):
+            with pytest.raises(serialize.FormatError):
+                LOADERS[kind][0](text)
 
     @pytest.mark.parametrize("kind, place, field, spelling", RESPELLED)
     def test_cli_exits_2(self, kind, place, field, spelling, tmp_path):
-        path = tmp_path / "file.json"
-        path.write_text(respelled(kind, place, field, spelling))
-        argv = {
-            "trace": ["trace", "validate", str(path)],
-            "run": ["props", "check", "--run", str(path)],
-        }[kind]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        assert code == cli.EXIT_USAGE, err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        for text in respelled(kind, place, field, spelling):
+            code, err = run_cli(kind, text, tmp_path)
+            assert code == cli.EXIT_USAGE, err
+            assert "Traceback" not in err
+
+
+def run_cli(kind, text, tmp_path):
+    """Exit code and stderr of the CLI's reading command on a ``kind`` file."""
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    argv = {
+        "trace": ["trace", "validate", str(path)],
+        "run": ["props", "check", "--run", str(path)],
+    }[kind]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _canonical_cases():
+    """Canonically spelled trace files, each departing from what the writer
+    writes in one way, with whether the plain reader must read them whole.
+
+    Built from the hand-built trace, whose second state holds the entry
+    ``(g, 1)``.
+    """
+    [plain, canonical] = both_spellings(json.loads(HAND_BUILT["trace"]))
+    assert canonical == HAND_BUILT["trace"] and plain != canonical
+
+    def edit(change):
+        payload = json.loads(HAND_BUILT["trace"])
+        change(payload)
+        return both_spellings(payload)[1]
+
+    def later_entry(payload):
+        [entry] = [e for e in payload["states"][1]
+                   if e["output_ref"] == ENTRY["index"]]
+        return entry
+
+    def nested_delimiter(payload):
+        # canonically `…,"z":[{"q":0},{"output":1}]}`: split on the entry
+        # delimiter, the entry falls into two pieces that each fail alone
+        later_entry(payload)["z"] = [{"q": 0}, {"output": 1}]
+
+    def element_after_entry(payload):
+        # `…}},{"w":1},{"output":…`: the piece before the element parses
+        # as an entry that ends before the piece does
+        payload["states"][1].insert(1, {"w": 1})
+
+    def output_key_respelled(payload):
+        # `{"outpua":` has the length of `{"output":` and sorts before
+        # "output_ref", so it stands where the entry head stands
+        entry = payload["states"][1][0]
+        entry["outpua"] = entry.pop("output")
+
+    def extra_key(payload):
+        later_entry(payload)["z"] = 1
+
+    def extra_key_in_ref(payload):
+        later_entry(payload)["output_ref"]["z"] = 1
+
+    def states_in_genesis(payload):
+        payload["genesis"][0]["states"] = [[]]
+
+    def only_in_genesis(payload):
+        states_in_genesis(payload)
+        del payload["states"]
+
+    def version_and_entry(payload):
+        payload["version"] = 2
+        later_entry(payload)["output_ref"]["index"] = True
+
+    def wrong_kind(payload):
+        payload["kind"] = "run"
+
+    def kind_and_entry(payload):
+        wrong_kind(payload)
+        later_entry(payload)["output_ref"]["index"] = True
+
+    def empty_state(payload):
+        payload["states"][1] = []
+
+    def no_states(payload):
+        payload["states"] = []
+        payload["lifts"] = None
+
+    def respell(field, spelling):
+        def change(payload):
+            entry = later_entry(payload)
+            if field == "index":
+                entry["output_ref"]["index"] = spelling
+            else:
+                entry["output"]["value"][TOKEN.hex()] = spelling
+        return change
+
+    head, tail = canonical.split(',"truncated":')
+    return {
+        "nested-delimiter": (edit(nested_delimiter), True),
+        "element-after-entry": (edit(element_after_entry), True),
+        "output-key-respelled": (edit(output_key_respelled), True),
+        "extra-key": (edit(extra_key), True),
+        "extra-key-in-ref": (edit(extra_key_in_ref), True),
+        "states-twice-first-empty": (
+            canonical.replace(',"lifts":', ',"states":[[]],"lifts":'), True),
+        "states-twice-last-empty": (
+            head + ',"states":[[]],"truncated":' + tail, True),
+        "states-twice-as-first-key": ('{"states":[[]],' + canonical[1:], True),
+        "states-in-genesis": (edit(states_in_genesis), True),
+        "states-only-in-genesis": (edit(only_in_genesis), True),
+        "wrong-version-and-entry": (edit(version_and_entry), True),
+        "wrong-kind": (edit(wrong_kind), True),
+        "wrong-kind-and-entry": (edit(kind_and_entry), True),
+        "no-trailing-newline": (canonical[:-1], True),
+        "index-true": (edit(respell("index", True)), True),
+        "index-1.0": (edit(respell("index", 1.0)), True),
+        "quantity-true": (edit(respell("quantity", True)), True),
+        "quantity-1.0": (edit(respell("quantity", 1.0)), True),
+        "as-written": (canonical, False),
+        "empty-state": (edit(empty_state), False),
+        "no-states": (edit(no_states), False),
+    }
+
+
+CANONICAL_CASES = _canonical_cases()
+
+
+def read_whole(monkeypatch):
+    """The texts ``serialize._load`` parses from now on: the files that the
+    plain reader reads whole."""
+    texts = []
+    load = serialize._load
+
+    def spy(text, kind):
+        texts.append(text)
+        return load(text, kind)
+
+    monkeypatch.setattr(serialize, "_load", spy)
+    return texts
+
+
+class TestCanonicalText:
+    """A canonically spelled file's states are read by their text; any
+    departure from what the writer writes sends it to the plain reader."""
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+    def test_agrees_with_oracle(self, name, tmp_path):
+        text, _ = CANONICAL_CASES[name]
+        assert_same("trace", text)
+        code, err = run_cli("trace", text, tmp_path)
+        if isinstance(outcome(oracle.load_trace, text), str):
+            assert code == cli.EXIT_USAGE and err.startswith("error: "), err
+        else:
+            assert code in (cli.EXIT_CLEAN, cli.EXIT_VIOLATION), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+    def test_which_reader_runs(self, name, monkeypatch):
+        text, plain = CANONICAL_CASES[name]
+        whole = read_whole(monkeypatch)
+        outcome(serialize.load_trace, text)
+        assert whole == ([text] if plain else [])
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "21", "--depth", "12", "--count", "100", "--outputs", "24",
+         "--token", TOKEN.hex()],
+        ["--seed", "1", "--depth", "5", "--count", "3", "--outputs", "200"],
+        ["--seed", "3", "--depth", "30", "--count", "2", "--outputs", "40"],
+    ], ids=["contract-fanout", "wide-state", "long-run"])
+    def test_generated_files_are_read_by_text(self, argv, tmp_path, monkeypatch):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["trace", "gen", *argv, "--out", str(tmp_path)]) == 0
+        texts = [p.read_text() for p in sorted(tmp_path.glob("trace_*.json"))]
+        expected = [oracle.load_trace(t) for t in texts]
+
+        def refuse(*args):
+            raise AssertionError("the plain reader ran")
+
+        monkeypatch.setattr(serialize._Reader, "utxo", refuse)
+        whole = read_whole(monkeypatch)
+        assert serialize.load_traces(texts) == expected
+        assert [serialize.load_trace(t) for t in texts] == expected
+        assert whole == []
 
 
 class TestSharing:
@@ -229,6 +409,12 @@ class TestSharing:
         assert u0.get(ref) is u1.get(ref) is genesis[0].outputs[1]
         [spent] = prefix.annotations[1][1].inputs
         assert spent.output_ref is ref0 and spent.output is u0.get(ref)
+
+    def test_no_memo_outlives_a_read(self):
+        first, second = (serialize.load_trace(HAND_BUILT["trace"]) for _ in "ab")
+        assert first == second
+        pairs = zip(first[0].states[0].items(), second[0].states[0].items())
+        assert all(r is not s and o is not p for (r, o), (s, p) in pairs)
 
     def test_writer_reuses_entry_of_the_same_output(self):
         prefix, _, _ = serialize.load_trace(HAND_BUILT["trace"])
@@ -291,21 +477,21 @@ class TestLoadTraces:
     @pytest.mark.parametrize("place, field, spelling",
                              [r[1:] for r in RESPELLED if r[0] == "trace"])
     def test_respelled_second_file(self, place, field, spelling):
-        bad = respelled("trace", place, field, spelling)
-        assert (outcome(serialize.load_traces, [HAND_BUILT["trace"], bad])
-                == outcome(serialize.load_trace, bad))
+        for bad in respelled("trace", place, field, spelling):
+            assert (outcome(serialize.load_traces, [HAND_BUILT["trace"], bad])
+                    == outcome(serialize.load_trace, bad))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_malformed_second_file(self, data):
         first, second = _scenario_traces(data.draw(st.integers(0, 10 ** 6)), 2)
-        bad = data.draw(edited(second))
-        alone = outcome(serialize.load_trace, bad)
-        both = outcome(serialize.load_traces, [first, bad])
-        if isinstance(alone, str):
-            assert both == alone
-        else:
-            assert both == [serialize.load_trace(first), alone]
+        for bad in data.draw(edited(second)):
+            alone = outcome(serialize.load_trace, bad)
+            both = outcome(serialize.load_traces, [first, bad])
+            if isinstance(alone, str):
+                assert both == alone
+            else:
+                assert both == [serialize.load_trace(first), alone]
 
 
 def ledger_files(prefixes, genesis, slots, writer=None):
