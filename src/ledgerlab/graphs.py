@@ -193,15 +193,15 @@ def project_graph(
 
     Its vertices are the states of the vertices, with one edge
     ``state_of(a) -> state_of(b)`` per edge ``a -> b`` and the states of the
-    initial vertices as initial.  ``state_of`` is called once per vertex,
-    and that mapping is returned as the everywhere defined homomorphism onto
-    the image.
+    initial vertices as initial.  ``state_of`` runs per vertex, per edge
+    endpoint and per initial vertex, so no vertex is hashed to look its state
+    up; the per-vertex mapping is the everywhere defined hom onto the image.
     """
     image = {v: state_of(v) for v in graph.vertices}
     projected = SimpleGraph(
         frozenset(image.values()),
-        frozenset((image[a], image[b]) for a, b in graph.edges),
-        frozenset(image[v] for v in graph.initial),
+        frozenset((state_of(a), state_of(b)) for a, b in graph.edges),
+        frozenset(map(state_of, graph.initial)),
     )
     return projected, PartialSieveHom(graph, projected, image)
 

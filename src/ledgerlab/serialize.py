@@ -246,18 +246,12 @@ class _Reader:
             raise FormatError("bad transaction: %s" % exc) from exc
 
     def utxo(self, obj) -> UtxoSet:
-        """The state of an entry list; a ref listed twice is refused once
-        every entry has parsed, so a malformed later entry reports first."""
-        entries = {}
+        """The state of an entry list."""
         try:
-            for e in _of_type(obj, list, "state"):
-                ref = self.ref(e["output_ref"])
-                entries[ref] = self.output(e["output"])
-            if len(entries) != len(obj):
-                raise ValueError("duplicate output ref in UTxO set")
+            return _state([(self.ref(e["output_ref"]), self.output(e["output"]))
+                           for e in _of_type(obj, list, "state")])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("bad UTxO set: %s" % exc) from exc
-        return UtxoSet(entries)
 
     def state_text(self, text: str) -> UtxoSet:
         """The state of a canonical entry list's text, without its brackets.
@@ -274,11 +268,7 @@ class _Reader:
         pieces[0] = pieces[0][len(_ENTRY_HEAD):]
         pieces[-1] = pieces[-1][:-1]
         get = self.entries.get
-        pairs = [get(piece) or self.entry_text(piece) for piece in pieces]
-        entries = dict(pairs)
-        if len(entries) != len(pairs):
-            raise ValueError("duplicate output ref in UTxO set")
-        return UtxoSet(entries)
+        return _state([get(piece) or self.entry_text(piece) for piece in pieces])
 
     def entry_text(self, piece: str) -> Tuple[OutputRef, Output]:
         """The entry spelled ``{"output":`` + ``piece`` + ``}``, parsed alone.
@@ -297,6 +287,20 @@ class _Reader:
             raise ValueError("not a canonical entry: %r" % (text,))
         self.entries[piece] = pair
         return pair
+
+    def steps(self, obj, what: str) -> List[Tuple[Slot, Tx]]:
+        """The ``[slot, tx]`` pairs of the step list ``what``."""
+        return [(_in_domain(slot, "slot"), self.tx(tx))
+                for slot, tx in _of_type(obj, list, what)]
+
+
+def _state(pairs: List[Tuple[OutputRef, Output]]) -> UtxoSet:
+    """The state of ``(ref, output)`` pairs; a ref listed twice is refused
+    once every entry has parsed, so a malformed later entry reports first."""
+    entries = dict(pairs)
+    if len(entries) != len(pairs):
+        raise ValueError("duplicate output ref in UTxO set")
+    return UtxoSet(entries)
 
 
 # --- trace files ------------------------------------------------------------
@@ -356,12 +360,7 @@ def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[S
         if states is None:
             states = tuple(map(read.utxo, _of_type(obj["states"], list, "states")))
         lifts = obj["lifts"]
-        annotations = None
-        if lifts is not None:
-            annotations = tuple(
-                (_in_domain(slot, "slot"), read.tx(tx))
-                for slot, tx in _of_type(lifts, list, "lifts")
-            )
+        annotations = None if lifts is None else read.steps(lifts, "lifts")
         truncated = _of_type(obj.get("truncated", False), bool, "truncated")
         prefix = TracePrefix(states, annotations, truncated)
         genesis = _read_genesis(read, obj)
@@ -436,8 +435,7 @@ def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     read = _Reader()
     try:
         initial = read.utxo(obj["initial"])
-        steps = [(_in_domain(slot, "slot"), read.tx(tx))
-                 for slot, tx in _of_type(obj["steps"], list, "steps")]
+        steps = read.steps(obj["steps"], "steps")
         genesis = _read_genesis(read, obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad run file: %s" % exc) from exc

@@ -34,6 +34,19 @@ def read_json(text):
     return json.loads(text)
 
 
+def refused(capsys, monkeypatch, tmp_path, *argv):
+    """The stderr of a command refused as a usage error, run in ``tmp_path``
+    with no output directory set: it printed nothing and wrote nothing."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    return err
+
+
 @pytest.fixture
 def trace_dir(tmp_path, capsys):
     out = tmp_path / "traces"
@@ -90,6 +103,18 @@ class TestTraceGen:
         )
         assert code == EXIT_CLEAN
         assert sorted(p.name for p in tmp_path.iterdir()) == ["flag"]
+
+    def test_empty_token_is_no_token(self, tmp_path, capsys):
+        outs = []
+        for token in ([], ["--token", ""]):
+            out = tmp_path / ("empty" if token else "none")
+            code, stdout, _ = run_cli(
+                capsys, "trace", "gen", "--seed", "3", "--depth", "4",
+                "--count", "2", "--out", str(out), *token,
+            )
+            assert code == EXIT_CLEAN
+            outs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert outs[0] == outs[1]
 
     def test_seed_changes_bytes(self, tmp_path, capsys):
         blobs = []
@@ -193,12 +218,14 @@ class TestTraceMonitor:
             {"check": "monitor:%s" % name, "clean": True, "witness": None}
         ]
 
-    def test_unknown_monitor_is_usage_error(self, trace_dir, capsys):
-        code, _, _ = run_cli(
-            capsys, "trace", "monitor", str(trace_dir / "trace_000.json"),
-            "--monitor", "nope",
+    def test_unknown_monitor_is_usage_error(
+        self, trace_dir, tmp_path, monkeypatch, capsys
+    ):
+        err = refused(
+            capsys, monkeypatch, tmp_path, "trace", "monitor",
+            str(trace_dir / "trace_000.json"), "--monitor", "nope",
         )
-        assert code == EXIT_USAGE
+        assert "error: argument --monitor: invalid choice: 'nope'" in err
 
     @pytest.mark.parametrize("name", sorted(cli.MONITORS))
     def test_violated_monitor(self, tmp_path, capsys, name):
@@ -505,12 +532,14 @@ class TestContractCommands:
         assert code == EXIT_CLEAN
         assert "nft" in read_json(stdout)["contracts"]
 
-    def test_unknown_contract_is_usage_error(self, trace_dir, capsys):
-        code, _, _ = run_cli(
-            capsys, "contract", "check", "--name", "nope",
-            "--traces", str(trace_dir / "trace_000.json"),
+    def test_unknown_contract_is_usage_error(
+        self, trace_dir, tmp_path, monkeypatch, capsys
+    ):
+        err = refused(
+            capsys, monkeypatch, tmp_path, "contract", "check", "--name", "nope",
+            "--traces", str(trace_dir / "trace_000.json"), "--induce",
         )
-        assert code == EXIT_USAGE
+        assert "error: argument --name: invalid choice: 'nope'" in err
 
     def test_unreadable_file_after_a_good_one_is_usage_error(self, trace_dir, capsys):
         code, stdout, stderr = run_cli(
@@ -922,6 +951,13 @@ WRITING_COMMANDS = {
         "contract", "check", "--name", "nft", "--traces", trace, "--induce"],
 }
 
+#: the first file each writing command writes
+FIRST_WRITTEN = {
+    "trace gen": "trace_000.json",
+    "graph dump": "lambda.json",
+    "contract check --induce": "contract_trace_000.json",
+}
+
 
 class TestFileBoundary:
     @pytest.fixture
@@ -997,6 +1033,18 @@ class TestFileBoundary:
         assert stderr.startswith("error: cannot write ")
         assert blocker.read_text() == "x"
 
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_output_name_taken_by_a_directory_is_a_usage_error(
+        self, command, inputs, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        (out / FIRST_WRITTEN[command]).mkdir(parents=True)
+        argv = WRITING_COMMANDS[command](inputs[0][0]) + ["--out", str(out)]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert stderr.startswith("error: cannot write ")
+        assert [p.name for p in out.iterdir()] == [FIRST_WRITTEN[command]]
+
     def test_empty_initial_slots_admit_any_first_slot(self, trace_dir, tmp_path, capsys):
         payload = read_json((trace_dir / "trace_000.json").read_text())
         first = payload["lifts"][0][0]
@@ -1021,13 +1069,28 @@ class TestUsage:
         assert run_cli(capsys, "--help")[0] == EXIT_CLEAN
 
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
-        def broken(args):
-            raise ZeroDivisionError("boom")
+        # an invariant breach (RuntimeError) is one more internal error
+        for error in (ZeroDivisionError, RuntimeError):
+            def broken(args):
+                raise error("boom")
 
-        monkeypatch.setattr(cli, "cmd_contract_list", broken)
-        code, _, err = run_cli(capsys, "contract", "list")
-        assert code == EXIT_INTERNAL
-        assert err == "internal error: ZeroDivisionError: boom\n"
+            monkeypatch.setattr(cli, "cmd_contract_list", broken)
+            code, _, err = run_cli(capsys, "contract", "list")
+            assert code == EXIT_INTERNAL
+            assert err == "internal error: %s: boom\n" % error.__name__
+
+    @pytest.mark.parametrize("command", ["trace gen", "contract check"])
+    def test_non_hex_token_is_a_usage_error(
+        self, command, trace_dir, tmp_path, monkeypatch, capsys
+    ):
+        argv = {
+            "trace gen": ["trace", "gen", "--seed", "1", "--token", "zz"],
+            "contract check": [
+                "contract", "check", "--name", "nft", "--token", "4e465",
+                "--traces", str(trace_dir / "trace_000.json"), "--induce"],
+        }[command]
+        err = refused(capsys, monkeypatch, tmp_path, *argv)
+        assert "error: argument --token: invalid fromhex value" in err
 
 
 class TestParserReuse:

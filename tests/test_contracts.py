@@ -310,6 +310,12 @@ class TestInducedTraces:
         assert induced.states == (0, 1, 0)
         assert [inp for _, inp in induced.annotations] == [MINT, BURN]
 
+    def test_unlifted_trace_has_an_unlifted_image(self, nft, token_scenario):
+        trace = nft_traces(token_scenario, nft, count=1, depth=3)[0]
+        induced = induce_trace_map(nft, TracePrefix(trace.states))
+        assert induced.states == tuple(map(nft.pi, trace.states))
+        assert induced.annotations is None
+
     def test_unprojectable_state_maps_to_none(self):
         u0, emptier, outcome = emptying_step()
         induced = induce_trace_map(len_partial(), one_step(u0, emptier, outcome))

@@ -174,6 +174,13 @@ class TestHoms:
         assert verdict.reason == "domain-not-a-sieve"
         assert verdict.witness == (1, 2)
 
+    def test_image_outside_target_detected(self):
+        src = SimpleGraph(frozenset([1]), frozenset())
+        tgt = SimpleGraph(frozenset([8]), frozenset())
+        verdict = check_hom(PartialSieveHom(src, tgt, {1: 9}))
+        assert verdict.reason == "image-not-in-target"
+        assert verdict.witness == 1
+
     def test_edge_preservation_detected(self):
         src = SimpleGraph(frozenset([1, 2]), frozenset([(1, 2)]))
         tgt = SimpleGraph(frozenset([9]), frozenset())

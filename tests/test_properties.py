@@ -309,6 +309,14 @@ class TestCommutativity:
         with pytest.raises(ValueError):
             check_commutativity(fabricate(u0, []), with_step)
 
+    def test_different_final_states_are_a_violation(self):
+        u0, u1, u2 = (mk_outs(tx_of((), [out(tag)])) for tag in "ghk")
+        t = tx_of((), [out("p")], interval=(0, 1))
+        verdict = check_commutativity(
+            fabricate(u0, [(0, t, u1)]), fabricate(u0, [(0, t, u2)]))
+        assert not verdict
+        assert verdict.witness == (u1, u2)
+
 
 class TestPoset:
     def test_chain(self, scenario):

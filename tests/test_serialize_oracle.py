@@ -293,6 +293,11 @@ def _canonical_cases():
         wrong_kind(payload)
         later_entry(payload)["output_ref"]["index"] = True
 
+    def key_after_states(payload):
+        # "t" sorts between "states" and "truncated", so the text before
+        # the tail does not end the states member
+        payload["t"] = 1
+
     def empty_state(payload):
         payload["states"][1] = []
 
@@ -327,6 +332,11 @@ def _canonical_cases():
         "wrong-kind": (edit(wrong_kind), True),
         "wrong-kind-and-entry": (edit(kind_and_entry), True),
         "no-trailing-newline": (canonical[:-1], True),
+        "key-after-states": (edit(key_after_states), True),
+        # not JSON: a states member of one character, `[7`, that is not `]`
+        "states-one-character": (
+            head[:head.index(',"states":')] + ',"states":[7,"truncated":' + tail,
+            True),
         "index-true": (edit(respell("index", True)), True),
         "index-1.0": (edit(respell("index", 1.0)), True),
         "quantity-true": (edit(respell("quantity", True)), True),

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dump_universe, gen_traces
-from ledgerlab.core import apply_tx
-from ledgerlab.gen import make_scenario
+from ledgerlab.core import UtxoSet, apply_tx
+from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import (
     PartialSieveHom,
     SimpleGraph,
@@ -17,6 +17,7 @@ from ledgerlab.graphs import (
 )
 from ledgerlab.traces import (
     TracePrefix,
+    UltraDistance,
     ball_members,
     check_monitor_monotone,
     check_non_expanding,
@@ -144,16 +145,19 @@ class TestAxioms:
         assert report.triples_checked == 0
         assert report.triples_skipped == 1
 
-    def test_violation_is_reported(self):
-        # a fake metric cannot arise from ultra_distance, so corrupt the
-        # samples indirectly: three traces where two distances are 1/2 and
-        # the third is 1 would violate nothing; instead check the detector
-        # by feeding states engineered for an isosceles pass and assert the
-        # bookkeeping counts
-        samples = [plain(i, "s") for i in range(4)]
-        report = check_ultrametric_axioms(samples)
-        assert report.triples_checked == 4
-        assert report.violations == ()
+    def test_violation_is_reported(self, monkeypatch):
+        # ultra_distance is an ultrametric, so put an exact metric that is
+        # not one in its place: the number of differing states
+        def hamming(a, b):
+            return UltraDistance(True, Fraction(
+                sum(x != y for x, y in zip(a.states, b.states))))
+
+        monkeypatch.setattr("ledgerlab.traces.ultra_distance", hamming)
+        # d(aa, ab) = d(ab, bb) = 1 < d(aa, bb) = 2
+        report = check_ultrametric_axioms(
+            [plain("a", "a"), plain("a", "b"), plain("b", "b")])
+        assert report.triples_checked == 1
+        assert report.violations == (("strong-triangle", (0, 1, 2)),)
 
     def test_generated_traces_satisfy_axioms(self):
         sc = make_scenario(5)
@@ -360,6 +364,13 @@ class TestGeneration:
             seed=5,
         )
         assert all(t.truncated and len(t) == 1 for t in traces)
+
+    def test_empty_state_has_no_proposal(self):
+        propose = make_proposer()
+        assert propose(random.Random(0), 0, UtxoSet({})) is None
+        [trace] = generate_valid_traces(
+            [UtxoSet({})], [0], propose, depth=3, count=1, seed=0)
+        assert trace == TracePrefix((UtxoSet({}),), (), truncated=True)
 
     def test_first_step_uses_an_initial_slot(self, scenario):
         traces = gen_traces(scenario, depth=4, count=10, seed=3)
