@@ -83,14 +83,17 @@ class Output:
         pairs = self.value.items() if isinstance(self.value, Mapping) else self.value
         norm = []
         seen = set()
-        for token, qty in pairs:
-            _in_domain(token, "token id", bound=None)
-            _in_domain(qty, "token quantity")
-            if token in seen:
-                raise ValueError("duplicate token id in value map")
-            seen.add(token)
-            if qty > 0:
-                norm.append((token, qty))
+        try:
+            for token, qty in pairs:
+                _in_domain(token, "token id", bound=None)
+                _in_domain(qty, "token quantity")
+                if token in seen:
+                    raise ValueError("duplicate token id in value map")
+                seen.add(token)
+                if qty > 0:
+                    norm.append((token, qty))
+        except TypeError as exc:
+            raise ValueError("value is not (token, quantity) pairs: %s" % exc) from exc
         object.__setattr__(self, "value", tuple(sorted(norm)))
 
     def quantity(self, token: bytes) -> int:
@@ -122,9 +125,12 @@ class Tx:
     additional_data: bytes = b""
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "validity_interval", tuple(self.validity_interval))
+        try:
+            object.__setattr__(self, "inputs", frozenset(self.inputs))
+            object.__setattr__(self, "outputs", tuple(self.outputs))
+            object.__setattr__(self, "validity_interval", tuple(self.validity_interval))
+        except TypeError as exc:
+            raise ValueError("bad inputs, outputs or interval: %s" % exc) from exc
         refs = [_of_type(i, TxInput, "input").output_ref for i in self.inputs]
         for out in self.outputs:
             _of_type(out, Output, "output")

@@ -7,7 +7,6 @@ These compose, with domain ``Def f ∩ f⁻¹(Def g)``.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Tuple
@@ -148,13 +147,13 @@ def build_ledger_graph(
 ) -> SimpleGraph:
     """Explicit transition graph over reachable (slot, utxo, tx) triples.
 
-    Vertices satisfy check_tx; there is an edge (q,u,t) -> (q',u',t')
-    exactly when step_ledger takes (q,u,t) to u' (a refused step has no
-    edge), (q',u',t') is again checkable, and the slot does not decrease.
+    Vertices satisfy check_tx; (q,u,t) -> (q',u',t') is an edge exactly when
+    step_ledger takes (q,u,t) to u', (q',u',t') is checkable and q <= q'.
     Only the part reachable from the initial vertices is built.
 
-    A state tries only the transactions that spend one of its refs: check_tx
-    refuses every other one (it has no input, or an input the state lacks).
+    Each distinct (u, t) is stepped once and its after-state's checkable pairs
+    are found once, at every slot: a vertex's step passes check_tx and apply_tx
+    reads no slot.  A state tries only the txs that spend one of its refs.
     """
     spenders = {}  # ref -> the universe txs spending it, in universe order
     for t in tx_universe:
@@ -171,18 +170,20 @@ def build_ledger_graph(
     initial = frozenset(v for u in initial_utxos for v in checkable(u, initial_slots))
     vertices = set(initial)
     edges = set()
+    succ = {}  # (u, t) -> checkable(u', slots) after the step, [] if it is refused
     frontier = deque(initial)
     while frontier:
         v = frontier.popleft()
         q, u, t = v
-        u2 = step_ledger(q, u, t, additional_checks)
-        if isinstance(u2, CheckResult):
-            continue
-        for w in checkable(u2, slots[bisect_left(slots, q):]):
-            edges.add((v, w))
-            if w not in vertices:
-                vertices.add(w)
-                frontier.append(w)
+        if (u, t) not in succ:
+            u2 = step_ledger(q, u, t, additional_checks)
+            succ[u, t] = [] if isinstance(u2, CheckResult) else checkable(u2, slots)
+        for w in succ[u, t]:
+            if w[0] >= q:
+                edges.add((v, w))
+                if w not in vertices:
+                    vertices.add(w)
+                    frontier.append(w)
     return SimpleGraph(frozenset(vertices), frozenset(edges), initial)
 
 

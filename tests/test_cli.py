@@ -703,6 +703,9 @@ class TestGraphDump:
         ("0", "25",
          "9137b39d2ccbf31d4bd3e179dee085c97faf60e541548385c8a85718ee7a0709",
          "e8e16818284120c025386b2fee6ee03454f7ad63bda6d4ca84416069ddc72767"),
+        ("0", "40",
+         "212e6e780ff442908e021ddcc910c1c7194bd7807e0dade2c29e598206ca0db6",
+         "bc3b4ee72e4250f3dd1af71c68ca96c883ac1dab5f91dfcbbdbe23919350b57b"),
     ])
     def test_pinned_digests(
         self, tmp_path, capsys, seed, depth, lam_digest, prime_digest

@@ -97,15 +97,26 @@ class TestValues:
         with pytest.raises(ValueError):
             tx_of((), [out("r")], interval=(0, 2 ** 64))
 
-    @pytest.mark.parametrize("inputs, outputs", [
-        (frozenset(), (1,)),
-        (frozenset(), (OutputRef(b"h", 0),)),
-        (frozenset([5]), ()),
-        (frozenset([OutputRef(b"h", 0)]), ()),
-    ], ids=["int-output", "ref-output", "int-input", "ref-input"])
-    def test_tx_rejects_parts_of_the_wrong_type(self, inputs, outputs):
+    @pytest.mark.parametrize("inputs, outputs, interval", [
+        (frozenset(), (1,), (0, 1)),
+        (frozenset(), (OutputRef(b"h", 0),), (0, 1)),
+        (frozenset([5]), (), (0, 1)),
+        (frozenset([OutputRef(b"h", 0)]), (), (0, 1)),
+        (5, (), (0, 1)),
+        (frozenset(), 5, (0, 1)),
+        (frozenset(), (), 5),
+        ([[1]], (), (0, 1)),
+    ], ids=["int-output", "ref-output", "int-input", "ref-input",
+            "int-inputs", "int-outputs", "int-interval", "unhashable-input"])
+    def test_tx_rejects_parts_of_the_wrong_type(self, inputs, outputs, interval):
         with pytest.raises(ValueError):
-            Tx(inputs, outputs, (0, 1))
+            Tx(inputs, outputs, interval)
+
+    @pytest.mark.parametrize("value", [5, [5], [b"a"], [(b"a", 1, 2)]],
+                             ids=["int", "int-pair", "short-pair", "triple"])
+    def test_output_rejects_a_value_of_the_wrong_shape(self, value):
+        with pytest.raises(ValueError):
+            Output(b"a", value=value)
 
     @pytest.mark.parametrize("ref, claimed", [
         ("x", Output(b"a")),

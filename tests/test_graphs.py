@@ -413,6 +413,25 @@ class TestLedgerGraphs:
         for u, t in tried:
             assert any(txin.output_ref in u for txin in t.inputs)
 
+    def test_each_pair_is_stepped_once(self, monkeypatch):
+        # a (u, t) reached at several slots steps to the same state at each
+        calls = {"step": 0, "check": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr("ledgerlab.graphs.step_ledger", counted("step", step_ledger))
+        monkeypatch.setattr("ledgerlab.graphs.check_tx", counted("check", check_tx))
+        sc, txs, slots = dump_universe(0, 25)
+        lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
+        pairs = {(u, t) for _, u, t in lam.vertices}
+        assert len(lam.vertices) == 642 and len(pairs) == 82
+        assert calls["step"] == len(pairs)
+        assert calls["check"] < len(lam.edges) == 4696
+
     def test_refused_step_has_no_successor(self, non_well_founded):
         # u0 already holds the ref t1 creates, so t1 collides on u0
         u0, (t0, t1) = non_well_founded
@@ -522,10 +541,14 @@ class TestLedgerGraphSlots:
         assert len(lam_prime.edges) == 3
 
     @settings(max_examples=60, deadline=None)
-    @given(narrow_universes(), st.booleans())
+    @given(narrow_universes(), st.sampled_from(["none", "nft", "slot"]))
     def test_successors_match_brute_force_on_narrow_intervals(self, universe, policy):
         u0, txs, initial_slots, slots = universe
-        hook = nft_contract(b"NFT").additional_checks if policy else None
+        hook = {
+            "none": None,
+            "nft": nft_contract(b"NFT").additional_checks,
+            "slot": lambda q, u, t: q != 2,  # a pure hook that reads the slot
+        }[policy]
         lam = build_ledger_graph([u0], initial_slots, txs, slots, hook)
         assert_ledger_successors(lam, [u0], initial_slots, txs, slots, hook)
         assert_projected_edges(lam, txs, slots, hook)
