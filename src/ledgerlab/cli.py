@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -378,6 +379,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_CLEAN
+    # ledger values form no reference cycles, so refcounting frees them all and
+    # the cycle collector only rescans the live heap: pause it for the command
+    enabled = gc.isenabled()
+    gc.disable()
     # the handler is looked up when called, so one rebound on the module runs
     try:
         return globals()["cmd_%s_%s" % (args.group, args.command)](args)
@@ -389,6 +394,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("internal error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

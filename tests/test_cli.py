@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -1082,6 +1083,50 @@ class TestUsage:
             assert code == EXIT_INTERNAL
             assert err == "internal error: %s: boom\n" % error.__name__
 
+    @pytest.fixture
+    def collector_on(self):
+        enabled = gc.isenabled()
+        gc.enable()
+        yield
+        if not enabled:
+            gc.disable()
+
+    def test_handler_runs_with_the_collector_paused(
+        self, collector_on, monkeypatch, capsys
+    ):
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_contract_list", lambda args: seen.append(gc.isenabled()) or 0)
+        assert run_cli(capsys, "contract", "list")[0] == EXIT_CLEAN
+        assert seen == [False]
+
+    @pytest.mark.parametrize("outcome, expected", [
+        (lambda: EXIT_CLEAN, EXIT_CLEAN),
+        (lambda: EXIT_VIOLATION, EXIT_VIOLATION),
+        (serialize.FormatError("bad"), EXIT_USAGE),
+        (RuntimeError("boom"), EXIT_INTERNAL),
+    ], ids=["clean", "violation", "format-error", "internal"])
+    def test_collector_is_back_on_after_every_exit(
+        self, outcome, expected, collector_on, monkeypatch, capsys
+    ):
+        def handler(args):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome()
+
+        monkeypatch.setattr(cli, "cmd_contract_list", handler)
+        assert run_cli(capsys, "contract", "list")[0] == expected
+        assert gc.isenabled()
+
+    def test_collector_is_back_on_after_a_usage_error(self, collector_on, capsys):
+        assert run_cli(capsys, "contract", "bogus")[0] == EXIT_USAGE
+        assert gc.isenabled()
+
+    def test_a_paused_collector_stays_paused(self, collector_on, capsys):
+        gc.disable()
+        assert run_cli(capsys, "contract", "list")[0] == EXIT_CLEAN
+        assert not gc.isenabled()
+
     @pytest.mark.parametrize("command", ["trace gen", "contract check"])
     def test_non_hex_token_is_a_usage_error(
         self, command, trace_dir, tmp_path, monkeypatch, capsys
@@ -1094,6 +1139,82 @@ class TestUsage:
         }[command]
         err = refused(capsys, monkeypatch, tmp_path, *argv)
         assert "error: argument --token: invalid fromhex value" in err
+
+
+def cyclic_garbage(capsys, *argv):
+    """The exit code of ``argv`` and the objects it left in reference cycles:
+    it runs with the collector off and saving what it finds, then collects."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(list(argv))
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    return code, garbage
+
+
+def ledgerlab_objects(garbage):
+    return [o for o in garbage
+            if (type(o).__module__ or "").split(".")[0] == "ledgerlab"]
+
+
+class TestNoCycles:
+    """Ledger values form no reference cycles, which is what makes it safe for
+    ``main`` to pause the cycle collector: refcounting frees them all."""
+
+    @pytest.fixture
+    def inputs(self, run_file, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "6", "--depth", "3", "--count", "20",
+            "--token", "4e4654", "--out", str(tmp_path / "gen"))
+        assert code == EXIT_CLEAN
+        traces = sorted(str(p) for p in (tmp_path / "gen").glob("trace_*.json"))
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        return {"traces": traces, "run": str(run_file[2]), "broken": str(broken),
+                "out": str(tmp_path / "out")}
+
+    COMMANDS = {
+        "trace gen": lambda i: [
+            "trace", "gen", "--seed", "1", "--count", "2", "--out", i["out"]],
+        "trace validate": lambda i: ["trace", "validate", i["traces"][0]],
+        "trace dist": lambda i: ["trace", "dist", *i["traces"][:2]],
+        "trace monitor": lambda i: [
+            "trace", "monitor", i["traces"][0], "--monitor", "utxo-empty"],
+        "props check": lambda i: ["props", "check", "--run", i["run"]],
+        "props canon --enumerate": lambda i: [
+            "props", "canon", "--run", i["run"], "--enumerate"],
+        "contract check --induce --nonexpanding": lambda i: [
+            "contract", "check", "--name", "nft", "--token", "4e4654",
+            "--traces", *i["traces"][:2], "--induce", "--nonexpanding",
+            "--out", i["out"]],
+        "graph dump": lambda i: ["graph", "dump", "--seed", "1", "--out", i["out"]],
+        "unreadable input": lambda i: ["trace", "validate", i["broken"]],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_ledger_value_is_cyclic_garbage(self, command, inputs, capsys):
+        code, garbage = cyclic_garbage(capsys, *self.COMMANDS[command](inputs))
+        assert code == (EXIT_USAGE if command == "unreadable input" else EXIT_CLEAN)
+        assert ledgerlab_objects(garbage) == []
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, inputs, capsys):
+        counts = []
+        for n in (2, 20):
+            code, garbage = cyclic_garbage(
+                capsys, "contract", "check", "--name", "nft", "--token", "4e4654",
+                "--traces", *inputs["traces"][:n])
+            assert code == EXIT_CLEAN
+            counts.append(len(garbage))
+        assert counts[0] == counts[1]
 
 
 class TestParserReuse:

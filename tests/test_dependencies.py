@@ -56,6 +56,15 @@ def test_file_io_only_in_cli(path):
     assert found == [], path.name
 
 
+def test_collector_pause_only_in_cli():
+    """``cli.main`` pauses the cycle collector for each command; no other
+    module touches it, so the pause and its restore stay in one place."""
+    found = [path.name for path in MODULES if path.name != "cli.py"
+             for _, name in imported_names(ast.parse(path.read_text(encoding="utf-8")))
+             if name == "gc"]
+    assert found == []
+
+
 #: the ledger step and check; the successor relation written with them
 SUCCESSOR_NAMES = {"step_ledger", "check_tx"}
 
