@@ -8,8 +8,10 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Optional, Tuple, Union
 
 MAX_INDEX = 2 ** 32
@@ -165,7 +167,9 @@ class UtxoSet:
     """The ledger state: a finite map OutputRef -> Output.
 
     Built from a mapping, copied into a dict, so lookups are dict operations
-    and equal contents compare and hash equal.  Only ``items()`` sorts.
+    and equal contents compare and hash equal.  Only ``items()`` sorts, at
+    most once per state, and not at all for a state that ``apply_tx`` made
+    from a parent whose order was known.
     """
 
     entries: Mapping[OutputRef, Output] = field(default_factory=dict)
@@ -176,10 +180,12 @@ class UtxoSet:
     # The refs only, so equal states still hash equal: frozenset(dict) reuses
     # the dict's stored hashes and runs no Python-level __hash__.  Hashing the
     # items made the state-repeat scan 20x slower on 2000-entry states.  The
-    # hash is computed once per instance; this is sound because the only
-    # writer of ``entries`` after construction is apply_tx, which edits the
-    # fresh state it is building before anything can hash it.
-    _hash = None
+    # hash and ``_items``, the canonical order, are computed once per instance
+    # and stored in its __dict__, like Tx's caches.  This is sound because the
+    # only writer of ``entries`` after construction is apply_tx, which edits
+    # the fresh state it is building, and sets its ``_items``, before
+    # anything can hash or order it.
+    _hash = _items = None
 
     def __hash__(self) -> int:
         h = self._hash
@@ -205,9 +211,33 @@ class UtxoSet:
 
     def items(self) -> Tuple[Tuple[OutputRef, Output], ...]:
         """The entries in canonical order: sorted by ref."""
-        return tuple(
-            sorted(self.entries.items(), key=lambda kv: (kv[0].tx_hash, kv[0].index))
-        )
+        items = self._items
+        if items is None:
+            items = self.__dict__["_items"] = _sorted_items(self.entries)
+        return items
+
+
+def _sorted_items(entries: Mapping) -> Tuple[Tuple[OutputRef, Output], ...]:
+    """The plain sort of a state's entries by ref: the canonical order of a
+    state whose parent's order is unknown, and the oracle of a derived one."""
+    return tuple(sorted(entries.items(), key=lambda kv: (kv[0].tx_hash, kv[0].index)))
+
+
+_ref_of = itemgetter(0)
+
+
+def _derived_order(u: UtxoSet, spent: Iterable[OutputRef], created: Mapping):
+    """The canonical order of (u \\ spent) ∪ created from u's known order,
+    where no created ref is in u \\ spent.  Spent refs that u does not hold
+    are skipped.  Kept pairs are the very pair objects of u's order.
+    """
+    items = list(u._items)
+    for ref in spent:
+        if ref in u.entries:
+            del items[bisect_left(items, ref, key=_ref_of)]
+    for pair in created.items():
+        insort(items, pair, key=_ref_of)
+    return tuple(items)
 
 
 # --- canonical byte serialization (hashing only; see docs/format.md) -------
@@ -339,6 +369,8 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
 
     Raises KeyCollisionError if a created ref survives in the remaining set,
     which cannot happen on valid runs from a well-founded initial state.
+    When ``utxo``'s canonical order is known, the new state's order is
+    derived from it rather than sorted again.
     """
     new = UtxoSet(utxo.entries)
     entries = new.entries
@@ -351,6 +383,8 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
             "output refs already present: %r" % (sorted(overlap)[:3],)
         )
     entries.update(created)
+    if utxo._items is not None:
+        new.__dict__["_items"] = _derived_order(utxo, get_orefs(tx), created)
     return new
 
 

@@ -29,17 +29,26 @@ from .traces import TracePrefix
 
 
 def check_well_founded(u0: UtxoSet, genesis_txs: Iterable[Tx]) -> CheckResult:
-    """Every key of u0 must be produced by an inputless genesis transaction."""
+    """Every key of u0 must be produced by an inputless genesis transaction.
+
+    Of several failing entries, the least ref names the reason, as a scan in
+    canonical order would; u0 is not sorted.
+    """
     by_hash: Dict[bytes, Tx] = {}
     for tx in genesis_txs:
         by_hash[hash_tx(tx)] = tx
-    for ref, out in u0.items():
+    least = None
+    for ref, out in u0.entries.items():
         tx = by_hash.get(ref.tx_hash)
         if tx is None or tx.inputs:
-            return CheckResult(False, "non-genesis-key")
-        if ref.index >= len(tx.outputs) or tx.outputs[ref.index] != out:
-            return CheckResult(False, "output-mismatch")
-    return CheckResult(True)
+            reason = "non-genesis-key"
+        elif ref.index >= len(tx.outputs) or tx.outputs[ref.index] != out:
+            reason = "output-mismatch"
+        else:
+            continue
+        if least is None or ref < least[0]:
+            least = (ref, reason)
+    return CheckResult(True) if least is None else CheckResult(False, least[1])
 
 
 def _least_shared(families: Iterable[Iterable]) -> Optional[Tuple[int, int]]:

@@ -175,8 +175,17 @@ class _Writer:
         return text
 
     def utxo(self, pieces: List[str], utxo: UtxoSet) -> List[str]:
-        """``pieces`` with the entries of ``utxo`` appended, in ref order."""
-        return _array(pieces, [self.entry(ref, out) for ref, out in utxo.items()])
+        """``pieces`` with the entries of ``utxo`` appended, in ref order.
+
+        One slice assignment lays the ``,`` pieces between the entry texts;
+        joining the state's text on its own would copy it once more.
+        """
+        n = len(utxo)
+        spelled = ["["] + [","] * (2 * n)
+        spelled[1::2] = [self.entry(ref, out) for ref, out in utxo.items()]
+        spelled[-1] = "]" if n else "[]"
+        pieces += spelled
+        return pieces
 
     def step(self, pieces: List[str], step: Tuple[Slot, Tx]) -> List[str]:
         """``pieces`` with the pair ``[slot, tx]`` appended."""

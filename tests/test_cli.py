@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import gen_traces
-from ledgerlab import cli, serialize
+from ledgerlab import cli, core, serialize
 from ledgerlab.cli import (
     EXIT_CLEAN,
     EXIT_INTERNAL,
@@ -124,6 +124,43 @@ class TestTraceGen:
             run_cli(capsys, "trace", "gen", "--seed", seed, "--out", str(out))
             blobs.append((out / "trace_000.json").read_bytes())
         assert blobs[0] != blobs[1]
+
+
+class TestSortCount:
+    """``trace gen`` sorts one state, the scenario's first: every later state
+    takes its canonical order from its parent.  No verdict command sorts."""
+
+    @pytest.mark.parametrize("token", [[], ["--token", "ab"]])
+    def test_gen_sorts_once_and_verdicts_never(
+        self, tmp_path, capsys, monkeypatch, token
+    ):
+        sorted_sizes = []
+        plain_sort = core._sorted_items
+
+        def counted(entries):
+            sorted_sizes.append(len(entries))
+            return plain_sort(entries)
+
+        monkeypatch.setattr(core, "_sorted_items", counted)
+        out = tmp_path / "traces"
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "4", "--outputs", "200", "--depth",
+            "5", "--count", "3", "--out", str(out), *token,
+        )
+        assert code == EXIT_CLEAN
+        assert sorted_sizes == [200]
+        trace = out / "trace_000.json"
+        prefix, genesis, _ = serialize.load_trace(trace.read_text())
+        assert len(prefix) == 5
+        run = tmp_path / "run.json"
+        run.write_text(serialize.dump_run(prefix.states[0], prefix.annotations, genesis))
+        sorted_sizes.clear()
+        for argv in (["trace", "validate", str(trace)],
+                     ["props", "check", "--run", str(run)]):
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == EXIT_CLEAN
+            assert all(v["clean"] for v in read_json(stdout)["verdicts"])
+        assert sorted_sizes == []
 
 
 class TestTraceValidate:

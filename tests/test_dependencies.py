@@ -65,6 +65,27 @@ def test_collector_pause_only_in_cli():
     assert found == []
 
 
+#: per-instance caches stored in an instance ``__dict__`` over a class default
+CACHE_FIELDS = {"_hash", "_id", "_created", "_items"}
+
+
+def test_cache_fields_written_only_in_core():
+    """Only ``core`` stores a ``Tx`` or ``UtxoSet`` cache.  ``UtxoSet``'s
+    cached hash and order are sound because ``apply_tx`` alone edits a state
+    after construction, before anything has read either."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "__dict__"
+                    and isinstance(node.slice, ast.Constant)
+                    and node.slice.value in CACHE_FIELDS):
+                found.append((path.name, node.slice.value))
+    assert found and {name for name, _ in found} == {"core.py"}
+    assert {field for _, field in found} == CACHE_FIELDS
+
+
 #: the ledger step and check; the successor relation written with them
 SUCCESSOR_NAMES = {"step_ledger", "check_tx"}
 

@@ -103,6 +103,23 @@ class TestWellFounded:
         verdict = check_well_founded(tampered, [genesis])
         assert verdict.reason == "output-mismatch"
 
+    @pytest.mark.parametrize("foreign_hash, reason", [
+        (b"\x00", "non-genesis-key"), (b"\xff" * 33, "output-mismatch")])
+    @pytest.mark.parametrize("foreign_first", [True, False])
+    def test_least_failing_ref_names_the_reason(self, foreign_hash, reason,
+                                                foreign_first):
+        # the reason a scan in canonical order meets first, whatever order
+        # the state's entries were inserted in
+        genesis = tx_of((), [out("g"), out("h")])
+        h = hash_tx(genesis)
+        failing = [(OutputRef(foreign_hash, 0), out("f")),
+                   (OutputRef(h, 0), out("forged"))]
+        if not foreign_first:
+            failing.reverse()
+        tampered = UtxoSet(dict([(OutputRef(h, 1), out("h"))] + failing))
+        verdict = check_well_founded(tampered, [genesis])
+        assert verdict.reason == reason
+
 
 class TestReplayProtection:
     def test_generated_runs_are_clean(self, scenario):

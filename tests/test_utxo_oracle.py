@@ -19,6 +19,7 @@ from ledgerlab.core import (
     get_orefs,
     hash_tx,
     mk_outs,
+    _sorted_items,
 )
 from ledgerlab.serialize import FormatError, _Reader, _Writer, output_to_json, ref_to_json
 from utxo_oracle import UtxoSet as OracleUtxoSet
@@ -138,13 +139,24 @@ def states_and_txs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=states_and_txs())
-def test_check_and_apply(case):
+@given(case=states_and_txs(), ordered=st.booleans())
+def test_check_and_apply(case, ordered):
+    """``ordered`` sorts the state first, so apply_tx derives the new state's
+    order from it instead of leaving it to be sorted."""
     entries, tx, slot = case
     new, old = UtxoSet(entries), OracleUtxoSet(entries)
+    if ordered:
+        new.items()
     assert check_tx(slot, new, tx) == check_tx(slot, old, tx)
     after_new, after_old = call(apply_tx, new, tx), call(oracle_apply, old, tx)
     if isinstance(after_old, str):
         assert after_new == after_old
-    else:
-        assert_same_state(after_new, after_old)
+        return
+    assert (after_new._items is not None) == ordered
+    assert_same_state(after_new, after_old)
+    assert after_new.items() == _sorted_items(after_new.entries)
+    if ordered:
+        parent_pairs = {pair[0]: pair for pair in new.items()}
+        kept = new.keys() - get_orefs(tx)
+        assert all(pair is parent_pairs[pair[0]]
+                   for pair in after_new.items() if pair[0] in kept)
