@@ -128,14 +128,12 @@ def _well_founded(start, genesis) -> dict:
 # --- trace commands ---------------------------------------------------------
 
 def cmd_trace_gen(args) -> int:
-    token = args.token or None
     scenario = gen.make_scenario(args.seed, n_outputs=args.outputs)
-    contract = CONTRACTS["nft"](token) if token else None
-    hook = contract.additional_checks if contract else None
+    hook = None if args.token is None else CONTRACTS["nft"](args.token).additional_checks
     traces = generate_valid_traces(
         [scenario.initial_utxo],
         [scenario.initial_slot],
-        gen.make_proposer(token=token),
+        gen.make_proposer(token=args.token),
         depth=args.depth,
         count=args.count,
         seed=args.seed,
@@ -254,7 +252,7 @@ def cmd_contract_list(args) -> int:
 
 def cmd_contract_check(args) -> int:
     make = CONTRACTS[args.name]
-    sc = make(args.token) if args.token else make()
+    sc = make(args.token) if args.token is not None else make()
     inputs = _Inputs(*args.traces)
     traces = [prefix for prefix, _, _ in serialize.load_traces(inputs)]
     report = check_contract_on_traces(sc, traces)

@@ -44,16 +44,15 @@ def make_proposer(
     def propose(rng: random.Random, slot: int, utxo: UtxoSet) -> Optional[Tx]:
         if len(utxo) == 0:
             return None
-        refs = [ref for ref, _ in utxo.items()]
-        n_spend = rng.randint(1, min(max_spend, len(refs)))
-        spent = rng.sample(refs, n_spend)
-        inputs = frozenset(TxInput(r, utxo.get(r)) for r in spent)
+        n_spend = rng.randint(1, min(max_spend, len(utxo)))
+        spent = rng.sample(utxo.items(), n_spend)
+        inputs = frozenset(TxInput(r, out) for r, out in spent)
 
         n_create = rng.randint(1, max_create)
         token_slot = -1
         if token is not None:
             total = sum(out.quantity(token) for out in utxo.values())
-            held = sum(utxo.get(r).quantity(token) for r in spent)
+            held = sum(out.quantity(token) for _, out in spent)
             free = total - held
             if free == 0:
                 if held:

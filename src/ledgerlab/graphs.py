@@ -38,17 +38,6 @@ class SimpleGraph:
     def successors(self, v) -> frozenset:
         return frozenset(b for a, b in self.edges if a == v)
 
-    def full_subgraph(self, subset: Iterable) -> "SimpleGraph":
-        """Induced subgraph on ``subset``; keeps the initial vertices inside it."""
-        sub = frozenset(subset)
-        if not sub <= self.vertices:
-            raise ValueError("subset must be contained in the vertex set")
-        return SimpleGraph(
-            vertices=sub,
-            edges=frozenset(e for e in self.edges if e[0] in sub and e[1] in sub),
-            initial=self.initial & sub,
-        )
-
 
 def is_sieve(graph: SimpleGraph, subset: Iterable) -> bool:
     """True iff every edge leaving ``subset`` ends inside it."""
@@ -56,14 +45,6 @@ def is_sieve(graph: SimpleGraph, subset: Iterable) -> bool:
     if not sub <= graph.vertices:
         raise ValueError("subset must be contained in the vertex set")
     return all(b in sub for a, b in graph.edges if a in sub)
-
-
-def intersect_sieves(graph: SimpleGraph, s1: Iterable, s2: Iterable) -> frozenset:
-    """Intersection of two sieves; sieves are closed under intersection."""
-    s1, s2 = frozenset(s1), frozenset(s2)
-    if not is_sieve(graph, s1) or not is_sieve(graph, s2):
-        raise ValueError("arguments must be sieves")
-    return s1 & s2
 
 
 @dataclass(frozen=True)
@@ -90,10 +71,6 @@ class PartialSieveHom:
 
     def defined_at(self, v) -> bool:
         return v in self.mapping
-
-
-def identity_hom(graph: SimpleGraph) -> PartialSieveHom:
-    return PartialSieveHom(graph, graph, {v: v for v in graph.vertices})
 
 
 def check_hom(hom: PartialSieveHom) -> CheckResult:

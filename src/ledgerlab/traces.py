@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import CheckResult, Slot, Tx, UtxoSet, step_ledger
 from .graphs import PartialSieveHom
@@ -80,80 +80,6 @@ def ultra_distance(a: TracePrefix, b: TracePrefix) -> UltraDistance:
     return UltraDistance(False, Fraction(1, 2 ** n))
 
 
-def floor_neg_log2(r: Fraction) -> int:
-    """⌊-log2 r⌋ for 0 < r <= 1, computed in exact rational arithmetic."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if r > 1:
-        return 0
-    # ⌊log2 x⌋ == ⌊log2 ⌊x⌋⌋ for x >= 1
-    return (r.denominator // r.numerator).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class UltrametricReport:
-    triples_checked: int
-    triples_skipped: int
-    violations: Tuple
-
-
-def check_ultrametric_axioms(samples: Sequence[TracePrefix]) -> UltrametricReport:
-    """Verify the strong triangle inequality and the isosceles property.
-
-    Every triple with three exactly-computable pairwise distances is
-    checked; triples with an inexact distance are skipped and counted.
-    One comparison covers both: for sorted distances v0 <= v1 <= v2, the
-    strong triangle inequality v2 <= max(v0, v1) = v1 forces v1 = v2.
-    """
-    checked = 0
-    skipped = 0
-    violations = []
-    m = len(samples)
-    dist = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[i, j] = ultra_distance(samples[i], samples[j])
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                ds = [dist[i, j], dist[j, k], dist[i, k]]
-                if not all(d.exact for d in ds):
-                    skipped += 1
-                    continue
-                checked += 1
-                vals = sorted(d.value for d in ds)
-                if vals[2] > vals[1]:
-                    violations.append(("strong-triangle", (i, j, k)))
-    return UltrametricReport(checked, skipped, tuple(violations))
-
-
-@dataclass(frozen=True)
-class BallReport:
-    members: Tuple[TracePrefix, ...]
-    too_short: Tuple[TracePrefix, ...]
-    head_length: int
-
-
-def ball_members(
-    center: TracePrefix, radius, candidates: Sequence[TracePrefix]
-) -> BallReport:
-    """Candidates inside the open ball: those sharing the ⌊-log2 r⌋-head.
-
-    Radii collapse to the dyadic grid.  Candidates too short to decide
-    membership are excluded and reported.
-    """
-    n = floor_neg_log2(Fraction(radius))
-    members = []
-    too_short = []
-    for cand in candidates:
-        if len(cand) < n or len(center) < n:
-            too_short.append(cand)
-        elif cand.states[:n] == center.states[:n]:
-            members.append(cand)
-    return BallReport(tuple(members), tuple(too_short), n)
-
-
 @dataclass(frozen=True)
 class NonExpansionReport:
     pairs_checked: int
@@ -210,28 +136,14 @@ def monitor_trace(
     """Smallest index n whose (n+1)-state head is bad, or None if clean.
 
     A safety property is given by its bad prefixes: ``bad_prefix`` must be
-    irremediable, true on every extension of a prefix it holds on
-    (``check_monitor_monotone`` spot-checks this).  Badness is then
+    irremediable, true on every extension of a prefix it holds on (the
+    tests spot-check each of ``cli.MONITORS``).  Badness is then
     monotone in n, and a binary search needs O(log n) calls of it.
     """
     n = bisect.bisect_left(
         range(len(prefix)), True, key=lambda n: bad_prefix(prefix.head(n + 1))
     )
     return n if n < len(prefix) else None
-
-
-def check_monitor_monotone(
-    bad_prefix: Callable[[TracePrefix], bool], samples: Iterable[TracePrefix]
-) -> bool:
-    """Spot-check irremediability: bad heads never become clean again."""
-    for prefix in samples:
-        bad = False
-        for n in range(len(prefix)):
-            now = bad_prefix(prefix.head(n + 1))
-            if bad and not now:
-                return False
-            bad = bad or now
-    return True
 
 
 # --- validity and generation ------------------------------------------------

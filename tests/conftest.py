@@ -49,6 +49,25 @@ def gen_traces(scenario, depth=6, count=10, seed=23, token=None, hook=None):
     )
 
 
+def ball(center, k, candidates) -> set:
+    """The ball of radius 2^-k around a trace: the candidates sharing
+    ``center``'s k-state head.  One shorter than k is undecided, left out."""
+    return {t for t in candidates if len(t) >= k and t.states[:k] == center.states[:k]}
+
+
+def check_monitor_monotone(bad_prefix, samples) -> bool:
+    """Spot-check irremediability, which ``monitor_trace``'s bisection
+    assumes: on every sample, a bad head never becomes clean again."""
+    for prefix in samples:
+        bad = False
+        for n in range(len(prefix)):
+            now = bad_prefix(prefix.head(n + 1))
+            if bad and not now:
+                return False
+            bad = bad or now
+    return True
+
+
 @pytest.fixture
 def eight_tx():
     """The worked 8-transaction dependency scenario.

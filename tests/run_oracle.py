@@ -3,12 +3,13 @@
 These are the plain versions that ``ledgerlab.properties._least_shared``
 replaced: the O(n^2) first-repeat scan, the pairwise disjointness loops
 over ``itertools.combinations``, and the hashed-set ``duplicate-tx``
-monitor predicate.
+monitor predicate.  ``assign_slots`` is the greedy slot rule spelled out
+on its own, the oracle of ``properties.valid_orders``' per-step slots.
 """
 import itertools
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ledgerlab.core import CheckResult, get_orefs, mk_outs
+from ledgerlab.core import CheckResult, Slot, Tx, get_orefs, mk_outs
 
 
 def _first_repeat(items: Sequence) -> Optional[Tuple[int, int]]:
@@ -55,3 +56,22 @@ def duplicate_tx(p) -> bool:
     return p.annotations is not None and len(
         {tx for _, tx in p.annotations}
     ) < len(p.annotations)
+
+
+def assign_slots(txs: Sequence[Tx]) -> Optional[List[Slot]]:
+    """Non-decreasing slots satisfying every validity interval, or None.
+
+    Greedily assigns the minimal non-decreasing sequence: each slot is the
+    start of its interval or the previous slot, whichever is later, and it
+    must lie below the interval's end.  It exists exactly when some
+    non-decreasing assignment does.
+    """
+    slots = []
+    current = 0
+    for tx in txs:
+        start, end = tx.validity_interval
+        current = max(current, start)
+        if not current < end:
+            return None
+        slots.append(current)
+    return slots

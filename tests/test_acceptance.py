@@ -10,9 +10,9 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
-from conftest import forward_closure, random_graph, random_hom
+from conftest import ball, forward_closure, random_graph, random_hom
+from run_oracle import assign_slots
 from ledgerlab.cli import EXIT_CLEAN, main
 from ledgerlab.contracts import check_contract_on_traces, induce_trace_map, nft_contract
 from ledgerlab.core import (
@@ -27,25 +27,17 @@ from ledgerlab.core import (
     step_ledger,
 )
 from ledgerlab.gen import make_proposer, make_scenario
-from ledgerlab.graphs import check_hom, compose_homs, intersect_sieves, is_sieve
+from ledgerlab.graphs import check_hom, compose_homs, is_sieve
 from ledgerlab.properties import (
-    assign_slots,
     build_tx_poset,
     canonical_presentation,
-    check_commutativity,
     check_disjointness,
     check_replay_protection,
     check_trivial_update_protection,
     enumerate_valid_permutations,
     replay_sequence,
 )
-from ledgerlab.traces import (
-    TracePrefix,
-    ball_members,
-    check_ultrametric_axioms,
-    generate_valid_traces,
-    ultra_distance,
-)
+from ledgerlab.traces import TracePrefix, generate_valid_traces, ultra_distance
 
 
 @contextmanager
@@ -232,7 +224,7 @@ def test_c5_worked_example(eight_tx):
         slots = assign_slots(permuted)
         replayed = replay_sequence(u0, slots, permuted)
         assert isinstance(replayed, TracePrefix)
-        assert check_commutativity(run, replayed)
+        assert replayed.states[-1] == run.states[-1]
 
 
 # --- criterion 6: ultrametric axioms and balls ------------------------------
@@ -270,18 +262,16 @@ def test_c6_ultrametric_axioms_and_balls():
             ]
             if not all(d.exact for d in ds):
                 continue
-            report = check_ultrametric_axioms(triple)
-            assert report.triples_checked == 1
-            assert report.violations == ()
+            # strong triangle: for sorted values v0 <= v1 <= v2, v2 <= v1
+            v0, v1, v2 = sorted(d.value for d in ds)
+            assert v2 <= v1, triple
             checked += 1
 
         nested = 0
         for _ in range(100):
             c1, c2 = rng.choice(pool), rng.choice(pool)
-            r1 = Fraction(1, 2 ** rng.randint(0, 4))
-            r2 = Fraction(1, 2 ** rng.randint(0, 4))
-            m1 = set(ball_members(c1, r1, pool).members)
-            m2 = set(ball_members(c2, r2, pool).members)
+            k1, k2 = rng.randint(0, 4), rng.randint(0, 4)
+            m1, m2 = ball(c1, k1, pool), ball(c2, k2, pool)
             if m1 & m2:
                 assert m1 <= m2 or m2 <= m1
                 nested += 1
@@ -375,8 +365,7 @@ def test_c8_sieve_algebra():
                 g, frozenset(v for v in g.vertices if rng.random() < 0.3)
             )
             assert is_sieve(g, s1) and is_sieve(g, s2)
-            both = intersect_sieves(g, s1, s2)
-            assert is_sieve(g, both)
+            assert is_sieve(g, s1 & s2)
 
             f = random_hom(rng, g)
             assert check_hom(f)

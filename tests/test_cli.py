@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import gen_traces
+from conftest import check_monitor_monotone, gen_traces
 from ledgerlab import cli, core, serialize
 from ledgerlab.cli import (
     EXIT_CLEAN,
@@ -22,7 +22,7 @@ from ledgerlab.cli import (
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import UtxoSet
 from ledgerlab.gen import make_scenario
-from ledgerlab.traces import TracePrefix, check_monitor_monotone, check_non_expanding
+from ledgerlab.traces import TracePrefix, check_non_expanding
 
 
 def run_cli(capsys, *argv):
@@ -105,17 +105,27 @@ class TestTraceGen:
         assert code == EXIT_CLEAN
         assert sorted(p.name for p in tmp_path.iterdir()) == ["flag"]
 
-    def test_empty_token_is_no_token(self, tmp_path, capsys):
-        outs = []
-        for token in ([], ["--token", ""]):
-            out = tmp_path / ("empty" if token else "none")
-            code, stdout, _ = run_cli(
-                capsys, "trace", "gen", "--seed", "3", "--depth", "4",
-                "--count", "2", "--out", str(out), *token,
-            )
-            assert code == EXIT_CLEAN
-            outs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
-        assert outs[0] == outs[1]
+    def test_empty_token_is_a_token(self, tmp_path, capsys, monkeypatch):
+        """``--token ""`` is the token id ``b""``, not the default or no token."""
+        made = []
+
+        def contract(*args):
+            made.append(args)
+            return nft_contract(*args)
+
+        monkeypatch.setitem(cli.CONTRACTS, "nft", contract)
+        out = tmp_path / "empty"
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "3", "--depth", "4",
+            "--count", "2", "--out", str(out), "--token", "",
+        )
+        assert code == EXIT_CLEAN
+        code, stdout, _ = run_cli(
+            capsys, "contract", "check", "--name", "nft", "--token", "",
+            "--traces", *sorted(str(p) for p in out.glob("trace_*.json")),
+        )
+        assert code == EXIT_CLEAN and read_json(stdout)["steps_checked"] == 6
+        assert made == [(b"",), (b"",)]
 
     def test_seed_changes_bytes(self, tmp_path, capsys):
         blobs = []

@@ -25,8 +25,6 @@ from ledgerlab.graphs import (
     check_hom,
     compose_homs,
     enumerate_paths,
-    identity_hom,
-    intersect_sieves,
     is_sieve,
     project_ledger_graph,
 )
@@ -40,6 +38,18 @@ def graphs(draw, max_vertices=8):
     edges = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=12)))
     initial = frozenset(draw(st.sets(st.sampled_from(range(n)), max_size=n)))
     return SimpleGraph(vertices, edges, initial)
+
+
+def full_subgraph(graph, subset):
+    """Induced subgraph on ``subset``; keeps the initial vertices inside it."""
+    sub = frozenset(subset)
+    if not sub <= graph.vertices:
+        raise ValueError("subset must be contained in the vertex set")
+    return SimpleGraph(
+        vertices=sub,
+        edges=frozenset(e for e in graph.edges if e[0] in sub and e[1] in sub),
+        initial=graph.initial & sub,
+    )
 
 
 def a_sieve(draw, graph):
@@ -67,11 +77,11 @@ class TestSimpleGraph:
         g = SimpleGraph(
             frozenset([1, 2, 3]), frozenset([(1, 2), (2, 3)]), frozenset([1])
         )
-        sub = g.full_subgraph([1, 2])
+        sub = full_subgraph(g, [1, 2])
         assert sub.edges == frozenset([(1, 2)])
         assert sub.initial == frozenset([1])
         with pytest.raises(ValueError):
-            g.full_subgraph([4])
+            full_subgraph(g, [4])
 
 
 class TestSieves:
@@ -90,16 +100,14 @@ class TestSieves:
         with pytest.raises(ValueError):
             is_sieve(g, [9])
 
-    def test_intersection_requires_sieves(self):
-        g = SimpleGraph(frozenset([1, 2]), frozenset([(1, 2)]))
-        with pytest.raises(ValueError):
-            intersect_sieves(g, [1], [2])
-
     def test_intersection_of_sieves(self):
         g = SimpleGraph(
             frozenset([1, 2, 3]), frozenset([(1, 3), (2, 3)])
         )
-        assert intersect_sieves(g, [1, 3], [2, 3]) == frozenset([3])
+        s1, s2 = frozenset([1, 3]), frozenset([2, 3])
+        assert is_sieve(g, s1) and is_sieve(g, s2)
+        assert s1 & s2 == frozenset([3])
+        assert is_sieve(g, s1 & s2)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -108,15 +116,14 @@ class TestSieves:
         s1 = a_sieve(data.draw, g)
         s2 = a_sieve(data.draw, g)
         assert is_sieve(g, s1) and is_sieve(g, s2)
-        both = intersect_sieves(g, s1, s2)
-        assert is_sieve(g, both)
+        assert is_sieve(g, s1 & s2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sieve_of_a_sieve_is_a_sieve(self, data):
         g = data.draw(graphs())
         outer = a_sieve(data.draw, g)
-        inner_graph = g.full_subgraph(outer)
+        inner_graph = full_subgraph(g, outer)
         inner = forward_closure(
             inner_graph,
             frozenset(
@@ -134,7 +141,7 @@ class TestHoms:
         g = SimpleGraph(
             frozenset([1, 2]), frozenset([(1, 2)]), frozenset([1])
         )
-        assert check_hom(identity_hom(g))
+        assert check_hom(PartialSieveHom(g, g, {v: v for v in g.vertices}))
 
     def test_domain_is_the_mapping_keys(self):
         g = SimpleGraph(frozenset([1, 2]), frozenset())

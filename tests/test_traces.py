@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dump_universe, gen_traces
+from conftest import ball, check_monitor_monotone, dump_universe, gen_traces
 from ledgerlab.core import UtxoSet, apply_tx
 from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import (
@@ -17,12 +18,7 @@ from ledgerlab.graphs import (
 )
 from ledgerlab.traces import (
     TracePrefix,
-    UltraDistance,
-    ball_members,
-    check_monitor_monotone,
     check_non_expanding,
-    check_ultrametric_axioms,
-    floor_neg_log2,
     generate_valid_traces,
     has_truncated_lift,
     monitor_trace,
@@ -80,116 +76,48 @@ class TestUltraDistance:
         assert not d.exact and d.value == Fraction(1, 2)
 
 
-class TestFloorNegLog2:
-    @pytest.mark.parametrize(
-        "radius,expected",
-        [
-            (Fraction(1), 0),
-            (Fraction(1, 2), 1),
-            (Fraction(3, 10), 1),
-            (Fraction(1, 4), 2),
-            (Fraction(1, 5), 2),
-            (Fraction(1, 1024), 10),
-            (Fraction(3, 2), 0),
-        ],
-    )
-    def test_values(self, radius, expected):
-        assert floor_neg_log2(radius) == expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            floor_neg_log2(Fraction(0))
-
-    @staticmethod
-    def loop_oracle(r: Fraction) -> int:
-        """The largest n with 2^-n >= r, found by counting up."""
-        n = 0
-        while Fraction(1, 2 ** (n + 1)) >= r:
-            n += 1
-        return n
-
-    def test_powers_of_two(self):
-        for k in range(60):
-            r = Fraction(1, 2 ** k)
-            assert floor_neg_log2(r) == self.loop_oracle(r) == k
-            above = r * Fraction(2 ** 40 + 1, 2 ** 40)
-            assert floor_neg_log2(above) == max(k - 1, 0)
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.integers(1, 2 ** 70), st.integers(0, 2 ** 70))
-    def test_agrees_with_loop(self, num, extra):
-        r = Fraction(num, num + extra)
-        assert floor_neg_log2(r) == self.loop_oracle(r)
+def strong_triangle_holds(a, b, c):
+    """The strong triangle inequality on a triple whose three distances are
+    exact: for sorted values v0 <= v1 <= v2, v2 <= max(v0, v1) = v1.  None
+    when a distance is only a bound."""
+    ds = [ultra_distance(x, y) for x, y in ((a, b), (b, c), (a, c))]
+    if not all(d.exact for d in ds):
+        return None
+    v0, v1, v2 = sorted(d.value for d in ds)
+    return v2 <= v1
 
 
 class TestAxioms:
     def test_equilateral_triple(self):
-        report = check_ultrametric_axioms([plain("a"), plain("b"), plain("c")])
-        assert report.triples_checked == 1
-        assert report.violations == ()
+        assert strong_triangle_holds(plain("a"), plain("b"), plain("c"))
 
     def test_isosceles_with_small_base(self):
         a = plain("x", "p", "1")
         b = plain("x", "p", "2")
         c = plain("x", "q", "1")
         # d(a,b)=1/4, d(a,c)=d(b,c)=1/2: the two largest are equal
-        report = check_ultrametric_axioms([a, b, c])
-        assert report.triples_checked == 1
-        assert report.violations == ()
+        assert strong_triangle_holds(a, b, c)
 
     def test_inexact_triples_are_skipped(self):
         a = plain("x")
         b = plain("x", "y")
         c = plain("z")
-        report = check_ultrametric_axioms([a, b, c])
-        assert report.triples_checked == 0
-        assert report.triples_skipped == 1
-
-    def test_violation_is_reported(self, monkeypatch):
-        # ultra_distance is an ultrametric, so put an exact metric that is
-        # not one in its place: the number of differing states
-        def hamming(a, b):
-            return UltraDistance(True, Fraction(
-                sum(x != y for x, y in zip(a.states, b.states))))
-
-        monkeypatch.setattr("ledgerlab.traces.ultra_distance", hamming)
-        # d(aa, ab) = d(ab, bb) = 1 < d(aa, bb) = 2
-        report = check_ultrametric_axioms(
-            [plain("a", "a"), plain("a", "b"), plain("b", "b")])
-        assert report.triples_checked == 1
-        assert report.violations == (("strong-triangle", (0, 1, 2)),)
+        assert strong_triangle_holds(a, b, c) is None
 
     def test_generated_traces_satisfy_axioms(self):
         sc = make_scenario(5)
         traces = gen_traces(sc, depth=5, count=12, seed=77)
-        report = check_ultrametric_axioms(traces)
-        assert report.violations == ()
-        assert report.triples_checked > 0
+        verdicts = [strong_triangle_holds(*t)
+                    for t in itertools.combinations(traces, 3)]
+        assert False not in verdicts
+        assert True in verdicts
 
 
 class TestBalls:
     def test_radius_one_contains_everything_observed(self):
         center = plain("a", "b")
         cands = [plain("x"), plain("y", "z")]
-        report = ball_members(center, 1, cands)
-        assert set(report.members) == set(cands)
-        assert report.head_length == 0
-
-    def test_fractional_radius_rounds_to_dyadic(self):
-        center = plain("a", "b")
-        close = plain("a", "z")
-        far = plain("x", "b")
-        report = ball_members(center, Fraction(3, 10), [close, far, center])
-        assert report.head_length == 1
-        assert close in report.members and center in report.members
-        assert far not in report.members
-
-    def test_too_short_candidates_are_reported(self):
-        center = plain("a", "b", "c")
-        stub = plain("a")
-        report = ball_members(center, Fraction(1, 4), [stub])
-        assert report.members == ()
-        assert report.too_short == (stub,)
+        assert ball(center, 0, cands) == set(cands)
 
     def test_nesting(self):
         rng = random.Random(12)
@@ -197,10 +125,8 @@ class TestBalls:
         traces = gen_traces(sc, depth=5, count=10, seed=6)
         for _ in range(40):
             c1, c2 = rng.choice(traces), rng.choice(traces)
-            r1 = Fraction(1, 2 ** rng.randint(0, 3))
-            r2 = Fraction(1, 2 ** rng.randint(0, 3))
-            m1 = set(ball_members(c1, r1, traces).members)
-            m2 = set(ball_members(c2, r2, traces).members)
+            m1 = ball(c1, rng.randint(0, 3), traces)
+            m2 = ball(c2, rng.randint(0, 3), traces)
             if m1 & m2:
                 assert m1 <= m2 or m2 <= m1
 
