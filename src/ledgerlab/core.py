@@ -3,7 +3,9 @@
 The ledger state is a finite map from output references ``(tx_hash, index)``
 to outputs.  Applying a transaction removes the entries it spends and adds
 one entry per output, keyed by the transaction hash.  All values here are
-immutable after construction and every operation is a pure function.
+immutable after construction and every public operation is a pure function;
+the one in-place step and its inverse serve ``apply_tx`` and the order walk
+of ``properties.valid_orders``, which owns the state it edits.
 """
 from __future__ import annotations
 
@@ -54,16 +56,30 @@ class KeyCollisionError(Exception):
     """
 
 
-@dataclass(frozen=True, order=True)
-class OutputRef:
-    """Unique identifier of a UTxO entry: creating tx hash + output position."""
+class OutputRef(tuple):
+    """Unique identifier of a UTxO entry: creating tx hash + output position.
 
-    tx_hash: bytes
-    index: int
+    The pair ``(tx_hash, index)`` itself, so hashing, equality and ordering
+    run in C: every state lookup is keyed by a ref.  It hashes, compares
+    and orders exactly as that plain tuple, to which it is equal.
+    """
 
-    def __post_init__(self):
-        _in_domain(self.tx_hash, "tx_hash", bound=None)
-        _in_domain(self.index, "output index", MAX_INDEX)
+    __slots__ = ()
+
+    def __new__(cls, tx_hash: bytes, index: int):
+        _in_domain(tx_hash, "tx_hash", bound=None)
+        _in_domain(index, "output index", MAX_INDEX)
+        return tuple.__new__(cls, (tx_hash, index))
+
+    tx_hash = property(itemgetter(0))
+    index = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild a ref as OutputRef(tx_hash, index)
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "OutputRef(tx_hash=%r, index=%r)" % self
 
 
 @dataclass(frozen=True)
@@ -181,10 +197,12 @@ class UtxoSet:
     # the dict's stored hashes and runs no Python-level __hash__.  Hashing the
     # items made the state-repeat scan 20x slower on 2000-entry states.  The
     # hash and ``_items``, the canonical order, are computed once per instance
-    # and stored in its __dict__, like Tx's caches.  This is sound because the
-    # only writer of ``entries`` after construction is apply_tx, which edits
-    # the fresh state it is building, and sets its ``_items``, before
-    # anything can hash or order it.
+    # and stored in its __dict__, like Tx's caches.  This is sound because
+    # ``entries`` has two writers after construction, and neither lets a
+    # stale cache be read: apply_tx edits the fresh state it is building, and
+    # sets its ``_items``, before anything can hash or order it; and
+    # properties.valid_orders steps and undoes its one private copy of the
+    # start state in place, which is never hashed, ordered or returned.
     _hash = _items = None
 
     def __hash__(self) -> int:
@@ -220,7 +238,7 @@ class UtxoSet:
 def _sorted_items(entries: Mapping) -> Tuple[Tuple[OutputRef, Output], ...]:
     """The plain sort of a state's entries by ref: the canonical order of a
     state whose parent's order is unknown, and the oracle of a derived one."""
-    return tuple(sorted(entries.items(), key=lambda kv: (kv[0].tx_hash, kv[0].index)))
+    return tuple(sorted(entries.items(), key=_ref_of))
 
 
 _ref_of = itemgetter(0)
@@ -228,13 +246,12 @@ _ref_of = itemgetter(0)
 
 def _derived_order(u: UtxoSet, spent: Iterable[OutputRef], created: Mapping):
     """The canonical order of (u \\ spent) ∪ created from u's known order,
-    where no created ref is in u \\ spent.  Spent refs that u does not hold
-    are skipped.  Kept pairs are the very pair objects of u's order.
+    where every spent ref is in u and no created ref is in u \\ spent.
+    Kept pairs are the very pair objects of u's order.
     """
     items = list(u._items)
     for ref in spent:
-        if ref in u.entries:
-            del items[bisect_left(items, ref, key=_ref_of)]
+        del items[bisect_left(items, ref, key=_ref_of)]
     for pair in created.items():
         insort(items, pair, key=_ref_of)
     return tuple(items)
@@ -364,6 +381,37 @@ def check_tx(
     return CHECK_OK
 
 
+def _apply_in_place(entries: dict, tx: Tx) -> dict:
+    """Edit a state's entries into (u \\ r) ∪ c; return the entries it spent.
+
+    Spent refs that ``entries`` does not hold are skipped.  Raises
+    KeyCollisionError, with ``entries`` restored, if a created ref survives
+    in the remaining set.  ``_undo_in_place`` reverses a completed call.
+    """
+    spent = {}
+    for txin in tx.inputs:
+        ref = txin.output_ref
+        out = entries.pop(ref, None)
+        if out is not None:
+            spent[ref] = out
+    created = mk_outs(tx).entries
+    if not entries.keys().isdisjoint(created):
+        overlap = entries.keys() & created.keys()
+        entries.update(spent)
+        raise KeyCollisionError(
+            "output refs already present: %r" % (sorted(overlap)[:3],)
+        )
+    entries.update(created)
+    return spent
+
+
+def _undo_in_place(entries: dict, tx: Tx, spent: dict) -> None:
+    """Reverse ``spent = _apply_in_place(entries, tx)``."""
+    for ref in mk_outs(tx).entries:
+        del entries[ref]
+    entries.update(spent)
+
+
 def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
     """State update u' = (u \\ r) ∪ c: drop the spent refs, add the created.
 
@@ -373,18 +421,9 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
     derived from it rather than sorted again.
     """
     new = UtxoSet(utxo.entries)
-    entries = new.entries
-    for txin in tx.inputs:
-        entries.pop(txin.output_ref, None)
-    created = mk_outs(tx).entries
-    overlap = entries.keys() & created.keys()
-    if overlap:
-        raise KeyCollisionError(
-            "output refs already present: %r" % (sorted(overlap)[:3],)
-        )
-    entries.update(created)
+    spent = _apply_in_place(new.entries, tx)
     if utxo._items is not None:
-        new.__dict__["_items"] = _derived_order(utxo, get_orefs(tx), created)
+        new.__dict__["_items"] = _derived_order(utxo, spent, mk_outs(tx).entries)
     return new
 
 

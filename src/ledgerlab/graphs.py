@@ -35,8 +35,19 @@ class SimpleGraph:
         if not self.initial <= self.vertices:
             raise ValueError("initial vertices must be vertices")
 
+    # The adjacency map, built on the first successors call and stored in
+    # the instance __dict__ over this class default, like Tx's caches; it is
+    # not a field, so __eq__, hash and repr do not see it.
+    _succ = None
+
     def successors(self, v) -> frozenset:
-        return frozenset(b for a, b in self.edges if a == v)
+        succ = self._succ
+        if succ is None:
+            adj = {}
+            for a, b in self.edges:
+                adj.setdefault(a, []).append(b)
+            succ = self.__dict__["_succ"] = {a: frozenset(bs) for a, bs in adj.items()}
+        return succ.get(v, frozenset())
 
 
 def is_sieve(graph: SimpleGraph, subset: Iterable) -> bool:

@@ -16,10 +16,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     CheckResult,
+    KeyCollisionError,
     OutputRef,
     Slot,
     Tx,
     UtxoSet,
+    _apply_in_place,
+    _undo_in_place,
+    check_tx,
     get_orefs,
     hash_tx,
     mk_outs,
@@ -239,13 +243,17 @@ def valid_orders(
     interval, whichever is later.  ``check_tx`` refuses a greedy slot at or
     past the interval's end, and greedy slots fit exactly when some
     non-decreasing assignment does.  The sequences are walked as a prefix
-    trie, which is depth first when they are sorted: a stack holds the
-    state and greedy slot after each step of the previous sequence, and a
-    sequence replays only the steps after the prefix it shares with the
-    stack.  A refused step leaves the stack at its depth, so no state is
-    reused that a different order reached.
+    trie, which is depth first when they are sorted, on one private copy of
+    ``u0`` that each step edits in place: ``done`` holds each applied step
+    of the previous sequence with the entries it spent and its slot, and a
+    sequence first undoes the steps past the prefix it shares with ``done``,
+    then replays the rest.  A refused step, or a created ref that is still
+    unspent (``created-collides``), leaves the state and ``done`` at its
+    depth, so no state is reused that a different order reached.
     """
-    stack: List[Tuple[UtxoSet, Slot]] = [(u0, 0)]
+    state = UtxoSet(u0.entries)
+    entries = state.entries
+    done: List[Tuple[Tx, dict, Slot]] = []
     prev: Sequence[int] = ()
     valid = []
     for seq in sequences:
@@ -254,14 +262,18 @@ def valid_orders(
             if a != b:
                 break
             shared += 1
-        del stack[shared + 1 :]
-        for i in seq[len(stack) - 1 :]:
-            state, current = stack[-1]
-            slot = max(current, txs[i].validity_interval[0])
-            outcome = step_ledger(slot, state, txs[i])
-            if isinstance(outcome, CheckResult):
+        while len(done) > shared:
+            tx, spent, _ = done.pop()
+            _undo_in_place(entries, tx, spent)
+        for i in seq[len(done) :]:
+            tx = txs[i]
+            slot = max(done[-1][2] if done else 0, tx.validity_interval[0])
+            if not check_tx(slot, state, tx):
                 break
-            stack.append((outcome, slot))
+            try:
+                done.append((tx, _apply_in_place(entries, tx), slot))
+            except KeyCollisionError:
+                break
         else:
             valid.append(seq)
         prev = seq

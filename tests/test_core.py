@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,33 @@ class TestValues:
         b = OutputRef(b"b", 0)
         assert a < b
         assert OutputRef(b"a", 0) < a
+
+    @pytest.mark.parametrize("tx_hash, index", [
+        (b"h", True), (b"h", False), (b"h", 1.0),
+        ("h", 0), (bytearray(b"h"), 0), (None, 0),
+    ])
+    def test_output_ref_rejects_values_outside_the_domain(self, tx_hash, index):
+        with pytest.raises(ValueError):
+            OutputRef(tx_hash, index)
+
+    def test_output_ref_is_its_pair(self):
+        ref = OutputRef(b"\x01\xff", 7)
+        assert ref.tx_hash == b"\x01\xff" and ref.index == 7
+        assert ref == (b"\x01\xff", 7) and hash(ref) == hash((b"\x01\xff", 7))
+        assert repr(ref) == "OutputRef(tx_hash=b'\\x01\\xff', index=7)"
+        with pytest.raises(AttributeError):
+            ref.index = 8
+
+    def test_output_ref_pickles_and_copies(self):
+        ref = OutputRef(bytes(range(32)), 2 ** 32 - 1)
+        for twin in (pickle.loads(pickle.dumps(ref)), copy.deepcopy(ref), copy.copy(ref)):
+            assert type(twin) is OutputRef and twin == ref and repr(twin) == repr(ref)
+
+    def test_output_ref_order_is_the_field_order(self):
+        rng = random.Random(80)
+        refs = [OutputRef(rng.randbytes(rng.randint(0, 3)), rng.randrange(4))
+                for _ in range(500)]
+        assert sorted(refs) == sorted(refs, key=lambda r: (r.tx_hash, r.index))
 
     def test_output_normalizes_value(self):
         o = Output(address=b"x", value={b"b": 1, b"a": 2, b"z": 0})

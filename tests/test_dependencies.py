@@ -71,8 +71,9 @@ CACHE_FIELDS = {"_hash", "_id", "_created", "_items"}
 
 def test_cache_fields_written_only_in_core():
     """Only ``core`` stores a ``Tx`` or ``UtxoSet`` cache.  ``UtxoSet``'s
-    cached hash and order are sound because ``apply_tx`` alone edits a state
-    after construction, before anything has read either."""
+    cached hash and order are sound because after construction a state is
+    edited only by ``apply_tx``, before anything has read either, and by
+    ``valid_orders``, whose private state nothing hashes or orders."""
     found = []
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

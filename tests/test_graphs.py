@@ -73,6 +73,16 @@ class TestSimpleGraph:
         assert g.successors(1) == frozenset([2, 3])
         assert g.successors(3) == frozenset()
 
+    def test_successors_match_the_edge_scan(self):
+        rng = random.Random(90)
+        for _ in range(200):
+            g = random_graph(rng)
+            twin = SimpleGraph(g.vertices, g.edges, g.initial)
+            for v in sorted(g.vertices) + [len(g.vertices)]:
+                assert g.successors(v) == frozenset(b for a, b in g.edges if a == v)
+            # the adjacency cache is not part of the value
+            assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
     def test_full_subgraph(self):
         g = SimpleGraph(
             frozenset([1, 2, 3]), frozenset([(1, 2), (2, 3)]), frozenset([1])

@@ -10,7 +10,7 @@ import poset_oracle as oracle
 import run_oracle
 from conftest import gen_traces, out, tx_of
 from run_oracle import assign_slots
-from ledgerlab import properties
+from ledgerlab import core, properties
 from ledgerlab.cli import MONITORS
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
@@ -18,6 +18,7 @@ from ledgerlab.core import (
     OutputRef,
     TxInput,
     UtxoSet,
+    _sorted_items,
     get_orefs,
     hash_tx,
     mk_outs,
@@ -599,7 +600,7 @@ def replayed_orders(u0, txs, sequences):
 def mutant_walk():
     """``valid_orders`` that resumes at the shared prefix, even past a refused step."""
     source = textwrap.dedent(inspect.getsource(valid_orders))
-    resume = "seq[len(stack) - 1 :]"
+    resume = "seq[len(done) :]"
     assert resume in source
     namespace = dict(vars(properties))
     exec(source.replace(resume, "seq[shared:]"), namespace)
@@ -608,7 +609,11 @@ def mutant_walk():
 
 @st.composite
 def interval_runs(draw, max_txs=9):
-    """(u0, txs): a random spending dag over a genesis; some intervals narrow."""
+    """(u0, txs): a random spending dag over a genesis; some intervals narrow.
+
+    Sometimes u0 also holds the first output of one tx, so that the tx is
+    refused as ``created-collides`` until a tx that spends that output ran.
+    """
     genesis = tx_of((), [out("g%d" % k) for k in range(draw(st.integers(1, 6)))])
     u0 = mk_outs(genesis)
     unspent = [TxInput(ref, o) for ref, o in u0.items()]
@@ -625,6 +630,10 @@ def interval_runs(draw, max_txs=9):
         unspent = [c for c in unspent if c not in spent]
         unspent += [TxInput(ref, o) for ref, o in mk_outs(tx).items()]
         txs.append(tx)
+    planted = draw(st.one_of(st.none(), st.sampled_from(txs)), label="planted")
+    if planted is not None and planted.outputs:
+        ref = OutputRef(hash_tx(planted), 0)
+        u0 = UtxoSet({**u0.entries, ref: planted.outputs[0]})
     return u0, txs
 
 
@@ -645,6 +654,17 @@ def late_refusal():
     return u0, txs, list(itertools.permutations(range(6)))
 
 
+def generated_orders(seed, steps):
+    """(u0, txs, the run's first 720 enumerated orders) of a generated run."""
+    sc = make_scenario(seed, n_outputs=40)
+    trace = gen_traces(sc, depth=steps + 1, count=1, seed=seed)[0]
+    run = run_from_trace(sc, trace)
+    assert len(run.annotations) == steps
+    txs = [tx for _, tx in run.annotations]
+    perms = enumerate_valid_permutations(build_tx_poset(run), 720)
+    return run.states[0], txs, perms.sequences
+
+
 class TestValidOrders:
     """The prefix-sharing walk against replaying every order on its own."""
 
@@ -658,7 +678,10 @@ class TestValidOrders:
             poset = build_tx_poset(fabricate(u0, [(0, tx, u0) for tx in txs]))
             cap = data.draw(st.integers(1, 400), label="cap")
             sequences = enumerate_valid_permutations(poset, cap).sequences
+        entries, items = dict(u0.entries), u0.items()
         assert valid_orders(u0, txs, sequences) == replayed_orders(u0, txs, sequences)
+        assert u0.entries == entries and hash(u0) == hash(frozenset(entries))
+        assert u0._items is items == _sorted_items(entries)
 
     def test_refusal_partway_through_a_shared_prefix(self):
         u0, txs, sequences = late_refusal()
@@ -669,9 +692,11 @@ class TestValidOrders:
 
     def test_created_collides(self, non_well_founded):
         u0, txs = non_well_founded
-        sequences = [(0, 1), (1, 0)]
-        assert valid_orders(u0, txs, sequences) == [(0, 1)]
-        assert replayed_orders(u0, txs, sequences) == [(0, 1)]
+        # refused first, t1 must put back the entry it spent before it
+        # collided, or t1 is refused again after t0 as missing-input
+        for sequences in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
+            assert valid_orders(u0, txs, sequences) == [(0, 1)]
+            assert replayed_orders(u0, txs, sequences) == [(0, 1)]
         run = replay_sequence(u0, [1, 1], txs)
         canon = enumerate_valid_permutations(build_tx_poset(run), 720).sequences
         assert canon == ((1, 0),)
@@ -679,15 +704,29 @@ class TestValidOrders:
 
     @pytest.mark.parametrize("seed, steps", [(0, 30), (1, 30), (2, 100)])
     def test_generated_runs_at_cap_720(self, seed, steps):
-        sc = make_scenario(seed, n_outputs=40)
-        trace = gen_traces(sc, depth=steps + 1, count=1, seed=seed)[0]
-        run = run_from_trace(sc, trace)
-        assert len(run.annotations) == steps
-        txs = [tx for _, tx in run.annotations]
-        perms = enumerate_valid_permutations(build_tx_poset(run), 720)
-        valid = valid_orders(run.states[0], txs, perms.sequences)
-        assert valid == replayed_orders(run.states[0], txs, perms.sequences)
-        assert valid == list(perms.sequences)
+        u0, txs, sequences = generated_orders(seed, steps)
+        valid = valid_orders(u0, txs, sequences)
+        assert valid == replayed_orders(u0, txs, sequences)
+        assert valid == list(sequences)
+
+    def test_walk_steps_one_state_in_place(self, monkeypatch):
+        u0, txs, sequences = generated_orders(2, 100)
+        calls = {"apply_tx": 0, "UtxoSet": 0}
+        apply_tx, post_init = core.apply_tx, UtxoSet.__post_init__
+
+        def counted_apply(utxo, tx):
+            calls["apply_tx"] += 1
+            return apply_tx(utxo, tx)
+
+        def counted_post_init(self):
+            calls["UtxoSet"] += 1
+            post_init(self)
+
+        for module in (core, properties):
+            monkeypatch.setattr(module, "apply_tx", counted_apply, raising=False)
+        monkeypatch.setattr(UtxoSet, "__post_init__", counted_post_init)
+        assert len(valid_orders(u0, txs, sequences)) == len(sequences) == 720
+        assert calls["apply_tx"] == 0 and calls["UtxoSet"] <= 1
 
     def test_walk_that_keeps_refused_depths_fails(self):
         u0, txs, sequences = late_refusal()
