@@ -13,7 +13,6 @@ from .core import (
     OutputRef,
     Slot,
     Tx,
-    TxInput,
     UtxoSet,
     apply_tx,
     check_tx,
@@ -30,7 +29,6 @@ __all__ = [
     "OutputRef",
     "Slot",
     "Tx",
-    "TxInput",
     "UtxoSet",
     "apply_tx",
     "check_tx",

@@ -61,11 +61,23 @@ def _verdict(check: str, clean: bool, witness) -> dict:
     return {"check": check, "clean": clean, "witness": witness}
 
 
+def _print(payload: dict, indent: Optional[int] = None) -> None:
+    """Print a command's stdout, JSON with sorted keys, flushed at once, so
+    that a stdout that cannot be written is a usage error here and not a
+    second error at exit."""
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=indent), flush=True)
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: let it write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError("cannot write stdout: %s" % exc) from exc
+
+
 def _emit(command: str, verdicts: List[dict], inputs_digest: str, **extra) -> int:
     """Print a checking command's report; exit 1 when a verdict is not clean."""
     report = {"command": command, "verdicts": verdicts, "inputs_digest": inputs_digest}
     report.update(extra)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _print(report, indent=2)
     if all(v["clean"] for v in verdicts):
         return EXIT_CLEAN
     return EXIT_VIOLATION
@@ -154,8 +166,8 @@ def cmd_trace_gen(args) -> int:
              "truncated": prefix.truncated}
         )
     manifest_text = serialize.dump_manifest(manifest)
-    print(json.dumps({"manifest_digest": _write(out, "manifest.json", manifest_text),
-                      "written": len(traces)}, sort_keys=True))
+    _print({"manifest_digest": _write(out, "manifest.json", manifest_text),
+            "written": len(traces)})
     return EXIT_CLEAN
 
 
@@ -172,16 +184,7 @@ def cmd_trace_dist(args) -> int:
     inputs = _Inputs(args.file_a, args.file_b)
     (a, _, _), (b, _, _) = serialize.load_traces(inputs)
     d = ultra_distance(a, b)
-    print(
-        json.dumps(
-            {
-                "exact": d.exact,
-                "value": str(d.value),
-                "inputs_digest": inputs.digest,
-            },
-            sort_keys=True,
-        )
-    )
+    _print({"exact": d.exact, "value": str(d.value), "inputs_digest": inputs.digest})
     return EXIT_CLEAN
 
 
@@ -246,7 +249,7 @@ def cmd_props_canon(args) -> int:
 # --- contract commands ------------------------------------------------------
 
 def cmd_contract_list(args) -> int:
-    print(json.dumps({"contracts": sorted(CONTRACTS)}, sort_keys=True))
+    _print({"contracts": sorted(CONTRACTS)})
     return EXIT_CLEAN
 
 
@@ -297,21 +300,24 @@ def cmd_graph_dump(args) -> int:
     lam_prime, _phi = project_ledger_graph(lam)
     out = _out_dir(args.out)
     lam_text, prime_text = serialize.dump_ledger_graphs(lam, lam_prime)
-    print(
-        json.dumps(
-            {
-                "lambda_vertices": len(lam.vertices),
-                "lambda_prime_vertices": len(lam_prime.vertices),
-                "lambda_digest": _write(out, "lambda.json", lam_text),
-                "lambda_prime_digest": _write(out, "lambda_prime.json", prime_text),
-            },
-            sort_keys=True,
-        )
-    )
+    _print({
+        "lambda_vertices": len(lam.vertices),
+        "lambda_prime_vertices": len(lam_prime.vertices),
+        "lambda_digest": _write(out, "lambda.json", lam_text),
+        "lambda_prime_digest": _write(out, "lambda_prime.json", prime_text),
+    })
     return EXIT_CLEAN
 
 
 # --- parser -----------------------------------------------------------------
+
+def _cap(text: str) -> int:
+    """``props canon --cap``, refused while parsing: a bad cap is a usage
+    error whether the run is enumerated or not, and whether it replays."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError("cap must be an integer >= 1: %r" % text)
+    return int(text)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -346,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = props_sub.add_parser("canon", help="dependency levels, canonical order")
     p.add_argument("--run", required=True)
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=int, default=720)
+    p.add_argument("--cap", type=_cap, default=720)
 
     contract = top.add_parser("contract", help="structured contracts")
     contract_sub = contract.add_subparsers(dest="command", required=True)

@@ -159,7 +159,7 @@ def nft_contract(token: bytes = b"NFT") -> StructuredContract:
 
     def delta(tx: Tx) -> int:
         created = sum(out.quantity(token) for out in tx.outputs)
-        consumed = sum(i.output.quantity(token) for i in tx.inputs)
+        consumed = sum(out.quantity(token) for _, out in tx.inputs)
         return created - consumed
 
     def kappa(tx: Tx):

@@ -122,20 +122,12 @@ class Output:
 
 
 @dataclass(frozen=True)
-class TxInput:
-    """A pointer into the UTxO set, paired with the output it claims to spend."""
-
-    output_ref: OutputRef
-    output: Output
-
-    def __post_init__(self):
-        _of_type(self.output_ref, OutputRef, "input ref")
-        _of_type(self.output, Output, "claimed output")
-
-
-@dataclass(frozen=True)
 class Tx:
-    """A transaction: inputs to consume, outputs to create, validity window."""
+    """A transaction: inputs to consume, outputs to create, validity window.
+
+    An input is a ledger entry, the plain pair ``(OutputRef, Output)`` of a
+    ref and the output it claims to spend, as ``UtxoSet.items()`` holds it.
+    """
 
     inputs: frozenset
     outputs: Tuple[Output, ...]
@@ -149,10 +141,16 @@ class Tx:
             object.__setattr__(self, "validity_interval", tuple(self.validity_interval))
         except TypeError as exc:
             raise ValueError("bad inputs, outputs or interval: %s" % exc) from exc
-        refs = [_of_type(i, TxInput, "input").output_ref for i in self.inputs]
+        refs = set()
+        for pair in self.inputs:
+            # a plain tuple: an OutputRef is a 2-tuple too
+            if type(pair) is not tuple or len(pair) != 2:
+                raise ValueError("input is not a (ref, output) pair: %r" % (pair,))
+            refs.add(_of_type(pair[0], OutputRef, "input ref"))
+            _of_type(pair[1], Output, "claimed output")
         for out in self.outputs:
             _of_type(out, Output, "output")
-        if len(set(refs)) != len(refs):
+        if len(refs) != len(self.inputs):
             raise ValueError("transaction inputs must have distinct output refs")
         start, end = self.validity_interval
         _in_domain(start, "validity bound")
@@ -276,12 +274,8 @@ def _ser_output(out: Output) -> bytes:
     return b"".join(parts)
 
 
-def _ser_input(txin: TxInput) -> bytes:
-    return (
-        _ser_bytes(txin.output_ref.tx_hash)
-        + _ser_nat(txin.output_ref.index)
-        + _ser_output(txin.output)
-    )
+def _ser_input(ref: OutputRef, out: Output) -> bytes:
+    return _ser_bytes(ref.tx_hash) + _ser_nat(ref.index) + _ser_output(out)
 
 
 def tx_bytes(tx: Tx) -> bytes:
@@ -291,9 +285,9 @@ def tx_bytes(tx: Tx) -> bytes:
     validity interval, extension payload.  Naturals are big-endian fixed
     8 bytes; byte-strings are length-prefixed.
     """
-    inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
+    inputs = sorted(tx.inputs, key=_ref_of)
     parts = [_ser_nat(len(inputs))]
-    parts.extend(_ser_input(i) for i in inputs)
+    parts.extend(_ser_input(ref, out) for ref, out in inputs)
     parts.append(_ser_nat(len(tx.outputs)))
     parts.extend(_ser_output(o) for o in tx.outputs)
     parts.append(_ser_nat(tx.validity_interval[0]))
@@ -332,7 +326,7 @@ def mk_outs(tx: Tx) -> UtxoSet:
 
 def get_orefs(tx: Tx) -> frozenset:
     """The set of output refs a transaction spends."""
-    return frozenset(i.output_ref for i in tx.inputs)
+    return frozenset(map(_ref_of, tx.inputs))
 
 
 # --- validation and application --------------------------------------------
@@ -373,8 +367,8 @@ def check_tx(
     start, end = tx.validity_interval
     if not start <= slot < end:
         return CheckResult(False, "slot-out-of-interval")
-    for txin in tx.inputs:
-        if utxo.get(txin.output_ref) != txin.output:
+    for ref, out in tx.inputs:
+        if utxo.get(ref) != out:
             return CheckResult(False, "missing-input")
     if additional_checks is not None and not additional_checks(slot, utxo, tx):
         return CheckResult(False, "additional-checks")
@@ -389,8 +383,7 @@ def _apply_in_place(entries: dict, tx: Tx) -> dict:
     in the remaining set.  ``_undo_in_place`` reverses a completed call.
     """
     spent = {}
-    for txin in tx.inputs:
-        ref = txin.output_ref
+    for ref, _ in tx.inputs:
         out = entries.pop(ref, None)
         if out is not None:
             spent[ref] = out

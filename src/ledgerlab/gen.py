@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .core import Output, Tx, TxInput, UtxoSet, mk_outs
+from .core import Output, Tx, UtxoSet, mk_outs
 
 COIN = b"coin"
 
@@ -46,7 +46,6 @@ def make_proposer(
             return None
         n_spend = rng.randint(1, min(max_spend, len(utxo)))
         spent = rng.sample(utxo.items(), n_spend)
-        inputs = frozenset(TxInput(r, out) for r, out in spent)
 
         n_create = rng.randint(1, max_create)
         token_slot = -1
@@ -66,7 +65,7 @@ def make_proposer(
             for j in range(n_create)
         )
         return Tx(
-            inputs=inputs,
+            inputs=frozenset(spent),
             outputs=outputs,
             validity_interval=WIDE_INTERVAL,
             additional_data=rng.randbytes(4),

@@ -145,8 +145,8 @@ def build_ledger_graph(
     """
     spenders = {}  # ref -> the universe txs spending it, in universe order
     for t in tx_universe:
-        for txin in t.inputs:
-            spenders.setdefault(txin.output_ref, []).append(t)
+        for ref, _ in t.inputs:
+            spenders.setdefault(ref, []).append(t)
 
     def checkable(u, slots):
         txs = dict.fromkeys(t for ref in u.keys() for t in spenders.get(ref, ()))

@@ -11,7 +11,7 @@ import hashlib
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain, _of_type
+from .core import Output, OutputRef, Slot, Tx, UtxoSet, _in_domain, _of_type, _ref_of
 from .graphs import SimpleGraph
 from .traces import TracePrefix
 
@@ -131,13 +131,14 @@ def ref_from_json(obj: dict) -> OutputRef:
         raise FormatError("bad output ref: %s" % exc) from exc
 
 
+def entry_to_json(ref: OutputRef, out: Output) -> dict:
+    """A state entry or a transaction input: one ``(ref, output)`` pair."""
+    return {"output_ref": ref_to_json(ref), "output": output_to_json(out)}
+
+
 def tx_to_json(tx: Tx) -> dict:
-    inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
     return {
-        "inputs": [
-            {"output_ref": ref_to_json(i.output_ref), "output": output_to_json(i.output)}
-            for i in inputs
-        ],
+        "inputs": [entry_to_json(*pair) for pair in sorted(tx.inputs, key=_ref_of)],
         "outputs": [output_to_json(o) for o in tx.outputs],
         "validity_interval": list(tx.validity_interval),
         "additional_data": tx.additional_data.hex(),
@@ -164,8 +165,7 @@ class _Writer:
     def entry(self, ref: OutputRef, out: Output) -> str:
         seen = self.entries.get(ref)
         if seen is None or seen[0] is not out:
-            seen = self.entries[ref] = (out, _canonical(
-                {"output": output_to_json(out), "output_ref": ref_to_json(ref)}))
+            seen = self.entries[ref] = (out, _canonical(entry_to_json(ref, out)))
         return seen[1]
 
     def tx(self, tx: Tx) -> str:
@@ -238,13 +238,15 @@ class _Reader:
             out = self.outputs[key] = output_from_json(obj)
         return out
 
+    def entry(self, obj) -> Tuple[OutputRef, Output]:
+        """A state entry or a transaction input: one ``(ref, output)`` pair."""
+        return self.ref(obj["output_ref"]), self.output(obj["output"])
+
     def tx(self, obj) -> Tx:
         try:
             return Tx(
-                inputs=frozenset(
-                    TxInput(self.ref(i["output_ref"]), self.output(i["output"]))
-                    for i in _of_type(obj["inputs"], list, "inputs")
-                ),
+                inputs=frozenset(map(self.entry,
+                                     _of_type(obj["inputs"], list, "inputs"))),
                 outputs=tuple(
                     map(self.output, _of_type(obj["outputs"], list, "outputs"))
                 ),
@@ -257,8 +259,7 @@ class _Reader:
     def utxo(self, obj) -> UtxoSet:
         """The state of an entry list."""
         try:
-            return _state([(self.ref(e["output_ref"]), self.output(e["output"]))
-                           for e in _of_type(obj, list, "state")])
+            return _state(list(map(self.entry, _of_type(obj, list, "state"))))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("bad UTxO set: %s" % exc) from exc
 
@@ -291,7 +292,7 @@ class _Reader:
         obj, end = _scan(text, 0)
         if end != len(text):
             raise ValueError("not one entry: %r" % (text,))
-        pair = self.ref(obj["output_ref"]), self.output(obj["output"])
+        pair = self.entry(obj)
         if not (len(obj) == len(obj["output_ref"]) == 2 and len(obj["output"]) == 3):
             raise ValueError("not a canonical entry: %r" % (text,))
         self.entries[piece] = pair

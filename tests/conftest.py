@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ledgerlab.core import Output, Tx, TxInput, UtxoSet, hash_tx, mk_outs
+from ledgerlab.core import Output, Tx, UtxoSet, hash_tx, mk_outs
 from ledgerlab.gen import WIDE_INTERVAL, make_proposer, make_scenario
 from ledgerlab.traces import generate_valid_traces
 
@@ -16,7 +16,7 @@ def out(tag: str, coins: int = 10, token=None, token_qty: int = 0) -> Output:
 
 
 def spend(utxo: UtxoSet, *refs) -> frozenset:
-    return frozenset(TxInput(r, utxo.get(r)) for r in refs)
+    return frozenset((r, utxo.get(r)) for r in refs)
 
 
 def tx_of(inputs, outputs, interval=WIDE_INTERVAL, extra=b"") -> Tx:
@@ -84,7 +84,7 @@ def eight_tx():
         return OutputRef(hash_tx(tx), ix)
 
     def claim(tx, ix):
-        return TxInput(ref(tx, ix), tx.outputs[ix])
+        return (ref(tx, ix), tx.outputs[ix])
 
     g = [claim(genesis, k) for k in range(8)]
     t0 = tx_of([g[0]], [out("a0"), out("a1")])
@@ -109,10 +109,10 @@ def non_well_founded():
 
     genesis = tx_of((), [out("g")])
     g_ref = OutputRef(hash_tx(genesis), 0)
-    t1 = tx_of([TxInput(g_ref, genesis.outputs[0])], [out("r")])
+    t1 = tx_of([(g_ref, genesis.outputs[0])], [out("r")])
     r_ref = OutputRef(hash_tx(t1), 0)
     u0 = UtxoSet({g_ref: genesis.outputs[0], r_ref: t1.outputs[0]})
-    t0 = tx_of([TxInput(r_ref, t1.outputs[0])], [out("s")])
+    t0 = tx_of([(r_ref, t1.outputs[0])], [out("s")])
     return u0, [t0, t1]
 
 

@@ -15,7 +15,7 @@ import json
 from typing import List, Tuple
 
 from ledgerlab.core import (
-    Output, OutputRef, Slot, Tx, TxInput, UtxoSet, _in_domain, _of_type,
+    Output, OutputRef, Slot, Tx, UtxoSet, _in_domain, _of_type,
 )
 from ledgerlab.graphs import SimpleGraph
 from ledgerlab.serialize import FORMAT_VERSION, FormatError, digest
@@ -71,7 +71,7 @@ def tx_from_json(obj: dict) -> Tx:
     try:
         return Tx(
             inputs=frozenset(
-                TxInput(ref_from_json(i["output_ref"]), output_from_json(i["output"]))
+                (ref_from_json(i["output_ref"]), output_from_json(i["output"]))
                 for i in _of_type(obj["inputs"], list, "inputs")
             ),
             outputs=tuple(
@@ -168,9 +168,9 @@ def entry_to_json(ref: OutputRef, out: Output) -> dict:
 
 
 def tx_to_json(tx: Tx) -> dict:
-    inputs = sorted(tx.inputs, key=lambda i: i.output_ref)
+    inputs = sorted(tx.inputs, key=lambda i: i[0])
     return {
-        "inputs": [entry_to_json(i.output_ref, i.output) for i in inputs],
+        "inputs": [entry_to_json(ref, o) for ref, o in inputs],
         "outputs": [output_to_json(o) for o in tx.outputs],
         "validity_interval": list(tx.validity_interval),
         "additional_data": tx.additional_data.hex(),

@@ -20,7 +20,6 @@ from ledgerlab.core import (
     Output,
     OutputRef,
     Tx,
-    TxInput,
     UtxoSet,
     get_orefs,
     mk_outs,
@@ -82,8 +81,8 @@ def oracle_check(slot, utxo, tx):
     if slot < lo or slot >= hi:
         return False
     table = dict(utxo.items())
-    for txin in tx.inputs:
-        if table.get(txin.output_ref) != txin.output:
+    for ref, claimed in tx.inputs:
+        if table.get(ref) != claimed:
             return False
     return True
 
@@ -112,7 +111,7 @@ def test_c1_step_ledger_fuzzing():
                 tx = propose(rng, slot, utxo)
                 slot = tx.validity_interval[1] + rng.randrange(3)
             elif defect == 2:
-                ghost = TxInput(OutputRef(rng.randbytes(8), 0), Output(b"g"))
+                ghost = (OutputRef(rng.randbytes(8), 0), Output(b"g"))
                 base = propose(rng, slot, utxo)
                 tx = Tx(
                     frozenset([ghost]), base.outputs, base.validity_interval
@@ -120,7 +119,7 @@ def test_c1_step_ledger_fuzzing():
             elif defect == 3:
                 ref, real = utxo.items()[rng.randrange(len(utxo))]
                 forged = Output(real.address, real.value, real.datum + b"!")
-                tx = Tx(frozenset([TxInput(ref, forged)]), (Output(b"a"),), (0, 10))
+                tx = Tx(frozenset([(ref, forged)]), (Output(b"a"),), (0, 10))
                 slot = 5
             else:
                 tx = propose(rng, slot, utxo)
@@ -294,7 +293,7 @@ def adversarial_proposer(token):
         if tx is None or rng.random() >= 0.25:
             return tx
         held = sum(out.quantity(token) for out in utxo.values())
-        spent = sum(i.output.quantity(token) for i in tx.inputs)
+        spent = sum(o.quantity(token) for _, o in tx.inputs)
         first = tx.outputs[0]
         value = dict(first.value)
         value[token] = first.quantity(token) + (1 if held > spent else 2)

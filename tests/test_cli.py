@@ -819,6 +819,44 @@ class TestPinnedBytes:
         assert read_json(stdout) == {"manifest_digest": manifest_digest,
                                      "written": 10}
 
+    # the manifest holds each file's digest, so it pins every file's bytes
+    @pytest.mark.parametrize("shape, seed, manifest_digest", [
+        ((30, 5, 4), 0, "7c59290702a4293e541eaefedf71737691f64b34b16400ae832332f4631df7bc"),
+        ((30, 5, 4), 1, "961ffe014257b2e964028b3e9dd431c2f36ea6571b670ee63739d0522ab09027"),
+        ((30, 5, 4), 2, "f639f6bb8008f44cf532e4eb96ebc36ab2e10c326ab4098dd78f4529ce982f32"),
+        ((8, 40, 1), 0, "b3ea9b74face589c54ab6362aa5960296e930943807ecfb2c37d98f2e48693e8"),
+        ((8, 40, 1), 1, "7780e67f58eb4beae69d40aece1692d3fafdbc6b8057923f0c8a4c4d45b6ffd5"),
+        ((8, 40, 1), 2, "e9ab8da57ad24209e64d8fb143281f8d5c3fb4740ec7ad8f554123d26e9d5678"),
+    ])
+    def test_trace_gen(self, tmp_path, capsys, shape, seed, manifest_digest):
+        outputs, depth, count = shape
+        code, stdout, _ = run_cli(
+            capsys, "trace", "gen", "--seed", str(seed), "--outputs", str(outputs),
+            "--depth", str(depth), "--count", str(count), "--out", str(tmp_path),
+        )
+        assert code == EXIT_CLEAN
+        assert read_json(stdout) == {"manifest_digest": manifest_digest,
+                                     "written": count}
+
+    def test_trace_validate_and_props_check(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "3", "--outputs", "30", "--depth", "5",
+            "--count", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_CLEAN
+        trace = tmp_path / "trace_000.json"
+        code, stdout, _ = run_cli(capsys, "trace", "validate", str(trace))
+        assert code == EXIT_CLEAN
+        assert serialize.digest(stdout) == (
+            "a1f436dd1baaa80922f51c1a2eb46849bc5a321c8da76c1350cb00217f99c6a7")
+        prefix, genesis, _ = serialize.load_trace(trace.read_text())
+        run = tmp_path / "run.json"
+        run.write_text(serialize.dump_run(prefix.states[0], prefix.annotations, genesis))
+        code, stdout, _ = run_cli(capsys, "props", "check", "--run", str(run))
+        assert code == EXIT_CLEAN
+        assert serialize.digest(stdout) == (
+            "2ee48a20041404b0865143e5b2dbcc3df7e27806730ce937a51057268b7c0087")
+
     @pytest.mark.parametrize("mutant, exit_code, stdout_digest, induced_digest", [
         (False, EXIT_CLEAN,
          "9bbe5ea30db5980f68c101ca3f75f43632676e6a1afd725cffe0259b8c0626cb",
@@ -979,7 +1017,26 @@ class TestSizesBelowOne:
             "--cap", cap,
         )
         assert code == EXIT_USAGE
-        assert stdout == "" and err == "error: cap must be at least 1\n"
+        assert stdout == "" and err.endswith(
+            "error: argument --cap: cap must be an integer >= 1: %r\n" % cap)
+
+    @pytest.mark.parametrize("cap", ["0", "-1", "x", "1.5"])
+    @pytest.mark.parametrize("run, enumerate", [("clean", False), ("replayed", True)])
+    def test_props_canon_cap_is_refused_on_every_run(
+        self, run_file, tmp_path, capsys, cap, run, enumerate
+    ):
+        sc, prefix, path = run_file
+        if run == "replayed":
+            path = tmp_path / "replayed.json"
+            path.write_text(serialize.dump_run(
+                sc.initial_utxo, prefix.annotations + prefix.annotations[-1:],
+                sc.genesis_txs))
+            code, _, _ = run_cli(capsys, "props", "canon", "--run", str(path))
+            assert code == EXIT_VIOLATION
+        argv = ["props", "canon", "--run", str(path), "--cap", cap]
+        code, stdout, err = run_cli(capsys, *argv + ["--enumerate"] * enumerate)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err.count("error:") == 1 and "argument --cap" in err
 
 
 #: each reading command, given the trace files and the run file
@@ -1262,6 +1319,44 @@ class TestNoCycles:
             assert code == EXIT_CLEAN
             counts.append(len(garbage))
         assert counts[0] == counts[1]
+
+
+#: a command of each kind of stdout: a report, a digest line, a list
+CLOSED_STDOUT_COMMANDS = {
+    "trace validate": lambda traces, run, out: ["trace", "validate", traces[0]],
+    "trace dist": lambda traces, run, out: ["trace", "dist", traces[0], traces[1]],
+    "props canon --enumerate": lambda traces, run, out: [
+        "props", "canon", "--run", run, "--enumerate"],
+    "contract list": lambda traces, run, out: ["contract", "list"],
+    "trace gen": lambda traces, run, out: [
+        "trace", "gen", "--seed", "1", "--count", "1", "--out", out],
+    "graph dump": lambda traces, run, out: ["graph", "dump", "--seed", "1",
+                                            "--out", out],
+}
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone cannot be written: a usage error, told
+    in one line, with no second error when the interpreter exits."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_STDOUT_COMMANDS))
+    def test_exits_2(self, trace_dir, run_file, tmp_path, name):
+        traces = [str(trace_dir / ("trace_%03d.json" % k)) for k in range(2)]
+        argv = CLOSED_STDOUT_COMMANDS[name](traces, str(run_file[2]),
+                                            str(tmp_path / "out"))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ledgerlab.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestParserReuse:

@@ -20,7 +20,6 @@ from ledgerlab.contracts import (
 from ledgerlab.core import (
     CheckResult,
     OutputRef,
-    TxInput,
     UtxoSet,
     apply_tx,
     check_tx,
@@ -70,34 +69,34 @@ def emptying_step():
     genesis = tx_of((), [out("g")])
     u0 = mk_outs(genesis)
     ref = OutputRef(hash_tx(genesis), 0)
-    emptier = tx_of([TxInput(ref, genesis.outputs[0])], [])
+    emptier = tx_of([(ref, genesis.outputs[0])], [])
     return u0, emptier, step_ledger(1, u0, emptier)
 
 
 class TestKappa:
     def test_classifies_mint(self, nft):
         tx = tx_of(
-            [TxInput(OutputRef(b"h", 0), out("p"))],
+            [(OutputRef(b"h", 0), out("p"))],
             [out("q", token=TOKEN, token_qty=1)],
         )
         assert nft.kappa(tx) == MINT
 
     def test_classifies_burn(self, nft):
         tx = tx_of(
-            [TxInput(OutputRef(b"h", 0), out("p", token=TOKEN, token_qty=1))],
+            [(OutputRef(b"h", 0), out("p", token=TOKEN, token_qty=1))],
             [out("q")],
         )
         assert nft.kappa(tx) == BURN
 
     def test_classifies_move_as_noop(self, nft):
         tx = tx_of(
-            [TxInput(OutputRef(b"h", 0), out("p", token=TOKEN, token_qty=1))],
+            [(OutputRef(b"h", 0), out("p", token=TOKEN, token_qty=1))],
             [out("q", token=TOKEN, token_qty=1)],
         )
         assert nft.kappa(tx) == NOOP
 
     def test_token_free_tx_is_noop(self, nft):
-        tx = tx_of([TxInput(OutputRef(b"h", 0), out("p"))], [out("q")])
+        tx = tx_of([(OutputRef(b"h", 0), out("p"))], [out("q")])
         assert nft.kappa(tx) == NOOP
 
 
@@ -296,12 +295,12 @@ class TestInducedTraces:
         u0 = mk_outs(genesis)
         ref = OutputRef(hash_tx(genesis), 0)
         minter = tx_of(
-            [TxInput(ref, genesis.outputs[0])],
+            [(ref, genesis.outputs[0])],
             [out("m", token=TOKEN, token_qty=1)],
         )
         u1 = step_ledger(1, u0, minter, nft.additional_checks)
         token_ref = OutputRef(hash_tx(minter), 0)
-        burner = tx_of([TxInput(token_ref, minter.outputs[0])], [out("b")])
+        burner = tx_of([(token_ref, minter.outputs[0])], [out("b")])
         u2 = step_ledger(2, u1, burner, nft.additional_checks)
         from ledgerlab.traces import TracePrefix
 

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -15,7 +16,6 @@ from ledgerlab.core import (
     Output,
     OutputRef,
     Tx,
-    TxInput,
     UtxoSet,
     apply_tx,
     check_tx,
@@ -25,6 +25,9 @@ from ledgerlab.core import (
     step_ledger,
     tx_bytes,
 )
+
+#: a tuple subclass of length 2, as OutputRef is: not a transaction input
+Entry = collections.namedtuple("Entry", "ref output")
 
 # Frozen reference hashes; any change to the canonical serialization or the
 # hash function must be caught here.
@@ -39,7 +42,7 @@ def golden_tx() -> Tx:
     ref = OutputRef(bytes(range(32)), 1)
     claimed = Output(address=b"alice", value={b"coin": 7, b"gem": 2}, datum=b"d1")
     return Tx(
-        inputs=frozenset([TxInput(ref, claimed)]),
+        inputs=frozenset([(ref, claimed)]),
         outputs=(
             Output(address=b"bob", value={b"coin": 7}),
             Output(address=b"carol", value={b"gem": 2}, datum=b"d2"),
@@ -114,7 +117,7 @@ class TestValues:
 
     def test_tx_rejects_duplicate_input_refs(self):
         ref = OutputRef(b"h", 0)
-        ins = [TxInput(ref, out("p")), TxInput(ref, out("q"))]
+        ins = [(ref, out("p")), (ref, out("q"))]
         with pytest.raises(ValueError):
             tx_of(ins, [out("r")])
 
@@ -135,8 +138,13 @@ class TestValues:
         (frozenset(), 5, (0, 1)),
         (frozenset(), (), 5),
         ([[1]], (), (0, 1)),
+        # an input is the plain pair (OutputRef, Output)
+        ([[OutputRef(b"h", 0), Output(b"a")]], (), (0, 1)),
+        ([(OutputRef(b"h", 0), Output(b"a"), Output(b"b"))], (), (0, 1)),
+        ([Entry(OutputRef(b"h", 0), Output(b"a"))], (), (0, 1)),
     ], ids=["int-output", "ref-output", "int-input", "ref-input",
-            "int-inputs", "int-outputs", "int-interval", "unhashable-input"])
+            "int-inputs", "int-outputs", "int-interval", "unhashable-input",
+            "list-input", "triple-input", "pair-subclass-input"])
     def test_tx_rejects_parts_of_the_wrong_type(self, inputs, outputs, interval):
         with pytest.raises(ValueError):
             Tx(inputs, outputs, interval)
@@ -155,7 +163,7 @@ class TestValues:
     ], ids=["str-ref", "tuple-ref", "str-output", "no-output"])
     def test_tx_input_rejects_parts_of_the_wrong_type(self, ref, claimed):
         with pytest.raises(ValueError):
-            TxInput(ref, claimed)
+            tx_of([(ref, claimed)], [out("r")])
 
     def test_empty_interval_is_allowed_but_never_valid(self):
         tx = tx_of((), [out("r")], interval=(4, 4))
@@ -199,7 +207,7 @@ class TestHashing:
     def test_hash_ignores_input_iteration_order(self):
         r1 = OutputRef(b"a", 0)
         r2 = OutputRef(b"b", 0)
-        ins = [TxInput(r1, out("p")), TxInput(r2, out("q"))]
+        ins = [(r1, out("p")), (r2, out("q"))]
         assert hash_tx(tx_of(ins, [out("r")])) == hash_tx(
             tx_of(list(reversed(ins)), [out("r")])
         )
@@ -288,7 +296,7 @@ class TestHashCache:
         a, b = OutputRef(b"a", 0), OutputRef(b"b", 0)
         u = UtxoSet({a: out("p"), b: out("q")})
         hash(u)
-        tx = tx_of([TxInput(a, out("p"))], [out("r")])
+        tx = tx_of([(a, out("p"))], [out("r")])
         after = apply_tx(u, tx)
         fresh = UtxoSet({b: out("q"), OutputRef(hash_tx(tx), 0): out("r")})
         assert after == fresh and hash(after) == hash(fresh)
@@ -316,12 +324,12 @@ class TestAuxiliary:
 
     def test_mk_outs_empty(self):
         ref = OutputRef(b"h", 0)
-        tx = tx_of([TxInput(ref, out("p"))], [])
+        tx = tx_of([(ref, out("p"))], [])
         assert len(mk_outs(tx)) == 0
 
     def test_get_orefs(self):
         r1, r2 = OutputRef(b"a", 0), OutputRef(b"b", 1)
-        tx = tx_of([TxInput(r1, out("p")), TxInput(r2, out("q"))], [out("r")])
+        tx = tx_of([(r1, out("p")), (r2, out("q"))], [out("r")])
         assert get_orefs(tx) == frozenset([r1, r2])
         assert get_orefs(tx_of((), [out("r")])) == frozenset()
 
@@ -332,7 +340,7 @@ def small_ledger():
     u0 = mk_outs(genesis)
     h = hash_tx(genesis)
     spend0 = tx_of(
-        [TxInput(OutputRef(h, 0), genesis.outputs[0])], [out("n0")], interval=(0, 10)
+        [(OutputRef(h, 0), genesis.outputs[0])], [out("n0")], interval=(0, 10)
     )
     return u0, h, spend0
 
@@ -357,13 +365,13 @@ class TestCheckTx:
 
     def test_rejects_absent_ref(self, small_ledger):
         u0, _, _ = small_ledger
-        ghost = tx_of([TxInput(OutputRef(b"nope", 0), out("p"))], [out("n")])
+        ghost = tx_of([(OutputRef(b"nope", 0), out("p"))], [out("n")])
         assert check_tx(5, u0, ghost).reason == "missing-input"
 
     def test_rejects_mismatched_output_fields(self, small_ledger):
         u0, h, _ = small_ledger
         wrong = tx_of(
-            [TxInput(OutputRef(h, 0), out("g0", coins=11))], [out("n")]
+            [(OutputRef(h, 0), out("g0", coins=11))], [out("n")]
         )
         assert check_tx(5, u0, wrong).reason == "missing-input"
 
@@ -471,8 +479,6 @@ def test_hash_deterministic_and_injective_on_samples(outs, extra):
 def test_apply_from_genesis_preserves_key_identity(outs):
     genesis = tx_of((), outs)
     u0 = mk_outs(genesis)
-    spend_all = tx_of(
-        [TxInput(ref, o) for ref, o in u0.items()], [out("fresh")]
-    )
+    spend_all = tx_of(u0.items(), [out("fresh")])
     after = apply_tx(u0, spend_all)
     assert after.keys() == mk_outs(spend_all).keys()

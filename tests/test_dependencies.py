@@ -107,6 +107,22 @@ def test_ledger_successors_only_in_build_ledger_graph():
     assert found == []
 
 
+def test_an_input_is_a_ledger_entry():
+    """A transaction input is the ``(OutputRef, Output)`` pair that a state
+    holds: no module defines a second shape for it or reads its ref off an
+    attribute."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "output_ref":
+                found.append((path.name, node.lineno, "output_ref"))
+            elif ((isinstance(node, ast.ClassDef) and node.name == "TxInput")
+                  or (isinstance(node, ast.Name) and node.id == "TxInput"
+                      and isinstance(node.ctx, ast.Store))):
+                found.append((path.name, node.lineno, "TxInput"))
+    assert found == []
+
+
 def declared_minimum_python():
     """The (major, minor) of ``requires-python = ">=X.Y"`` in pyproject.toml."""
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

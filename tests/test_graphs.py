@@ -11,7 +11,6 @@ from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
     OutputRef,
-    TxInput,
     check_tx,
     hash_tx,
     mk_outs,
@@ -428,7 +427,7 @@ class TestLedgerGraphs:
         build_ledger_graph([u0], [0, 1], universe, [0, 1, 2, 3], hook)
         assert tried
         for u, t in tried:
-            assert any(txin.output_ref in u for txin in t.inputs)
+            assert any(ref in u for ref, _ in t.inputs)
 
     def test_each_pair_is_stepped_once(self, monkeypatch):
         # a (u, t) reached at several slots steps to the same state at each
@@ -468,7 +467,7 @@ class TestLedgerGraphs:
 
 
 def claim(tx, ix):
-    return TxInput(OutputRef(hash_tx(tx), ix), tx.outputs[ix])
+    return (OutputRef(hash_tx(tx), ix), tx.outputs[ix])
 
 
 @pytest.fixture

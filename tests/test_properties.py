@@ -16,7 +16,6 @@ from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
     OutputRef,
-    TxInput,
     UtxoSet,
     _sorted_items,
     get_orefs,
@@ -90,7 +89,7 @@ class TestWellFounded:
 
     def test_tx_with_inputs_does_not_found(self):
         spender = tx_of(
-            [TxInput(OutputRef(b"h", 0), out("p"))], [out("q")]
+            [(OutputRef(b"h", 0), out("p"))], [out("q")]
         )
         verdict = check_well_founded(mk_outs(spender), [spender])
         assert verdict.reason == "non-genesis-key"
@@ -199,7 +198,7 @@ def planted(draw, n):
 def spender(k, also=()):
     """Pool tx k: it spends s_k and each s_a for a in ``also``."""
     refs = [k] + sorted(set(also) - {k})
-    return tx_of([TxInput(OutputRef(b"s%d" % a, 0), out("i%d" % a)) for a in refs],
+    return tx_of([(OutputRef(b"s%d" % a, 0), out("i%d" % a)) for a in refs],
                  [out("o%d" % k)])
 
 
@@ -304,8 +303,8 @@ class TestCommutativity:
         genesis = tx_of((), [out("g0"), out("g1")])
         u0 = mk_outs(genesis)
         h = hash_tx(genesis)
-        t_a = tx_of([TxInput(OutputRef(h, 0), genesis.outputs[0])], [out("a")])
-        t_b = tx_of([TxInput(OutputRef(h, 1), genesis.outputs[1])], [out("b")])
+        t_a = tx_of([(OutputRef(h, 0), genesis.outputs[0])], [out("a")])
+        t_b = tx_of([(OutputRef(h, 1), genesis.outputs[1])], [out("b")])
         fwd = replay_sequence(u0, [0, 0], [t_a, t_b])
         rev = replay_sequence(u0, [0, 0], [t_b, t_a])
         assert isinstance(fwd, TracePrefix) and isinstance(rev, TracePrefix)
@@ -324,8 +323,8 @@ class TestPoset:
         genesis = tx_of((), [out("g0"), out("g1")])
         u0 = mk_outs(genesis)
         h = hash_tx(genesis)
-        t_a = tx_of([TxInput(OutputRef(h, 0), genesis.outputs[0])], [out("a")])
-        t_b = tx_of([TxInput(OutputRef(h, 1), genesis.outputs[1])], [out("b")])
+        t_a = tx_of([(OutputRef(h, 0), genesis.outputs[0])], [out("a")])
+        t_b = tx_of([(OutputRef(h, 1), genesis.outputs[1])], [out("b")])
         run = replay_sequence(u0, [0, 0], [t_a, t_b])
         poset = build_tx_poset(run)
         assert poset.levels == (0, 0)
@@ -362,8 +361,8 @@ class TestPoset:
         u0 = mk_outs(tx_of((), [out("g")]))
         r1 = OutputRef(b"x1", 0)
         r2 = OutputRef(b"x2", 0)
-        t_a = tx_of([TxInput(r1, out("p"))], [out("q")])
-        t_b = tx_of([TxInput(r2, out("r"))], [out("s")])
+        t_a = tx_of([(r1, out("p"))], [out("q")])
+        t_b = tx_of([(r2, out("r"))], [out("s")])
         run = fabricate(u0, [(0, t_a, u0), (0, t_b, u0)])
         poset = build_tx_poset(run)
         assert poset.levels == (0, 0)
@@ -494,7 +493,7 @@ class TestPosetOracle:
     def test_repeated_tx_depends_on_every_creator(self):
         u0 = mk_outs(tx_of((), [out("g")]))
         t_a = tx_of((), [out("p")])
-        t_b = tx_of([TxInput(OutputRef(hash_tx(t_a), 0), out("p"))], [out("q")])
+        t_b = tx_of([(OutputRef(hash_tx(t_a), 0), out("p"))], [out("q")])
         run = fabricate(u0, [(0, t_a, u0), (0, t_b, u0), (0, t_a, u0)])
         poset = build_tx_poset(run)
         assert poset.less_than == oracle.relation(oracle.k_sets(run))
@@ -514,7 +513,7 @@ class TestReplayDriver:
         with pytest.raises(ValueError):
             replay_sequence(u0, [0], [])
         t = tx_of(
-            [TxInput(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])], [out("q")]
+            [(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])], [out("q")]
         )
         # the slot is checked before the step, so this is not missing-input
         assert replay_sequence(u0, [2, 1], [t, t]) == CheckResult(
@@ -525,7 +524,7 @@ class TestReplayDriver:
         genesis = tx_of((), [out("g")])
         u0 = mk_outs(genesis)
         spend = tx_of(
-            [TxInput(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])],
+            [(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])],
             [out("p")],
         )
         outcome = replay_sequence(u0, [0, 0], [spend, spend])
@@ -616,7 +615,7 @@ def interval_runs(draw, max_txs=9):
     """
     genesis = tx_of((), [out("g%d" % k) for k in range(draw(st.integers(1, 6)))])
     u0 = mk_outs(genesis)
-    unspent = [TxInput(ref, o) for ref, o in u0.items()]
+    unspent = list(u0.items())
     txs = []
     for k in range(draw(st.integers(1, max_txs))):
         if not unspent:
@@ -628,7 +627,7 @@ def interval_runs(draw, max_txs=9):
         outs = [out("t%d.%d" % (k, j)) for j in range(draw(st.integers(1, 2)))]
         tx = tx_of(spent, outs, interval=(start, end))
         unspent = [c for c in unspent if c not in spent]
-        unspent += [TxInput(ref, o) for ref, o in mk_outs(tx).items()]
+        unspent += mk_outs(tx).items()
         txs.append(tx)
     planted = draw(st.one_of(st.none(), st.sampled_from(txs)), label="planted")
     if planted is not None and planted.outputs:
@@ -647,7 +646,7 @@ def late_refusal():
     u0 = mk_outs(genesis)
     intervals = {2: (5, 9), 3: (0, 3)}
     txs = [
-        tx_of([TxInput(OutputRef(hash_tx(genesis), k), genesis.outputs[k])],
+        tx_of([(OutputRef(hash_tx(genesis), k), genesis.outputs[k])],
               [out("t%d" % k)], interval=intervals.get(k, (0, 9)))
         for k in range(6)
     ]

@@ -7,7 +7,7 @@ import pytest
 from conftest import gen_traces, out, tx_of
 import serialize_oracle as oracle
 from ledgerlab import serialize
-from ledgerlab.core import OutputRef, TxInput, mk_outs
+from ledgerlab.core import OutputRef, mk_outs
 from ledgerlab.graphs import SimpleGraph, build_ledger_graph, project_ledger_graph
 
 
@@ -15,7 +15,7 @@ from ledgerlab.graphs import SimpleGraph, build_ledger_graph, project_ledger_gra
 def sample_tx():
     ref = OutputRef(bytes(32), 3)
     return tx_of(
-        [TxInput(ref, out("claimed"))],
+        [(ref, out("claimed"))],
         [out("p"), out("q", token=b"T", token_qty=1)],
         interval=(2, 9),
         extra=b"\x00\xff",
@@ -183,14 +183,14 @@ class TestWriterReuse:
         assert len(writer.txs) == len(set(scenario.genesis_txs))
 
     def test_another_output_under_a_written_ref_is_spelled_afresh(self, sample_tx):
-        (txin,) = sample_tx.inputs
-        ref, forged = txin.output_ref, out("forged")
+        [(ref, claimed)] = sample_tx.inputs
+        forged = out("forged")
         writer = serialize._Writer()
         writer.entries[ref] = (forged, json.dumps(oracle.entry_to_json(ref, forged)))
-        spelled = writer.entry(ref, txin.output)
-        assert json.loads(spelled) == oracle.entry_to_json(ref, txin.output)
+        spelled = writer.entry(ref, claimed)
+        assert json.loads(spelled) == oracle.entry_to_json(ref, claimed)
         memo_out, memo_text = writer.entries[ref]
-        assert memo_out is txin.output and memo_text is spelled
+        assert memo_out is claimed and memo_text is spelled
 
 
 class TestRunFiles:

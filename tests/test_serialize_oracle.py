@@ -30,7 +30,7 @@ import serialize_oracle as oracle
 from conftest import both_spellings, json_nodes, json_parent, out, tx_of
 from ledgerlab import cli, serialize
 from ledgerlab.core import (
-    Output, OutputRef, TxInput, UtxoSet, apply_tx, hash_tx, mk_outs,
+    Output, OutputRef, UtxoSet, apply_tx, hash_tx, mk_outs,
 )
 from ledgerlab.gen import make_proposer, make_scenario
 from ledgerlab.graphs import build_ledger_graph, project_ledger_graph
@@ -51,8 +51,8 @@ def _hand_built():
     """
     genesis = tx_of((), [out("a"), out("b", token=TOKEN, token_qty=1)])
     g = hash_tx(genesis)
-    t1 = tx_of([TxInput(OutputRef(g, 0), genesis.outputs[0])], [out("c")])
-    t2 = tx_of([TxInput(OutputRef(g, 1), genesis.outputs[1])], [out("d")])
+    t1 = tx_of([(OutputRef(g, 0), genesis.outputs[0])], [out("c")])
+    t2 = tx_of([(OutputRef(g, 1), genesis.outputs[1])], [out("d")])
     u0 = mk_outs(genesis)
     u1 = apply_tx(u0, t1)
     states = (u0, u1, apply_tx(u1, t2))
@@ -417,8 +417,8 @@ class TestSharing:
         [ref1] = [r for r in u1.keys() if r == ref]
         assert ref0 is ref1
         assert u0.get(ref) is u1.get(ref) is genesis[0].outputs[1]
-        [spent] = prefix.annotations[1][1].inputs
-        assert spent.output_ref is ref0 and spent.output is u0.get(ref)
+        [(spent_ref, spent_out)] = prefix.annotations[1][1].inputs
+        assert spent_ref is ref0 and spent_out is u0.get(ref)
 
     def test_no_memo_outlives_a_read(self):
         first, second = (serialize.load_trace(HAND_BUILT["trace"]) for _ in "ab")
@@ -548,7 +548,7 @@ def _hand_built_values():
     genesis = tx_of((), [plain, multi, out("g")])
     u0 = mk_outs(genesis)
     [r0, r1, r2] = sorted(u0.keys())
-    spend = tx_of([TxInput(r0, plain)], [Output(b"x", {}, b"d")], extra=b"\x00")
+    spend = tx_of([(r0, plain)], [Output(b"x", {}, b"d")], extra=b"\x00")
     mint = tx_of((), [out("m", token=TOKEN, token_qty=1)], interval=(3, 9))
     rebound = UtxoSet({r0: out("other"), r1: multi})
     states = (u0, apply_tx(u0, spend), rebound, u0, UtxoSet({}))

@@ -298,6 +298,15 @@ class TestGeneration:
             [UtxoSet({})], [0], propose, depth=3, count=1, seed=0)
         assert trace == TracePrefix((UtxoSet({}),), (), truncated=True)
 
+    def test_proposer_inputs_are_the_states_own_entries(self):
+        utxo = make_scenario(4, n_outputs=12).initial_utxo
+        propose = make_proposer(max_spend=5)
+        rng = random.Random(4)
+        entries = {id(pair) for pair in utxo.items()}
+        for _ in range(20):
+            tx = propose(rng, 0, utxo)
+            assert tx.inputs and {id(pair) for pair in tx.inputs} <= entries
+
     def test_first_step_uses_an_initial_slot(self, scenario):
         traces = gen_traces(scenario, depth=4, count=10, seed=3)
         for t in traces:

@@ -12,7 +12,6 @@ from ledgerlab.core import (
     Output,
     OutputRef,
     Tx,
-    TxInput,
     UtxoSet,
     apply_tx,
     check_tx,
@@ -129,7 +128,7 @@ def states_and_txs(draw):
         inputs[ref] = draw(outputs)
     start, width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     tx = Tx(
-        inputs=frozenset(TxInput(ref, out) for ref, out in inputs.items()),
+        inputs=frozenset(inputs.items()),
         outputs=tuple(draw(st.lists(outputs, max_size=3))),
         validity_interval=(start, start + width),
         additional_data=draw(st.binary(max_size=2)),
