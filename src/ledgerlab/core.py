@@ -48,6 +48,30 @@ def _of_type(value, cls: type, what: str):
     return value
 
 
+class _once:
+    """An attribute that ``derive(obj)`` computes on its first read.
+
+    The value is stored in ``obj.__dict__`` under the attribute's name,
+    where every later read finds it first.  It is not a dataclass field, so
+    ``==``, ``repr`` and the dataclass hash do not see it, and
+    ``dataclasses.replace`` starts empty.  Read through the class, it is
+    the descriptor.  (``functools.cached_property`` takes a lock on every
+    first read on Python 3.11.)
+    """
+
+    def __init__(self, derive: Callable):
+        self.derive = derive
+
+    def __set_name__(self, owner: type, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.derive(obj)
+        return value
+
+
 class KeyCollisionError(Exception):
     """A freshly created output reference already exists unspent.
 
@@ -159,21 +183,15 @@ class Tx:
         if start > end:
             raise ValueError("bad validity interval: %r" % (self.validity_interval,))
 
-    # Derived once per instance, by __hash__, hash_tx and mk_outs, and stored
-    # in the instance __dict__ over these class-level None defaults.  They
-    # are not dataclass fields: __eq__, repr and the hashed fields do not see
-    # them, and dataclasses.replace starts empty.  The hash is the value the
-    # dataclass __hash__ would compute.  (A functools.cached_property would
-    # take a lock on every first access on Python 3.11.)
-    _hash = _id = _created = None
+    # the value the dataclass __hash__ would compute
+    _hash = _once(lambda tx: hash(
+        (tx.inputs, tx.outputs, tx.validity_interval, tx.additional_data)))
+    _id = _once(lambda tx: hashlib.sha256(tx_bytes(tx)).digest())
+    _created = _once(lambda tx: UtxoSet(
+        {OutputRef(hash_tx(tx), ix): out for ix, out in enumerate(tx.outputs)}))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.inputs, self.outputs, self.validity_interval, self.additional_data)
-            )
-        return h
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -193,21 +211,15 @@ class UtxoSet:
 
     # The refs only, so equal states still hash equal: frozenset(dict) reuses
     # the dict's stored hashes and runs no Python-level __hash__.  Hashing the
-    # items made the state-repeat scan 20x slower on 2000-entry states.  The
-    # hash and ``_items``, the canonical order, are computed once per instance
-    # and stored in its __dict__, like Tx's caches.  This is sound because
-    # ``entries`` has two writers after construction, and neither lets a
-    # stale cache be read: apply_tx edits the fresh state it is building, and
-    # sets its ``_items``, before anything can hash or order it; and
-    # properties.valid_orders steps and undoes its one private copy of the
-    # start state in place, which is never hashed, ordered or returned.
-    _hash = _items = None
+    # items made the state-repeat scan 20x slower on 2000-entry states.
+    # ``entries`` is edited after construction only by apply_tx, on the state
+    # it is building, before it returns, and by properties.valid_orders, on
+    # its private copy, which nothing hashes, orders or returns.
+    _hash = _once(lambda u: hash(frozenset(u.entries)))
+    _items = _once(lambda u: _sorted_items(u.entries))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = hash(frozenset(self.entries))
-        return h
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -227,10 +239,7 @@ class UtxoSet:
 
     def items(self) -> Tuple[Tuple[OutputRef, Output], ...]:
         """The entries in canonical order: sorted by ref."""
-        items = self._items
-        if items is None:
-            items = self.__dict__["_items"] = _sorted_items(self.entries)
-        return items
+        return self._items
 
 
 def _sorted_items(entries: Mapping) -> Tuple[Tuple[OutputRef, Output], ...]:
@@ -301,10 +310,7 @@ def hash_tx(tx: Tx) -> bytes:
 
     Each ``Tx`` instance is hashed once; later calls return the stored id.
     """
-    h = tx._id
-    if h is None:
-        h = tx.__dict__["_id"] = hashlib.sha256(tx_bytes(tx)).digest()
-    return h
+    return tx._id
 
 
 # --- auxiliary UTxO functions ----------------------------------------------
@@ -315,13 +321,7 @@ def mk_outs(tx: Tx) -> UtxoSet:
     Built once per ``Tx`` instance: every call returns the same shared,
     read-only state.
     """
-    created = tx._created
-    if created is None:
-        h = hash_tx(tx)
-        created = tx.__dict__["_created"] = UtxoSet(
-            {OutputRef(h, ix): out for ix, out in enumerate(tx.outputs)}
-        )
-    return created
+    return tx._created
 
 
 def get_orefs(tx: Tx) -> frozenset:
@@ -368,7 +368,7 @@ def check_tx(
     if not start <= slot < end:
         return CheckResult(False, "slot-out-of-interval")
     for ref, out in tx.inputs:
-        if utxo.get(ref) != out:
+        if (held := utxo.get(ref)) is not out and held != out:
             return CheckResult(False, "missing-input")
     if additional_checks is not None and not additional_checks(slot, utxo, tx):
         return CheckResult(False, "additional-checks")
@@ -415,7 +415,7 @@ def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
     """
     new = UtxoSet(utxo.entries)
     spent = _apply_in_place(new.entries, tx)
-    if utxo._items is not None:
+    if "_items" in vars(utxo):
         new.__dict__["_items"] = _derived_order(utxo, spent, mk_outs(tx).entries)
     return new
 

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .core import CheckResult, Slot, Tx, UtxoSet, check_tx, step_ledger
+from .core import CheckResult, Slot, Tx, UtxoSet, _once, check_tx, step_ledger
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,16 @@ class SimpleGraph:
         if not self.initial <= self.vertices:
             raise ValueError("initial vertices must be vertices")
 
-    # The adjacency map, built on the first successors call and stored in
-    # the instance __dict__ over this class default, like Tx's caches; it is
-    # not a field, so __eq__, hash and repr do not see it.
-    _succ = None
+    @_once
+    def _succ(self) -> dict:
+        """The adjacency map: each vertex with an out-edge -> its successors."""
+        adj = {}
+        for a, b in self.edges:
+            adj.setdefault(a, []).append(b)
+        return {a: frozenset(bs) for a, bs in adj.items()}
 
     def successors(self, v) -> frozenset:
-        succ = self._succ
-        if succ is None:
-            adj = {}
-            for a, b in self.edges:
-                adj.setdefault(a, []).append(b)
-            succ = self.__dict__["_succ"] = {a: frozenset(bs) for a, bs in adj.items()}
-        return succ.get(v, frozenset())
+        return self._succ.get(v, frozenset())
 
 
 def is_sieve(graph: SimpleGraph, subset: Iterable) -> bool:

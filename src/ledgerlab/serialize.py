@@ -199,32 +199,20 @@ class _Reader:
 
     A file repeats most entries: each state is written in full, and tx
     inputs and genesis outputs repeat state entries; the files of one
-    scenario share their genesis and first state.  Refs and outputs are
-    memoized by their parsed values, keyed type-strictly, since
-    ``True == 1 == 1.0`` in Python: a number is keyed with its type, so a
-    bool or float spelling never reuses the value built from an int.  The
-    states of a canonically spelled file are read by text instead
-    (``state_text``): ``entries`` maps the canonical text of an entry to
-    its ``(OutputRef, Output)``.  Only values that were built are stored; a
-    miss, or an entry that cannot be keyed, runs the plain reader with all
-    its checks.
+    scenario share their genesis and first state.  Outputs are memoized by
+    their parsed values, keyed type-strictly, since ``True == 1 == 1.0`` in
+    Python: a quantity is keyed with its type, so a bool or float spelling
+    never reuses the value built from an int.  The states of a canonically
+    spelled file are read by text instead (``state_text``): ``entries``
+    maps the canonical text of an entry to its ``(OutputRef, Output)``.
+    Only values that were built are stored; a miss, or an output that
+    cannot be keyed, runs the plain reader with all its checks.  The plain
+    reader builds a ref per entry.
     """
 
     def __init__(self):
-        self.refs = {}
         self.outputs = {}
         self.entries = {}
-
-    def ref(self, obj) -> OutputRef:
-        try:
-            index = obj["index"]
-            key = (obj["tx_hash"], type(index), index)
-            ref = self.refs.get(key)
-        except (KeyError, TypeError):
-            return ref_from_json(obj)
-        if ref is None:
-            ref = self.refs[key] = ref_from_json(obj)
-        return ref
 
     def output(self, obj) -> Output:
         try:
@@ -240,7 +228,7 @@ class _Reader:
 
     def entry(self, obj) -> Tuple[OutputRef, Output]:
         """A state entry or a transaction input: one ``(ref, output)`` pair."""
-        return self.ref(obj["output_ref"]), self.output(obj["output"])
+        return ref_from_json(obj["output_ref"]), self.output(obj["output"])
 
     def tx(self, obj) -> Tx:
         try:

@@ -28,6 +28,18 @@ def tx_of(inputs, outputs, interval=WIDE_INTERVAL, extra=b"") -> Tx:
     )
 
 
+def output_comparisons(monkeypatch) -> list:
+    """The ``Output.__eq__`` calls made from now on, one entry each."""
+    calls, eq = [], Output.__eq__
+
+    def counted(self, other):
+        calls.append(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(Output, "__eq__", counted)
+    return calls
+
+
 def produced_ref(tx: Tx, index: int):
     return sorted(mk_outs(tx).keys())[0].__class__(hash_tx(tx), index)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import out, tx_of
+from conftest import out, output_comparisons, tx_of
 from ledgerlab.core import (
     CheckResult,
     KeyCollisionError,
@@ -17,6 +17,7 @@ from ledgerlab.core import (
     OutputRef,
     Tx,
     UtxoSet,
+    _once,
     apply_tx,
     check_tx,
     get_orefs,
@@ -25,6 +26,7 @@ from ledgerlab.core import (
     step_ledger,
     tx_bytes,
 )
+from ledgerlab.graphs import SimpleGraph
 
 #: a tuple subclass of length 2, as OutputRef is: not a transaction input
 Entry = collections.namedtuple("Entry", "ref output")
@@ -314,6 +316,73 @@ class TestHashCache:
         assert hash(smaller) == hash(frozenset(smaller.entries)) != hash(u)
 
 
+def small_state() -> UtxoSet:
+    return UtxoSet({OutputRef(b"b", 1): out("q"), OutputRef(b"a", 0): out("p")})
+
+
+#: each value derived once per instance: a maker of fresh, equal instances
+#: and the attribute
+DERIVED_ONCE = {
+    "Tx._hash": (golden_tx, "_hash"),
+    "Tx._id": (golden_tx, "_id"),
+    "Tx._created": (golden_tx, "_created"),
+    "UtxoSet._hash": (small_state, "_hash"),
+    "UtxoSet._items": (small_state, "_items"),
+    "SimpleGraph._succ": (lambda: SimpleGraph({1, 2, 3}, {(1, 2), (1, 3)}, {1}), "_succ"),
+}
+
+
+def pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("make, name", DERIVED_ONCE.values(), ids=list(DERIVED_ONCE))
+class TestOnce:
+    """``core._once``: derived on the first read through an instance, kept in
+    its ``__dict__``, and invisible to the dataclass machinery."""
+
+    def test_derives_once_per_instance(self, make, name, monkeypatch):
+        once = vars(type(make()))[name]
+        calls, derive = [], once.derive
+        monkeypatch.setattr(once, "derive", lambda obj: calls.append(obj) or derive(obj))
+        obj, twin = make(), make()
+        first = getattr(obj, name)
+        assert all(getattr(obj, name) is first for _ in range(3))
+        assert getattr(twin, name) == first
+        assert [id(c) for c in calls] == [id(obj), id(twin)]
+        assert vars(obj)[name] is first
+
+    def test_unseen_by_repr_eq_fields_and_hash(self, make, name):
+        obj, fresh = make(), make()
+        before = repr(obj)
+        getattr(obj, name)
+        assert name in vars(obj) and name not in vars(fresh)
+        assert repr(obj) == before == repr(fresh)
+        assert obj == fresh and fresh == obj
+        assert hash(obj) == hash(fresh) and len({obj, fresh}) == 1
+        assert name not in {f.name for f in dataclasses.fields(obj)}
+
+    def test_replace_starts_empty(self, make, name):
+        obj = make()
+        value = getattr(obj, name)
+        other = dataclasses.replace(obj)
+        assert name not in vars(other)
+        assert getattr(other, name) == value
+
+    @pytest.mark.parametrize("twin_of", [copy.copy, pickled], ids=["copy", "pickle"])
+    def test_copies_keep_equality_and_hash(self, make, name, twin_of):
+        obj = make()
+        value = getattr(obj, name)
+        twin = twin_of(obj)
+        assert twin == obj and hash(twin) == hash(obj)
+        assert getattr(twin, name) == value
+
+    def test_read_through_the_class_is_the_descriptor(self, make, name):
+        cls = type(make())
+        assert isinstance(getattr(cls, name), _once)
+        assert getattr(cls, name) is vars(cls)[name]
+
+
 class TestAuxiliary:
     def test_mk_outs_keys(self):
         tx = tx_of((), [out("p"), out("q")])
@@ -373,6 +442,18 @@ class TestCheckTx:
         wrong = tx_of(
             [(OutputRef(h, 0), out("g0", coins=11))], [out("n")]
         )
+        assert check_tx(5, u0, wrong).reason == "missing-input"
+
+    def test_held_output_is_matched_by_identity_then_by_value(
+            self, small_ledger, monkeypatch):
+        u0, h, spend0 = small_ledger
+        ref = OutputRef(h, 0)
+        calls = output_comparisons(monkeypatch)
+        assert check_tx(5, u0, spend0) and calls == []
+        twin = out("g0")
+        assert twin is not u0.get(ref)
+        assert check_tx(5, u0, tx_of([(ref, twin)], [out("n")])) and len(calls) == 1
+        wrong = tx_of([(ref, out("g0", coins=11))], [out("n")])
         assert check_tx(5, u0, wrong).reason == "missing-input"
 
     def test_additional_checks_hook(self, small_ledger):

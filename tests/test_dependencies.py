@@ -65,26 +65,57 @@ def test_collector_pause_only_in_cli():
     assert found == []
 
 
-#: per-instance caches stored in an instance ``__dict__`` over a class default
-CACHE_FIELDS = {"_hash", "_id", "_created", "_items"}
+#: every value derived once per instance: (module, class, attribute)
+DERIVED_ONCE = {
+    ("core.py", "Tx", "_hash"), ("core.py", "Tx", "_id"), ("core.py", "Tx", "_created"),
+    ("core.py", "UtxoSet", "_hash"), ("core.py", "UtxoSet", "_items"),
+    ("graphs.py", "SimpleGraph", "_succ"),
+}
 
 
-def test_cache_fields_written_only_in_core():
-    """Only ``core`` stores a ``Tx`` or ``UtxoSet`` cache.  ``UtxoSet``'s
+def is_once(node) -> bool:
+    """Whether ``node`` is ``_once`` or ``core._once``."""
+    return ((isinstance(node, ast.Name) and node.id == "_once")
+            or (isinstance(node, ast.Attribute) and node.attr == "_once"))
+
+
+def test_derived_values_are_declared_once():
+    """Each per-instance cache is a ``core._once`` class attribute: no class
+    keeps a ``= None`` cache default, nothing uses
+    ``functools.cached_property`` (its first read takes a lock on Python
+    3.11), and the only constant-key ``__dict__`` store is ``apply_tx``'s
+    ``_items``, the order it derives from the parent's.  ``UtxoSet``'s
     cached hash and order are sound because after construction a state is
-    edited only by ``apply_tx``, before anything has read either, and by
-    ``valid_orders``, whose private state nothing hashes or orders."""
-    found = []
+    edited only by ``apply_tx``, before it returns, and by ``valid_orders``,
+    whose private state nothing hashes or orders."""
+    declared, none_defaults, cached_properties, stores = set(), [], [], []
     for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                        and is_once(node.value.func):
+                    declared.update((path.name, cls.name, t.id) for t in node.targets)
+                elif isinstance(node, ast.FunctionDef) \
+                        and any(map(is_once, node.decorator_list)):
+                    declared.add((path.name, cls.name, node.name))
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) \
+                        and node.value.value is None:
+                    none_defaults.append((path.name, cls.name, node.lineno))
+        functions = {id(sub): f.name for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef) for sub in ast.walk(f)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "cached_property":
+                cached_properties.append((path.name, node.lineno))
             if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
                     and isinstance(node.value, ast.Attribute)
                     and node.value.attr == "__dict__"
-                    and isinstance(node.slice, ast.Constant)
-                    and node.slice.value in CACHE_FIELDS):
-                found.append((path.name, node.slice.value))
-    assert found and {name for name, _ in found} == {"core.py"}
-    assert {field for _, field in found} == CACHE_FIELDS
+                    and isinstance(node.slice, ast.Constant)):
+                stores.append((path.name, functions.get(id(node)), node.slice.value))
+    assert declared == DERIVED_ONCE
+    assert none_defaults == [] and cached_properties == []
+    assert stores == [("core.py", "apply_tx", "_items")]
 
 
 #: the ledger step and check; the successor relation written with them

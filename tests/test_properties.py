@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import poset_oracle as oracle
 import run_oracle
-from conftest import gen_traces, out, tx_of
+from conftest import gen_traces, out, output_comparisons, tx_of
 from run_oracle import assign_slots
-from ledgerlab import core, properties
+from ledgerlab import core, properties, serialize
 from ledgerlab.cli import MONITORS
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
@@ -726,6 +726,15 @@ class TestValidOrders:
         monkeypatch.setattr(UtxoSet, "__post_init__", counted_post_init)
         assert len(valid_orders(u0, txs, sequences)) == len(sequences) == 720
         assert calls["apply_tx"] == 0 and calls["UtxoSet"] <= 1
+
+    def test_walk_over_a_read_run_compares_no_outputs(self, monkeypatch):
+        """A read run's inputs hold the very outputs its states hold, so
+        check_tx accepts each by identity, without ``Output.__eq__``."""
+        u0, txs, sequences = generated_orders(2, 100)
+        u0, steps, _ = serialize.load_run(serialize.dump_run(u0, list(enumerate(txs))))
+        calls = output_comparisons(monkeypatch)
+        assert len(valid_orders(u0, [tx for _, tx in steps], sequences)) == 720
+        assert calls == []
 
     def test_walk_that_keeps_refused_depths_fails(self):
         u0, txs, sequences = late_refusal()

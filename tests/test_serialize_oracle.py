@@ -418,7 +418,7 @@ class TestSharing:
         assert ref0 is ref1
         assert u0.get(ref) is u1.get(ref) is genesis[0].outputs[1]
         [(spent_ref, spent_out)] = prefix.annotations[1][1].inputs
-        assert spent_ref is ref0 and spent_out is u0.get(ref)
+        assert spent_ref == ref0 and spent_out is u0.get(ref)
 
     def test_no_memo_outlives_a_read(self):
         first, second = (serialize.load_trace(HAND_BUILT["trace"]) for _ in "ab")

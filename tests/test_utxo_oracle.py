@@ -151,7 +151,7 @@ def test_check_and_apply(case, ordered):
     if isinstance(after_old, str):
         assert after_new == after_old
         return
-    assert (after_new._items is not None) == ordered
+    assert ("_items" in vars(after_new)) == ordered
     assert_same_state(after_new, after_old)
     assert after_new.items() == _sorted_items(after_new.entries)
     if ordered:
