@@ -206,7 +206,7 @@ def _replay(path: str):
     """
     inputs = _Inputs(path)
     initial, steps, genesis = serialize.load_run(*inputs)
-    run = replay_sequence(initial, [slot for slot, _ in steps], [tx for _, tx in steps])
+    run = replay_sequence(initial, steps)
     refused = isinstance(run, CheckResult)
     verdict = _verdict("replay-valid", not refused,
                        [run.witness, run.reason] if refused else None)

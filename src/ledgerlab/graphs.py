@@ -11,7 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .core import CheckResult, Slot, Tx, UtxoSet, _once, check_tx, step_ledger
+from .core import (CheckResult, KeyCollisionError, Slot, Tx, UtxoSet, _once,
+                   apply_tx, check_tx)
 
 
 @dataclass(frozen=True)
@@ -134,11 +135,10 @@ def build_ledger_graph(
 
     Vertices satisfy check_tx; (q,u,t) -> (q',u',t') is an edge exactly when
     step_ledger takes (q,u,t) to u', (q',u',t') is checkable and q <= q'.
-    Only the part reachable from the initial vertices is built.
-
-    Each distinct (u, t) is stepped once and its after-state's checkable pairs
-    are found once, at every slot: a vertex's step passes check_tx and apply_tx
-    reads no slot.  A state tries only the txs that spend one of its refs.
+    Only the part reachable from the initial vertices is built.  A vertex
+    passed check_tx, so apply_tx alone steps it, once per distinct (u, t) as
+    it reads no slot, and the after-state's checkable pairs are found once,
+    at every slot.  A state tries only the txs that spend one of its refs.
     """
     spenders = {}  # ref -> the universe txs spending it, in universe order
     for t in tx_universe:
@@ -155,14 +155,16 @@ def build_ledger_graph(
     initial = frozenset(v for u in initial_utxos for v in checkable(u, initial_slots))
     vertices = set(initial)
     edges = set()
-    succ = {}  # (u, t) -> checkable(u', slots) after the step, [] if it is refused
+    succ = {}  # (u, t) -> checkable(u', slots) after the step, [] if it collides
     frontier = deque(initial)
     while frontier:
         v = frontier.popleft()
         q, u, t = v
         if (u, t) not in succ:
-            u2 = step_ledger(q, u, t, additional_checks)
-            succ[u, t] = [] if isinstance(u2, CheckResult) else checkable(u2, slots)
+            try:
+                succ[u, t] = checkable(apply_tx(u, t), slots)
+            except KeyCollisionError:  # a created ref is still unspent
+                succ[u, t] = []
         for w in succ[u, t]:
             if w[0] >= q:
                 edges.add((v, w))

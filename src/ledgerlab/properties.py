@@ -104,7 +104,7 @@ def check_disjointness(run: TracePrefix) -> CheckResult:
 
 @dataclass(frozen=True)
 class TxPoset:
-    """Dependency order on run indices: i < j when t_i spends what t_j made.
+    """Dependency order on indices 0..size-1: i < j when t_i spends what t_j made.
 
     ``less_than`` is the generating relation (j in K_i).  One pass in
     topological order, which run order need not be, derives ``levels`` (the
@@ -112,13 +112,13 @@ class TxPoset:
     down-set as an int bitset; the closure is read from the down-sets.
     """
 
-    indices: Tuple[int, ...]
+    size: int
     less_than: frozenset
     levels: Tuple[int, ...] = field(init=False)
     _down: Dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k_sets: Dict[int, List[int]] = {i: [] for i in self.indices}
+        k_sets: Dict[int, List[int]] = {i: [] for i in range(self.size)}
         for i, j in self.less_than:
             k_sets[i].append(j)
         try:
@@ -132,13 +132,12 @@ class TxPoset:
             down[i] = 0
             for j in k_sets[i]:
                 down[i] |= down[j] | 1 << j
-        object.__setattr__(self, "levels", tuple(level[i] for i in self.indices))
+        object.__setattr__(self, "levels", tuple(level[i] for i in range(self.size)))
         object.__setattr__(self, "_down", down)
 
     def closure(self) -> frozenset:
-        return frozenset(
-            (i, j) for i in self.indices for j in self.indices if self._down[i] >> j & 1
-        )
+        ids = range(self.size)
+        return frozenset((i, j) for i in ids for j in ids if self._down[i] >> j & 1)
 
     def comparable(self, i: int, j: int) -> bool:
         return bool((self._down[i] >> j | self._down[j] >> i) & 1)
@@ -163,12 +162,12 @@ def build_tx_poset(run: TracePrefix) -> TxPoset:
         for j in creators.get(ref, ())
         if j != i
     )
-    return TxPoset(tuple(range(len(txs))), relation)
+    return TxPoset(len(txs), relation)
 
 
 def canonical_presentation(poset: TxPoset) -> List[int]:
     """Indices sorted by dependency level, then by natural index."""
-    return sorted(poset.indices, key=lambda i: (poset.levels[i], i))
+    return sorted(range(poset.size), key=lambda i: (poset.levels[i], i))
 
 
 @dataclass(frozen=True)
@@ -211,26 +210,23 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
 # --- replay driver ----------------------------------------------------------
 
 def replay_sequence(
-    u0: UtxoSet,
-    slots: Sequence[Slot],
-    txs: Sequence[Tx],
+    u0: UtxoSet, steps: Sequence[Tuple[Slot, Tx]]
 ) -> Union[TracePrefix, CheckResult]:
-    """Fold step_ledger over a transaction list: the run as a lifted prefix.
+    """Fold step_ledger over a run's (slot, tx) steps: the run as a lifted
+    prefix ``TracePrefix(states, steps)``.
 
     A refused step k returns ``CheckResult(False, reason, witness=k)``; a
     slot below the previous one refuses it as ``slots-decreasing``.
     """
-    if len(slots) != len(txs):
-        raise ValueError("need one slot per transaction")
     states = [u0]
-    for k, (slot, tx) in enumerate(zip(slots, txs)):
-        if k and slot < slots[k - 1]:
+    for k, (slot, tx) in enumerate(steps):
+        if k and slot < steps[k - 1][0]:
             return CheckResult(False, "slots-decreasing", k)
         outcome = step_ledger(slot, states[-1], tx)
         if isinstance(outcome, CheckResult):
             return CheckResult(False, outcome.reason, k)
         states.append(outcome)
-    return TracePrefix(states, tuple(zip(slots, txs)))
+    return TracePrefix(states, steps)
 
 
 def valid_orders(

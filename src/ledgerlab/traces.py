@@ -165,11 +165,9 @@ def validate_trace_prefix(
         raise ValueError("need one (slot, tx) pair per step")
     if steps and initial_slots and steps[0][0] not in initial_slots:
         return CheckResult(False, "not-initial-slot")
-    prev_slot = None
     for k, (slot, tx) in enumerate(steps):
-        if prev_slot is not None and slot < prev_slot:
+        if k and slot < steps[k - 1][0]:
             return CheckResult(False, "slots-decreasing")
-        prev_slot = slot
         outcome = step_ledger(slot, prefix.states[k], tx)
         if isinstance(outcome, CheckResult):
             return CheckResult(False, "step-%d-%s" % (k, outcome.reason))

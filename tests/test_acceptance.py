@@ -63,9 +63,7 @@ def sample_runs(n_scenarios, per_scenario, depth, seed_base):
             seed=seed_base + 1000 + k,
         )
         for t in traces:
-            slots = [s for s, _ in t.annotations]
-            txs = [tx for _, tx in t.annotations]
-            run = replay_sequence(sc.initial_utxo, slots, txs)
+            run = replay_sequence(sc.initial_utxo, t.annotations)
             assert isinstance(run, TracePrefix)
             runs.append(run)
     return runs
@@ -196,7 +194,7 @@ def test_c4_exhaustive_commutativity():
                 slots = assign_slots(permuted)
                 if slots is None:
                     continue
-                replayed = replay_sequence(run.states[0], slots, permuted)
+                replayed = replay_sequence(run.states[0], list(zip(slots, permuted)))
                 if isinstance(replayed, CheckResult):
                     continue
                 assert replayed.states[-1] == run.states[-1], order
@@ -209,7 +207,7 @@ def test_c4_exhaustive_commutativity():
 def test_c5_worked_example(eight_tx):
     with criterion("C5 worked 8-transaction example"):
         genesis, u0, txs = eight_tx
-        run = replay_sequence(u0, [1] * 8, txs)
+        run = replay_sequence(u0, [(1, tx) for tx in txs])
         assert isinstance(run, TracePrefix)
         poset = build_tx_poset(run)
         assert poset.levels == (0, 0, 1, 0, 2, 2, 1, 3)
@@ -221,7 +219,7 @@ def test_c5_worked_example(eight_tx):
         assert alt in perms.sequences
         permuted = [txs[i] for i in alt]
         slots = assign_slots(permuted)
-        replayed = replay_sequence(u0, slots, permuted)
+        replayed = replay_sequence(u0, list(zip(slots, permuted)))
         assert isinstance(replayed, TracePrefix)
         assert replayed.states[-1] == run.states[-1]
 

@@ -118,8 +118,8 @@ def test_derived_values_are_declared_once():
     assert stores == [("core.py", "apply_tx", "_items")]
 
 
-#: the ledger step and check; the successor relation written with them
-SUCCESSOR_NAMES = {"step_ledger", "check_tx"}
+#: the ledger step, update and check; the successor relation written with them
+SUCCESSOR_NAMES = {"step_ledger", "apply_tx", "check_tx"}
 
 
 def test_ledger_successors_only_in_build_ledger_graph():

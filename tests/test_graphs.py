@@ -11,6 +11,7 @@ from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
     OutputRef,
+    apply_tx,
     check_tx,
     hash_tx,
     mk_outs,
@@ -439,7 +440,7 @@ class TestLedgerGraphs:
                 return fn(*args)
             return spy
 
-        monkeypatch.setattr("ledgerlab.graphs.step_ledger", counted("step", step_ledger))
+        monkeypatch.setattr("ledgerlab.graphs.apply_tx", counted("step", apply_tx))
         monkeypatch.setattr("ledgerlab.graphs.check_tx", counted("check", check_tx))
         sc, txs, slots = dump_universe(0, 25)
         lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
@@ -447,6 +448,22 @@ class TestLedgerGraphs:
         assert len(lam.vertices) == 642 and len(pairs) == 82
         assert calls["step"] == len(pairs)
         assert calls["check"] < len(lam.edges) == 4696
+
+    def test_a_vertex_is_not_checked_again(self, monkeypatch, narrow_universe,
+                                           non_well_founded):
+        # a vertex passed check_tx, and the hook, to be one; step_ledger
+        # would check it again through core's check_tx
+        sc, txs, slots = dump_universe(0, 25)
+        u0, universe, hook = narrow_universe
+        u1, colliding = non_well_founded
+
+        def refuse(*args):
+            raise AssertionError("a vertex was checked again")
+
+        monkeypatch.setattr("ledgerlab.core.check_tx", refuse)
+        assert build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots).edges
+        assert build_ledger_graph([u0], [0, 1], universe, [0, 1, 2, 3], hook).edges
+        assert build_ledger_graph([u1], [0], colliding, [0]).edges
 
     def test_refused_step_has_no_successor(self, non_well_founded):
         # u0 already holds the ref t1 creates, so t1 collides on u0

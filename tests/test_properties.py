@@ -35,13 +35,11 @@ from ledgerlab.properties import (
     replay_sequence,
     valid_orders,
 )
-from ledgerlab.traces import TracePrefix
+from ledgerlab.traces import TracePrefix, validate_trace_prefix
 
 
 def run_from_trace(scenario, trace) -> TracePrefix:
-    slots = [slot for slot, _ in trace.annotations]
-    txs = [tx for _, tx in trace.annotations]
-    outcome = replay_sequence(scenario.initial_utxo, slots, txs)
+    outcome = replay_sequence(scenario.initial_utxo, trace.annotations)
     assert isinstance(outcome, TracePrefix)
     return outcome
 
@@ -305,8 +303,8 @@ class TestCommutativity:
         h = hash_tx(genesis)
         t_a = tx_of([(OutputRef(h, 0), genesis.outputs[0])], [out("a")])
         t_b = tx_of([(OutputRef(h, 1), genesis.outputs[1])], [out("b")])
-        fwd = replay_sequence(u0, [0, 0], [t_a, t_b])
-        rev = replay_sequence(u0, [0, 0], [t_b, t_a])
+        fwd = replay_sequence(u0, [(0, t_a), (0, t_b)])
+        rev = replay_sequence(u0, [(0, t_b), (0, t_a)])
         assert isinstance(fwd, TracePrefix) and isinstance(rev, TracePrefix)
         assert fwd.states[-1] == rev.states[-1]
 
@@ -316,7 +314,7 @@ class TestPoset:
         trace = gen_traces(scenario, depth=4, count=1, seed=30)[0]
         run = run_from_trace(scenario, trace)
         poset = build_tx_poset(run)
-        assert poset.indices == tuple(range(len(run.annotations)))
+        assert poset.size == len(run.annotations)
         assert all(lv >= 0 for lv in poset.levels)
 
     def test_independent_txs_at_level_zero(self):
@@ -325,7 +323,7 @@ class TestPoset:
         h = hash_tx(genesis)
         t_a = tx_of([(OutputRef(h, 0), genesis.outputs[0])], [out("a")])
         t_b = tx_of([(OutputRef(h, 1), genesis.outputs[1])], [out("b")])
-        run = replay_sequence(u0, [0, 0], [t_a, t_b])
+        run = replay_sequence(u0, [(0, t_a), (0, t_b)])
         poset = build_tx_poset(run)
         assert poset.levels == (0, 0)
         assert poset.less_than == frozenset()
@@ -342,7 +340,7 @@ class TestPoset:
 
     def test_eight_tx_levels_and_canonical_order(self, eight_tx):
         genesis, u0, txs = eight_tx
-        run = replay_sequence(u0, [1] * 8, txs)
+        run = replay_sequence(u0, [(1, tx) for tx in txs])
         assert isinstance(run, TracePrefix)
         poset = build_tx_poset(run)
         assert poset.levels == (0, 0, 1, 0, 2, 2, 1, 3)
@@ -350,7 +348,7 @@ class TestPoset:
 
     def test_eight_tx_hasse_diagram(self, eight_tx):
         genesis, u0, txs = eight_tx
-        run = replay_sequence(u0, [1] * 8, txs)
+        run = replay_sequence(u0, [(1, tx) for tx in txs])
         poset = build_tx_poset(run)
         assert oracle.hasse_edges(8, poset.less_than) == frozenset(
             [(2, 1), (4, 0), (4, 2), (4, 3), (5, 2), (5, 3), (6, 1), (6, 3),
@@ -371,30 +369,35 @@ class TestPoset:
 
 class TestPermutations:
     def test_singleton(self):
-        poset = TxPoset((0,), frozenset())
+        poset = TxPoset(1, frozenset())
         perms = enumerate_valid_permutations(poset, cap=10)
         assert perms.sequences == ((0,),)
         assert not perms.capped
 
     def test_two_independent(self):
-        poset = TxPoset((0, 1), frozenset())
+        poset = TxPoset(2, frozenset())
         perms = enumerate_valid_permutations(poset, cap=10)
         assert set(perms.sequences) == {(0, 1), (1, 0)}
 
     def test_two_dependent(self):
-        poset = TxPoset((0, 1), frozenset([(1, 0)]))
+        poset = TxPoset(2, frozenset([(1, 0)]))
         perms = enumerate_valid_permutations(poset, cap=10)
         assert perms.sequences == ((0, 1),)
 
     def test_cap_flags_truncation(self):
-        poset = TxPoset((0, 1, 2), frozenset())
+        poset = TxPoset(3, frozenset())
         perms = enumerate_valid_permutations(poset, cap=2)
         assert perms.capped
         assert len(perms.sequences) == 2
 
+    def test_cap_below_one_is_refused(self):
+        # the CLI's --cap parser refuses first, so only a caller reaches this
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            enumerate_valid_permutations(TxPoset(1, frozenset()), 0)
+
     def test_reachable_set_is_the_linear_extensions(self, eight_tx):
         genesis, u0, txs = eight_tx
-        run = replay_sequence(u0, [1] * 8, txs)
+        run = replay_sequence(u0, [(1, tx) for tx in txs])
         poset = build_tx_poset(run)
         perms = enumerate_valid_permutations(poset, cap=100000)
         assert not perms.capped
@@ -416,13 +419,13 @@ class TestPermutations:
 
     def test_alternate_order_from_worked_example(self, eight_tx):
         genesis, u0, txs = eight_tx
-        run = replay_sequence(u0, [1] * 8, txs)
+        run = replay_sequence(u0, [(1, tx) for tx in txs])
         poset = build_tx_poset(run)
         perms = enumerate_valid_permutations(poset, cap=100000)
         alt = (3, 1, 6, 2, 5, 7, 0, 4)
         assert alt in perms.sequences
         slots = assign_slots([txs[i] for i in alt])
-        replayed = replay_sequence(u0, slots, [txs[i] for i in alt])
+        replayed = replay_sequence(u0, list(zip(slots, [txs[i] for i in alt])))
         assert isinstance(replayed, TracePrefix)
         assert replayed.states[-1] == run.states[-1]
 
@@ -436,7 +439,7 @@ class TestPermutations:
                 slots = assign_slots(permuted)
                 if slots is None:
                     continue
-                replayed = replay_sequence(run.states[0], slots, permuted)
+                replayed = replay_sequence(run.states[0], list(zip(slots, permuted)))
                 if isinstance(replayed, CheckResult):
                     continue
                 finals.add(replayed.states[-1])
@@ -460,7 +463,7 @@ class TestPosetOracle:
     @given(acyclic_relations())
     def test_matches_oracle(self, drawn):
         n, less_than = drawn
-        poset = TxPoset(tuple(range(n)), less_than)
+        poset = TxPoset(n, less_than)
         assert poset.levels == oracle.levels(n, less_than)
         assert poset.closure() == oracle.closure(less_than)
         for i, j in itertools.product(range(n), repeat=2):
@@ -482,7 +485,7 @@ class TestPosetOracle:
         with pytest.raises(RuntimeError):
             oracle.levels(n, cyclic)
         with pytest.raises(RuntimeError):
-            TxPoset(tuple(range(n)), cyclic)
+            TxPoset(n, cyclic)
 
     def test_k_sets_on_generated_runs(self, scenario):
         for trace in gen_traces(scenario, depth=8, count=6, seed=41):
@@ -503,20 +506,18 @@ class TestPosetOracle:
 class TestReplayDriver:
     def test_empty_sequence(self):
         u0 = mk_outs(tx_of((), [out("g")]))
-        run = replay_sequence(u0, [], [])
+        run = replay_sequence(u0, [])
         assert isinstance(run, TracePrefix)
         assert run == fabricate(u0, [])
 
     def test_arity_and_monotonicity_validated(self):
         genesis = tx_of((), [out("g")])
         u0 = mk_outs(genesis)
-        with pytest.raises(ValueError):
-            replay_sequence(u0, [0], [])
         t = tx_of(
             [(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])], [out("q")]
         )
         # the slot is checked before the step, so this is not missing-input
-        assert replay_sequence(u0, [2, 1], [t, t]) == CheckResult(
+        assert replay_sequence(u0, [(2, t), (1, t)]) == CheckResult(
             False, "slots-decreasing", 1
         )
 
@@ -527,7 +528,7 @@ class TestReplayDriver:
             [(OutputRef(hash_tx(genesis), 0), genesis.outputs[0])],
             [out("p")],
         )
-        outcome = replay_sequence(u0, [0, 0], [spend, spend])
+        outcome = replay_sequence(u0, [(0, spend), (0, spend)])
         assert isinstance(outcome, CheckResult)
         assert outcome.witness == 1
         assert outcome.reason == "missing-input"
@@ -541,10 +542,42 @@ class TestReplayDriver:
             sc, depth=8, count=4, seed=seed, token=token, hook=hook
         )
         for t in traces:
-            slots = [slot for slot, _ in t.annotations]
-            txs = [tx for _, tx in t.annotations]
-            replayed = replay_sequence(t.states[0], slots, txs)
+            replayed = replay_sequence(t.states[0], t.annotations)
             assert replayed == TracePrefix(t.states, t.annotations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_validation_agrees_with_replay(self, data):
+        """``validate_trace_prefix`` passes a prefix exactly when replaying its
+        steps from its first state rebuilds it, on generated traces with a
+        lowered slot, two swapped steps, an altered state or a dropped step."""
+        seed = data.draw(st.integers(0, 30), label="seed")
+        token = data.draw(st.sampled_from([None, b"NFT"]), label="token")
+        sc = make_scenario(seed, n_outputs=data.draw(st.integers(1, 6)), token=token)
+        hook = nft_contract(token).additional_checks if token else None
+        trace = gen_traces(sc, depth=data.draw(st.integers(1, 8)), count=1,
+                           seed=seed, token=token, hook=hook)[0]
+        states, steps = list(trace.states), list(trace.annotations)
+        mutation = data.draw(st.sampled_from(["none", "slot", "swap", "state", "drop"]))
+        pick = st.integers(0, max(len(steps) - 1, 0))
+        if mutation == "state":
+            i = data.draw(st.integers(0, len(states) - 1), label="state")
+            entries = list(states[i].entries.items())
+            states[i] = data.draw(st.sampled_from(
+                [UtxoSet(dict(entries[1:])), sc.initial_utxo] + states), label="to")
+        elif steps and mutation == "slot":
+            k = data.draw(pick, label="step")
+            slot, tx = steps[k]
+            steps[k] = (slot - data.draw(st.integers(1, 3), label="by"), tx)
+        elif steps and mutation == "swap":
+            i, j = data.draw(pick, label="i"), data.draw(pick, label="j")
+            steps[i], steps[j] = steps[j], steps[i]
+        elif steps and mutation == "drop":
+            k = data.draw(pick, label="step")
+            del steps[k], states[k + 1]
+        prefix = TracePrefix(states, steps)
+        clean = bool(validate_trace_prefix(prefix, []))
+        assert clean == (replay_sequence(prefix.states[0], prefix.annotations) == prefix)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -572,7 +605,7 @@ class TestReplayDriver:
         txs = data.draw(st.one_of(orders), label="txs")
         slots = assign_slots(txs)
         assert slots is not None
-        run = replay_sequence(u0, slots, txs)
+        run = replay_sequence(u0, list(zip(slots, txs)))
         if isinstance(run, CheckResult):
             return
         for k, (_, tx) in enumerate(run.annotations):
@@ -591,7 +624,7 @@ def replayed_orders(u0, txs, sequences):
         slots = assign_slots(ordered)
         if slots is None:
             continue
-        if not isinstance(replay_sequence(u0, slots, ordered), CheckResult):
+        if not isinstance(replay_sequence(u0, list(zip(slots, ordered))), CheckResult):
             valid.append(seq)
     return valid
 
@@ -696,7 +729,7 @@ class TestValidOrders:
         for sequences in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
             assert valid_orders(u0, txs, sequences) == [(0, 1)]
             assert replayed_orders(u0, txs, sequences) == [(0, 1)]
-        run = replay_sequence(u0, [1, 1], txs)
+        run = replay_sequence(u0, [(1, tx) for tx in txs])
         canon = enumerate_valid_permutations(build_tx_poset(run), 720).sequences
         assert canon == ((1, 0),)
         assert valid_orders(u0, txs, canon) == []
