@@ -17,6 +17,7 @@ from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Optional, Tuple, Union
 
 MAX_INDEX = 2 ** 32
+_NAT_BOUND = 2 ** 64
 
 # Ledger time: a slot is a plain natural number.  A validity interval
 # (start, end) includes start and excludes end.
@@ -26,7 +27,7 @@ Slot = int
 AdditionalChecks = Callable[[Slot, "UtxoSet", "Tx"], bool]
 
 
-def _in_domain(value, what: str, bound: Optional[int] = 2 ** 64):
+def _in_domain(value, what: str, bound: Optional[int] = _NAT_BOUND):
     """``value`` if ``tx_bytes`` can serialize it, else ValueError.
 
     That is ``bytes`` when ``bound`` is None, else an int, not a bool, in
@@ -72,6 +73,15 @@ class _once:
         return value
 
 
+def _state_without_once(obj) -> dict:
+    """``obj.__dict__`` without its ``_once`` values: the state that pickle
+    and copy take, as a class's ``__getstate__``.  A hash is salted per
+    process, so a value loaded elsewhere derives its own."""
+    cls = type(obj)
+    return {name: value for name, value in vars(obj).items()
+            if not isinstance(getattr(cls, name, None), _once)}
+
+
 class KeyCollisionError(Exception):
     """A freshly created output reference already exists unspent.
 
@@ -91,8 +101,11 @@ class OutputRef(tuple):
     __slots__ = ()
 
     def __new__(cls, tx_hash: bytes, index: int):
-        _in_domain(tx_hash, "tx_hash", bound=None)
-        _in_domain(index, "output index", MAX_INDEX)
+        # exact types pass inline; anything else gets _in_domain's verdict
+        if type(tx_hash) is not bytes:
+            _in_domain(tx_hash, "tx_hash", bound=None)
+        if type(index) is not int or not 0 <= index < MAX_INDEX:
+            _in_domain(index, "output index", MAX_INDEX)
         return tuple.__new__(cls, (tx_hash, index))
 
     tx_hash = property(itemgetter(0))
@@ -106,40 +119,56 @@ class OutputRef(tuple):
         return "OutputRef(tx_hash=%r, index=%r)" % self
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(tuple):
     """A ledger entry value: owner address, token bag, opaque datum.
 
-    ``value`` maps token ids to positive quantities.  Zero quantities are
-    normalized away at construction; quantities outside [0, 2^64) are
-    rejected.
+    The triple ``(address, value, datum)`` itself, as ``OutputRef`` is its
+    pair: it hashes, compares and orders exactly as that plain tuple, to
+    which it is equal.  ``value`` maps token ids to positive quantities,
+    given as a mapping or as pairs and kept as pairs sorted by token.  Zero
+    quantities are normalized away at construction; quantities outside
+    [0, 2^64) are rejected.
     """
 
-    address: bytes
-    value: Tuple[Tuple[bytes, int], ...] = ()
-    datum: bytes = b""
+    __slots__ = ()
 
-    def __post_init__(self):
-        _in_domain(self.address, "address", bound=None)
-        _in_domain(self.datum, "datum", bound=None)
-        pairs = self.value.items() if isinstance(self.value, Mapping) else self.value
+    def __new__(cls, address: bytes, value=(), datum: bytes = b""):
+        if type(address) is not bytes:
+            _in_domain(address, "address", bound=None)
+        if type(datum) is not bytes:
+            _in_domain(datum, "datum", bound=None)
+        pairs = value.items() if type(value) is dict or isinstance(value, Mapping) else value
         norm = []
         seen = set()
         try:
             for token, qty in pairs:
-                _in_domain(token, "token id", bound=None)
-                _in_domain(qty, "token quantity")
+                if type(token) is not bytes:
+                    _in_domain(token, "token id", bound=None)
+                if type(qty) is not int or not 0 <= qty < _NAT_BOUND:
+                    _in_domain(qty, "token quantity")
                 if token in seen:
                     raise ValueError("duplicate token id in value map")
                 seen.add(token)
-                if qty > 0:
+                if qty:
                     norm.append((token, qty))
         except TypeError as exc:
             raise ValueError("value is not (token, quantity) pairs: %s" % exc) from exc
-        object.__setattr__(self, "value", tuple(sorted(norm)))
+        norm.sort()
+        return tuple.__new__(cls, (address, tuple(norm), datum))
+
+    address = property(itemgetter(0))
+    value = property(itemgetter(1))
+    datum = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild an output as Output(address, value, datum)
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "Output(address=%r, value=%r, datum=%r)" % self
 
     def quantity(self, token: bytes) -> int:
-        for tok, qty in self.value:
+        for tok, qty in self[1]:
             if tok == token:
                 return qty
         return 0
@@ -159,29 +188,43 @@ class Tx:
     additional_data: bytes = b""
 
     def __post_init__(self):
+        # exact types pass inline, and a part that already has its final
+        # type is kept as given; anything else gets _of_type's or
+        # _in_domain's verdict
+        inputs, outputs, interval = self.inputs, self.outputs, self.validity_interval
         try:
-            object.__setattr__(self, "inputs", frozenset(self.inputs))
-            object.__setattr__(self, "outputs", tuple(self.outputs))
-            object.__setattr__(self, "validity_interval", tuple(self.validity_interval))
+            if type(inputs) is not frozenset:
+                object.__setattr__(self, "inputs", inputs := frozenset(inputs))
+            if type(outputs) is not tuple:
+                object.__setattr__(self, "outputs", outputs := tuple(outputs))
+            if type(interval) is not tuple:
+                object.__setattr__(self, "validity_interval", interval := tuple(interval))
         except TypeError as exc:
             raise ValueError("bad inputs, outputs or interval: %s" % exc) from exc
         refs = set()
-        for pair in self.inputs:
+        for pair in inputs:
             # a plain tuple: an OutputRef is a 2-tuple too
             if type(pair) is not tuple or len(pair) != 2:
                 raise ValueError("input is not a (ref, output) pair: %r" % (pair,))
-            refs.add(_of_type(pair[0], OutputRef, "input ref"))
-            _of_type(pair[1], Output, "claimed output")
-        for out in self.outputs:
-            _of_type(out, Output, "output")
-        if len(refs) != len(self.inputs):
+            ref, claimed = pair
+            if type(ref) is not OutputRef:
+                _of_type(ref, OutputRef, "input ref")
+            if type(claimed) is not Output:
+                _of_type(claimed, Output, "claimed output")
+            refs.add(ref)
+        for out in outputs:
+            if type(out) is not Output:
+                _of_type(out, Output, "output")
+        if len(refs) != len(inputs):
             raise ValueError("transaction inputs must have distinct output refs")
-        start, end = self.validity_interval
-        _in_domain(start, "validity bound")
-        _in_domain(end, "validity bound")
-        _in_domain(self.additional_data, "additional_data", bound=None)
+        start, end = interval
+        for slot in (start, end):
+            if type(slot) is not int or not 0 <= slot < _NAT_BOUND:
+                _in_domain(slot, "validity bound")
+        if type(self.additional_data) is not bytes:
+            _in_domain(self.additional_data, "additional_data", bound=None)
         if start > end:
-            raise ValueError("bad validity interval: %r" % (self.validity_interval,))
+            raise ValueError("bad validity interval: %r" % (interval,))
 
     # the value the dataclass __hash__ would compute
     _hash = _once(lambda tx: hash(
@@ -189,6 +232,8 @@ class Tx:
     _id = _once(lambda tx: hashlib.sha256(tx_bytes(tx)).digest())
     _created = _once(lambda tx: UtxoSet(
         {OutputRef(hash_tx(tx), ix): out for ix, out in enumerate(tx.outputs)}))
+
+    __getstate__ = _state_without_once
 
     def __hash__(self) -> int:
         return self._hash
@@ -217,6 +262,7 @@ class UtxoSet:
     # its private copy, which nothing hashes, orders or returns.
     _hash = _once(lambda u: hash(frozenset(u.entries)))
     _items = _once(lambda u: _sorted_items(u.entries))
+    __getstate__ = _state_without_once
 
     def __hash__(self) -> int:
         return self._hash
@@ -275,11 +321,11 @@ def _ser_bytes(b: bytes) -> bytes:
 
 
 def _ser_output(out: Output) -> bytes:
-    parts = [_ser_bytes(out.address), _ser_nat(len(out.value))]
-    for token, qty in out.value:
-        parts.append(_ser_bytes(token))
-        parts.append(_ser_nat(qty))
-    parts.append(_ser_bytes(out.datum))
+    address, value, datum = out
+    parts = [len(address).to_bytes(8, "big"), address, len(value).to_bytes(8, "big")]
+    for token, qty in value:
+        parts += (len(token).to_bytes(8, "big"), token, qty.to_bytes(8, "big"))
+    parts += (len(datum).to_bytes(8, "big"), datum)
     return b"".join(parts)
 
 

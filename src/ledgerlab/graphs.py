@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Tuple
 
 from .core import (CheckResult, KeyCollisionError, Slot, Tx, UtxoSet, _once,
-                   apply_tx, check_tx)
+                   _state_without_once, apply_tx, check_tx)
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class SimpleGraph:
         for a, b in self.edges:
             adj.setdefault(a, []).append(b)
         return {a: frozenset(bs) for a, bs in adj.items()}
+
+    __getstate__ = _state_without_once
 
     def successors(self, v) -> frozenset:
         return self._succ.get(v, frozenset())

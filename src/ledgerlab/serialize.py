@@ -17,8 +17,11 @@ from .traces import TracePrefix
 
 FORMAT_VERSION = 1
 
-#: The canonical spelling around the states of a trace file and between
-#: the entries of a state, which ``_canonical_states`` cuts on.
+#: The canonical spelling around the genesis and the states of a trace
+#: file and between the entries of a state, which ``_canonical_states``
+#: cuts on.
+_GENESIS_HEAD = '{"genesis":'
+_SLOTS_HEAD = ',"initial_slots":'
 _STATES_HEAD = ',"states":['
 _TRUNCATED_HEAD = ',"truncated":'
 _TRACE_TAILS = tuple(
@@ -111,11 +114,8 @@ def output_from_json(obj: dict) -> Output:
         value = obj["value"]
         if not isinstance(value, dict):
             raise TypeError("token value must be an object: %r" % (value,))
-        return Output(
-            address=_hex(obj["address"]),
-            value={_hex(t): q for t, q in value.items()},
-            datum=_hex(obj["datum"]),
-        )
+        return Output(_hex(obj["address"]), {_hex(t): q for t, q in value.items()},
+                      _hex(obj["datum"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad output: %s" % exc) from exc
 
@@ -207,12 +207,15 @@ class _Reader:
     maps the canonical text of an entry to its ``(OutputRef, Output)``.
     Only values that were built are stored; a miss, or an output that
     cannot be keyed, runs the plain reader with all its checks.  The plain
-    reader builds a ref per entry.
+    reader builds a ref per entry.  ``geneses`` maps the text of a
+    canonical file's genesis array to the txs built from it, so the files
+    of one scenario build their shared genesis once.
     """
 
     def __init__(self):
         self.outputs = {}
         self.entries = {}
+        self.geneses = {}
 
     def output(self, obj) -> Output:
         try:
@@ -291,6 +294,20 @@ class _Reader:
         return [(_in_domain(slot, "slot"), self.tx(tx))
                 for slot, tx in _of_type(obj, list, what)]
 
+    def genesis(self, obj: dict, text: Optional[str] = None) -> List[Tx]:
+        """The genesis txs of a file's object ``obj``.
+
+        ``text``, if given, is the text of the genesis array, cut out of a
+        canonical file: txs built from it are kept under it, and a later
+        file with the same text gets them without reading ``obj``.
+        """
+        txs = self.geneses.get(text)
+        if txs is None:
+            txs = tuple(map(self.tx, _of_type(obj.get("genesis", []), list, "genesis")))
+            if text is not None:
+                self.geneses[text] = txs
+        return list(txs)
+
 
 def _state(pairs: List[Tuple[OutputRef, Output]]) -> UtxoSet:
     """The state of ``(ref, output)`` pairs; a ref listed twice is refused
@@ -353,7 +370,7 @@ def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[S
     the errors are the same either way.
     """
     canonical = _canonical_states(read, text)
-    obj, states = canonical or (_load(text, "trace"), None)
+    obj, states, genesis_text = canonical or (_load(text, "trace"), None, None)
     try:
         if states is None:
             states = tuple(map(read.utxo, _of_type(obj["states"], list, "states")))
@@ -361,7 +378,7 @@ def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[S
         annotations = None if lifts is None else read.steps(lifts, "lifts")
         truncated = _of_type(obj.get("truncated", False), bool, "truncated")
         prefix = TracePrefix(states, annotations, truncated)
-        genesis = _read_genesis(read, obj)
+        genesis = read.genesis(obj, genesis_text)
         slots = [_in_domain(q, "slot")
                  for q in _of_type(obj.get("initial_slots", []), list, "initial_slots")]
     except (KeyError, TypeError, ValueError) as exc:
@@ -369,32 +386,47 @@ def _read_trace(read: _Reader, text: str) -> Tuple[TracePrefix, List[Tx], List[S
     return prefix, genesis, slots
 
 
-def _canonical_states(read: _Reader, text: str) -> Optional[Tuple[dict, tuple]]:
-    """The rest of a canonically spelled trace file, parsed, and its states;
-    ``None`` for any other spelling.
+def _canonical_states(read: _Reader, text: str
+                      ) -> Optional[Tuple[dict, tuple, Optional[str]]]:
+    """The rest of a canonically spelled trace file, parsed, its states and
+    the text of its genesis array (``None`` if not cut); ``None`` for any
+    other spelling.
 
     The top-level ``"states"`` member is cut out of the text, and the rest
     is parsed by ``json.loads``.  The rest ends in the fixed tail
     ``,"truncated":…,"version":1}\\n``, which closes exactly one object, so
     the rest parses only if the cut was made in the top-level object.
-    Each state's entries are then read by ``_Reader.state_text``.  Never
-    raises: an error is the plain reader's to report, in its order.
+    Each state's entries are then read by ``_Reader.state_text``.  The
+    leading ``"genesis"`` member is cut out too, up to the first
+    ``,"initial_slots":``: a JSON value ends where its text says it ends,
+    so when the cut text scans as exactly one value, it is the member's
+    whole value.  A text ``_Reader.genesis`` has built from is not scanned
+    again.  Never raises: an error is the plain reader's to report, in its
+    order.
     """
     try:
         start = text.find(_STATES_HEAD)
         if start < 0 or not text.endswith(_TRACE_TAILS):
             return None
         end = text.rindex(_TRUNCATED_HEAD)
-        obj = json.loads(text[:start] + text[end:])
-        if "states" in obj or obj.get("kind") != "trace":
+        head, genesis_text = text[:start], None
+        if head.startswith(_GENESIS_HEAD) and (cut := head.find(_SLOTS_HEAD)) >= 0:
+            genesis_text = head[len(_GENESIS_HEAD):cut]
+            head = "{" + head[cut + 1:]
+        obj = json.loads(head + text[end:])
+        if "states" in obj or "genesis" in obj or obj.get("kind") != "trace":
             return None
+        if genesis_text is not None and genesis_text not in read.geneses:
+            obj["genesis"], stop = _scan(genesis_text, 0)
+            if stop != len(genesis_text):
+                return None
         # the states are "[" + body + "]" joined by ","; each body is cut
         # out of the text alone, so no copy of the whole member is made
         first, last = start + len(_STATES_HEAD), end - 1
         if text[last] != "]":
             return None
         if first == last:
-            return obj, ()
+            return obj, (), genesis_text
         if not (text[first] == "[" and text[last - 1] == "]"):
             return None
         states, first = [], first + 1
@@ -402,13 +434,9 @@ def _canonical_states(read: _Reader, text: str) -> Optional[Tuple[dict, tuple]]:
             states.append(read.state_text(text[first:cut]))
             first = cut + 3
         states.append(read.state_text(text[first:last - 1]))
-        return obj, tuple(states)
+        return obj, tuple(states), genesis_text
     except Exception:  # whatever fails here, the plain reader reports
         return None
-
-
-def _read_genesis(read: _Reader, obj: dict) -> List[Tx]:
-    return list(map(read.tx, _of_type(obj.get("genesis", []), list, "genesis")))
 
 
 # --- run files --------------------------------------------------------------
@@ -434,7 +462,7 @@ def load_run(text: str) -> Tuple[UtxoSet, List[Tuple[Slot, Tx]], List[Tx]]:
     try:
         initial = read.utxo(obj["initial"])
         steps = read.steps(obj["steps"], "steps")
-        genesis = _read_genesis(read, obj)
+        genesis = read.genesis(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad run file: %s" % exc) from exc
     return initial, steps, genesis

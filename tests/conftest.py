@@ -29,14 +29,19 @@ def tx_of(inputs, outputs, interval=WIDE_INTERVAL, extra=b"") -> Tx:
 
 
 def output_comparisons(monkeypatch) -> list:
-    """The ``Output.__eq__`` calls made from now on, one entry each."""
-    calls, eq = [], Output.__eq__
+    """The ``Output.__eq__`` and ``__ne__`` calls made from now on, one
+    entry each.  ``Output`` is a tuple, whose C ``__ne__`` does not call a
+    patched ``__eq__``, so both are counted."""
+    calls = []
 
-    def counted(self, other):
-        calls.append(self)
-        return eq(self, other)
+    def counted(compare):
+        def compare_counted(self, other):
+            calls.append(self)
+            return compare(self, other)
+        return compare_counted
 
-    monkeypatch.setattr(Output, "__eq__", counted)
+    for name in ("__eq__", "__ne__"):
+        monkeypatch.setattr(Output, name, counted(getattr(Output, name)))
     return calls
 
 

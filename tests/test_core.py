@@ -2,13 +2,19 @@ import collections
 import copy
 import dataclasses
 import hashlib
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ledgerlab
 from conftest import out, output_comparisons, tx_of
 from ledgerlab.core import (
     CheckResult,
@@ -93,6 +99,18 @@ class TestValues:
         refs = [OutputRef(rng.randbytes(rng.randint(0, 3)), rng.randrange(4))
                 for _ in range(500)]
         assert sorted(refs) == sorted(refs, key=lambda r: (r.tx_hash, r.index))
+
+    def test_output_is_its_triple(self):
+        o = Output(b"\x01", {b"t": 3, b"s": 0}, b"d")
+        triple = (b"\x01", ((b"t", 3),), b"d")
+        assert (o.address, o.value, o.datum) == triple
+        assert o == triple and hash(o) == hash(triple)
+        assert repr(o) == "Output(address=b'\\x01', value=((b't', 3),), datum=b'd')"
+        assert Output(b"a", datum=b"z") < Output(b"b") < Output(b"b", {b"t": 1})
+        with pytest.raises(AttributeError):
+            o.datum = b"e"
+        for twin in (pickle.loads(pickle.dumps(o)), copy.copy(o), copy.deepcopy(o)):
+            assert type(twin) is Output and twin == o and repr(twin) == repr(o)
 
     def test_output_normalizes_value(self):
         o = Output(address=b"x", value={b"b": 1, b"a": 2, b"z": 0})
@@ -377,10 +395,40 @@ class TestOnce:
         assert twin == obj and hash(twin) == hash(obj)
         assert getattr(twin, name) == value
 
+    @pytest.mark.parametrize("twin_of", [copy.copy, copy.deepcopy, pickled],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_derive_their_own(self, make, name, twin_of):
+        obj = make()
+        getattr(obj, name)
+        assert name not in vars(twin_of(obj))
+
     def test_read_through_the_class_is_the_descriptor(self, make, name):
         cls = type(make())
         assert isinstance(getattr(cls, name), _once)
         assert getattr(cls, name) is vars(cls)[name]
+
+
+def test_value_pickled_after_hashing_hashes_as_fresh_in_another_process():
+    """A hash is salted per process: a value pickled after its derived
+    values were read loads, under another hash seed, as one pickled fresh."""
+    fresh = pickle.dumps([make() for make, _ in DERIVED_ONCE.values()])
+    warm = [make() for make, _ in DERIVED_ONCE.values()]
+    for obj, (_, name) in zip(warm, DERIVED_ONCE.values()):
+        getattr(obj, name)
+        hash(obj)
+    child = (
+        "import json, pickle, sys\n"
+        "fresh, warm = map(pickle.loads, pickle.load(sys.stdin.buffer))\n"
+        "print(json.dumps([[a == b, hash(a) == hash(b), len({a, b})]"
+        " for a, b in zip(fresh, warm)]))\n"
+    )
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(ledgerlab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                          input=pickle.dumps((fresh, pickle.dumps(warm))),
+                          capture_output=True)
+    assert json.loads(done.stdout) == [[True, True, 1]] * len(DERIVED_ONCE)
 
 
 class TestAuxiliary:

@@ -154,6 +154,26 @@ def test_an_input_is_a_ledger_entry():
     assert found == []
 
 
+DOMAIN_ERROR = "outside the tx_bytes domain"
+
+
+def test_domain_errors_are_spelled_once():
+    """A value outside the hash serialization's domain is refused only
+    through ``core._in_domain``: a constructor that tests a type inline
+    calls it on its failing branch, so no fast path spells the error a
+    second way."""
+    spelled = []
+    for path in MODULES:
+        text = path.read_text(encoding="utf-8")
+        inside = set()
+        for node in ast.parse(text).body:
+            if (path.name, getattr(node, "name", None)) == ("core.py", "_in_domain"):
+                inside = set(range(node.lineno, node.end_lineno + 1))
+        spelled += [(path.name, n, n in inside)
+                    for n, line in enumerate(text.splitlines(), 1) if DOMAIN_ERROR in line]
+    assert [inside for _, _, inside in spelled] == [True], spelled
+
+
 def declared_minimum_python():
     """The (major, minor) of ``requires-python = ">=X.Y"`` in pyproject.toml."""
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

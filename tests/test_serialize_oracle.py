@@ -152,8 +152,9 @@ def mutated(draw, kind):
 
 
 @st.composite
-def edited(draw, text):
-    """``text`` with one to three edits.
+def edited(draw, text, under=()):
+    """``text`` with one to three edits, each at or below the node at path
+    ``under`` (the root's children by default).
 
     An edit respells a number (``1`` as ``true``, ``7`` as ``7.0``), puts
     a copy of another node with the same key in place of a node (an entry,
@@ -162,7 +163,10 @@ def edited(draw, text):
     """
     payload = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
-        nodes = list(json_nodes(payload))[1:]
+        nodes = [(p, n) for p, n in json_nodes(payload)
+                 if p and p[:len(under)] == under]
+        if not nodes:  # the node at ``under`` was deleted
+            break
         path, node = draw(st.sampled_from(nodes))
         parent, key = json_parent(payload, path)
         edit = draw(st.sampled_from(["respell", "copy", "delete", "replace"]))
@@ -305,6 +309,14 @@ def _canonical_cases():
         payload["states"] = []
         payload["lifts"] = None
 
+    def slots_in_genesis(payload):
+        # the genesis is cut at the first `,"initial_slots":`, which falls
+        # inside its tx: the cut text does not scan as one value
+        payload["genesis"][0]["initial_slots"] = [7]
+
+    def genesis_not_a_list(payload):
+        payload["genesis"] = 5
+
     def respell(field, spelling):
         def change(payload):
             entry = later_entry(payload)
@@ -327,6 +339,13 @@ def _canonical_cases():
             head + ',"states":[[]],"truncated":' + tail, True),
         "states-twice-as-first-key": ('{"states":[[]],' + canonical[1:], True),
         "states-in-genesis": (edit(states_in_genesis), True),
+        "slots-in-genesis": (edit(slots_in_genesis), True),
+        "genesis-twice": (
+            canonical.replace(',"kind":', ',"genesis":[],"kind":'), True),
+        "key-before-genesis": ('{"a":1,' + canonical[1:], True),
+        # the cut text is `[],"genesis":[…]`, of which `[]` is one value
+        "genesis-twice-adjacent": (
+            canonical.replace('{"genesis":', '{"genesis":[],"genesis":', 1), True),
         "states-only-in-genesis": (edit(only_in_genesis), True),
         "wrong-version-and-entry": (edit(version_and_entry), True),
         "wrong-kind": (edit(wrong_kind), True),
@@ -344,6 +363,7 @@ def _canonical_cases():
         "as-written": (canonical, False),
         "empty-state": (edit(empty_state), False),
         "no-states": (edit(no_states), False),
+        "genesis-not-a-list": (edit(genesis_not_a_list), False),
     }
 
 
@@ -491,11 +511,33 @@ class TestLoadTraces:
             assert (outcome(serialize.load_traces, [HAND_BUILT["trace"], bad])
                     == outcome(serialize.load_trace, bad))
 
+    def test_shared_genesis_is_built_once(self, monkeypatch):
+        texts = _scenario_traces(5)
+        calls, tx = [], serialize._Reader.tx
+        monkeypatch.setattr(serialize._Reader, "tx",
+                            lambda read, obj: calls.append(obj) or tx(read, obj))
+        read = serialize.load_traces(texts)
+        [genesis] = {tuple(map(id, g)) for _, g, _ in read}
+        assert len(calls) == len(genesis) + sum(len(p.annotations) for p, _, _ in read)
+        assert len({id(g) for _, g, _ in read}) == len(texts)
+        assert read == [oracle.load_trace(t) for t in texts]
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_malformed_second_file(self, data):
+        self.check_second_file(data, ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_malformed_second_genesis(self, data):
+        """A genesis text that the first file did not spell is built and
+        checked, not taken from the first file's."""
+        self.check_second_file(data, ("genesis",))
+
+    @staticmethod
+    def check_second_file(data, under):
         first, second = _scenario_traces(data.draw(st.integers(0, 10 ** 6)), 2)
-        for bad in data.draw(edited(second)):
+        for bad in data.draw(edited(second, under)):
             alone = outcome(serialize.load_trace, bad)
             both = outcome(serialize.load_traces, [first, bad])
             if isinstance(alone, str):
