@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import itertools
 import textwrap
@@ -15,6 +16,7 @@ from ledgerlab.cli import MONITORS
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
+    Output,
     OutputRef,
     UtxoSet,
     _sorted_items,
@@ -629,26 +631,107 @@ def replayed_orders(u0, txs, sequences):
     return valid
 
 
-def mutant_walk():
-    """``valid_orders`` that resumes at the shared prefix, even past a refused step."""
+def mutant_walk(text, replacement):
+    """``valid_orders`` with ``text``, which its source holds once, replaced.
+
+    Its globals are a copy of ``properties``' taken now, so a step patched
+    in before the call is the step the mutant runs.
+    """
     source = textwrap.dedent(inspect.getsource(valid_orders))
-    resume = "seq[len(done) :]"
-    assert resume in source
+    assert source.count(text) == 1
     namespace = dict(vars(properties))
-    exec(source.replace(resume, "seq[shared:]"), namespace)
+    exec(source.replace(text, replacement), namespace)
     return namespace["valid_orders"]
 
 
+def walk_calls(monkeypatch):
+    """The ``check_tx`` and ``apply_tx`` calls and ``UtxoSet`` builds
+    made from now on."""
+    calls = {"check_tx": 0, "apply_tx": 0, "UtxoSet": 0}
+    check_tx, apply_tx, post_init = core.check_tx, core.apply_tx, UtxoSet.__post_init__
+
+    def counted_check(*args):
+        calls["check_tx"] += 1
+        return check_tx(*args)
+
+    def counted_apply(utxo, tx):
+        calls["apply_tx"] += 1
+        return apply_tx(utxo, tx)
+
+    def counted_post_init(self):
+        calls["UtxoSet"] += 1
+        post_init(self)
+
+    for module in (core, properties):
+        monkeypatch.setattr(module, "check_tx", counted_check)
+        monkeypatch.setattr(module, "apply_tx", counted_apply, raising=False)
+    monkeypatch.setattr(UtxoSet, "__post_init__", counted_post_init)
+    return calls
+
+
+_step = core._apply_in_place
+
+
+def _stamped(output, size: int):
+    """``output`` with ``size`` as its datum."""
+    return Output(output.address, output.value, b"%d" % size)
+
+
+def _order_dependent_step(entries: dict, tx) -> dict:
+    """``_apply_in_place`` whose created outputs' datum is the state's size
+    before the step, so that two orders of independent txs can reach
+    different states.
+
+    It edits only the refs ``tx`` spends and creates: ``valid_orders``
+    reads a step's result back from its state at those refs alone.
+    """
+    size = len(entries)
+    spent = _step(entries, tx)
+    for ref, created in mk_outs(tx).entries.items():
+        entries[ref] = _stamped(created, size)
+    return spent
+
+
+@contextlib.contextmanager
+def order_dependent_step():
+    """``_order_dependent_step`` as the step of ``valid_orders`` and of
+    ``apply_tx``, which ``replayed_orders`` runs."""
+    try:
+        core._apply_in_place = properties._apply_in_place = _order_dependent_step
+        yield
+    finally:
+        core._apply_in_place = properties._apply_in_place = _step
+
+
+def order_dependent_txs():
+    """a, b, c over g0, g1: a and b are independent, b creates two outputs,
+    and c spends a's output as ``_order_dependent_step`` writes it when a
+    runs first.  After a and b, in either order, the slot and the set of
+    applied txs agree, but the states differ, so only (0, 1, 2) replays.
+    """
+    genesis = tx_of((), [out("g0"), out("g1")])
+    g = [(OutputRef(hash_tx(genesis), k), genesis.outputs[k]) for k in range(2)]
+    a = tx_of([g[0]], [out("a")])
+    b = tx_of([g[1]], [out("b0"), out("b1")])
+    a_first = _stamped(a.outputs[0], 2)
+    c = tx_of([(OutputRef(hash_tx(a), 0), a_first)], [out("c")])
+    return mk_outs(genesis), [a, b, c], [(0, 1, 2), (1, 0, 2)]
+
+
 @st.composite
-def interval_runs(draw, max_txs=9):
+def interval_runs(draw, max_txs=9, stamped=False):
     """(u0, txs): a random spending dag over a genesis; some intervals narrow.
 
     Sometimes u0 also holds the first output of one tx, so that the tx is
     refused as ``created-collides`` until a tx that spends that output ran.
+    When ``stamped``, a tx claims each created output it spends as
+    ``_order_dependent_step`` writes it when the txs run in list order.
     """
     genesis = tx_of((), [out("g%d" % k) for k in range(draw(st.integers(1, 6)))])
     u0 = mk_outs(genesis)
     unspent = list(u0.items())
+    plant = draw(st.booleans(), label="plant")
+    size = len(u0) + plant
     txs = []
     for k in range(draw(st.integers(1, max_txs))):
         if not unspent:
@@ -660,10 +743,12 @@ def interval_runs(draw, max_txs=9):
         outs = [out("t%d.%d" % (k, j)) for j in range(draw(st.integers(1, 2)))]
         tx = tx_of(spent, outs, interval=(start, end))
         unspent = [c for c in unspent if c not in spent]
-        unspent += mk_outs(tx).items()
+        unspent += [(ref, _stamped(o, size) if stamped else o)
+                    for ref, o in mk_outs(tx).items()]
+        size += len(outs) - len(spent)
         txs.append(tx)
-    planted = draw(st.one_of(st.none(), st.sampled_from(txs)), label="planted")
-    if planted is not None and planted.outputs:
+    if plant:
+        planted = draw(st.sampled_from(txs), label="planted")
         ref = OutputRef(hash_tx(planted), 0)
         u0 = UtxoSet({**u0.entries, ref: planted.outputs[0]})
     return u0, txs
@@ -698,12 +783,17 @@ def generated_orders(seed, steps):
 
 
 class TestValidOrders:
-    """The prefix-sharing walk against replaying every order on its own."""
+    """The walk over (slot, state) nodes against replaying every order on
+    its own, also under a step whose result depends on the order."""
 
     @settings(max_examples=200, deadline=None)
-    @given(drawn=interval_runs(), data=st.data())
-    def test_matches_per_order_replay(self, drawn, data):
-        u0, txs = drawn
+    @given(data=st.data())
+    def test_matches_per_order_replay(self, data):
+        """Also under ``_order_dependent_step``, where orders that differ by
+        a swap reach states that differ, and only the walk's comparison of
+        states keeps them apart."""
+        order_dependent = data.draw(st.booleans(), label="order-dependent step")
+        u0, txs = data.draw(interval_runs(stamped=order_dependent), label="run")
         if len(txs) <= 5 and data.draw(st.booleans(), label="every order"):
             sequences = list(itertools.permutations(range(len(txs))))
         else:
@@ -711,7 +801,8 @@ class TestValidOrders:
             cap = data.draw(st.integers(1, 400), label="cap")
             sequences = enumerate_valid_permutations(poset, cap).sequences
         entries, items = dict(u0.entries), u0.items()
-        assert valid_orders(u0, txs, sequences) == replayed_orders(u0, txs, sequences)
+        with order_dependent_step() if order_dependent else contextlib.nullcontext():
+            assert valid_orders(u0, txs, sequences) == replayed_orders(u0, txs, sequences)
         assert u0.entries == entries and hash(u0) == hash(frozenset(entries))
         assert u0._items is items == _sorted_items(entries)
 
@@ -741,38 +832,53 @@ class TestValidOrders:
         assert valid == replayed_orders(u0, txs, sequences)
         assert valid == list(sequences)
 
+    def test_states_that_differ_keep_two_nodes(self):
+        u0, txs, sequences = order_dependent_txs()
+        with order_dependent_step():
+            assert replayed_orders(u0, txs, sequences) == [(0, 1, 2)]
+            assert valid_orders(u0, txs, sequences) == [(0, 1, 2)]
+
+    def test_walk_that_merges_without_comparing_states_fails(self):
+        u0, txs, sequences = order_dependent_txs()
+        with order_dependent_step():
+            walk = mutant_walk("if twin == child:", "if True:")
+            assert walk(u0, txs, sequences) != replayed_orders(u0, txs, sequences)
+
+    def test_walk_that_keeps_refused_sequences_fails(self):
+        u0, txs, sequences = late_refusal()
+        walk = mutant_walk("if not check_tx(after, state, tx):", "if False:")
+        assert walk(u0, txs, sequences) != replayed_orders(u0, txs, sequences)
+
     def test_walk_steps_one_state_in_place(self, monkeypatch):
+        """The walk checks 302 steps here; replaying each order from the
+        prefix it shares with the previous one checked 7788."""
         u0, txs, sequences = generated_orders(2, 100)
-        calls = {"apply_tx": 0, "UtxoSet": 0}
-        apply_tx, post_init = core.apply_tx, UtxoSet.__post_init__
-
-        def counted_apply(utxo, tx):
-            calls["apply_tx"] += 1
-            return apply_tx(utxo, tx)
-
-        def counted_post_init(self):
-            calls["UtxoSet"] += 1
-            post_init(self)
-
-        for module in (core, properties):
-            monkeypatch.setattr(module, "apply_tx", counted_apply, raising=False)
-        monkeypatch.setattr(UtxoSet, "__post_init__", counted_post_init)
+        calls = walk_calls(monkeypatch)
         assert len(valid_orders(u0, txs, sequences)) == len(sequences) == 720
         assert calls["apply_tx"] == 0 and calls["UtxoSet"] <= 1
+        assert calls["check_tx"] <= 400
+
+    def test_walk_over_independent_txs_steps_each_down_set_edge_once(self, monkeypatch):
+        """Every order of six independent txs over 10^4 entries: the down-set
+        lattice has 6 * 2^5 = 192 edges."""
+        genesis = tx_of((), [out("g%d" % k) for k in range(10 ** 4)])
+        txs = [tx_of([(OutputRef(hash_tx(genesis), k), genesis.outputs[k])], [out("t%d" % k)])
+               for k in range(6)]
+        sequences = list(itertools.permutations(range(6)))
+        u0 = mk_outs(genesis)
+        calls = walk_calls(monkeypatch)
+        assert valid_orders(u0, txs, sequences) == sequences
+        assert calls["check_tx"] <= 192
 
     def test_walk_over_a_read_run_compares_no_outputs(self, monkeypatch):
         """A read run's inputs hold the very outputs its states hold, so
-        check_tx accepts each by identity, without ``Output.__eq__``."""
+        check_tx accepts each by identity, and the read-back and the node
+        comparison find equal outputs identical, without ``Output.__eq__``."""
         u0, txs, sequences = generated_orders(2, 100)
         u0, steps, _ = serialize.load_run(serialize.dump_run(u0, list(enumerate(txs))))
         calls = output_comparisons(monkeypatch)
         assert len(valid_orders(u0, [tx for _, tx in steps], sequences)) == 720
         assert calls == []
-
-    def test_walk_that_keeps_refused_depths_fails(self):
-        u0, txs, sequences = late_refusal()
-        walk = mutant_walk()
-        assert walk(u0, txs, sequences) != replayed_orders(u0, txs, sequences)
 
 
 class TestAssignSlots:
