@@ -124,12 +124,14 @@ def _out_dir(arg: Optional[str]) -> Path:
 
 
 def _write(out: Path, name: str, text: str) -> str:
-    """Write ``text`` to ``out / name``; return its reproducibility digest."""
+    """Write ``text`` to ``out / name`` as UTF-8, newlines untouched; return
+    the reproducibility digest of the bytes written."""
+    data = text.encode("utf-8")
     try:
-        (out / name).write_text(text)
+        (out / name).write_bytes(data)
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (out / name, exc)) from exc
-    return serialize.digest(text)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _well_founded(start, genesis) -> dict:

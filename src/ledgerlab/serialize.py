@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Output, OutputRef, Slot, Tx, UtxoSet, _in_domain, _of_type, _ref_of
+from .core import (
+    Output, OutputRef, Slot, Tx, UtxoSet, _in_domain, _of_type, _ref_of, mk_outs,
+)
 from .graphs import SimpleGraph
 from .traces import TracePrefix
 
@@ -37,8 +40,9 @@ class FormatError(Exception):
     """Malformed, unversioned, or wrong-version input file."""
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``, with
+#: the encoder built once
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _dump(kind: str, **fields: List[str]) -> str:
@@ -146,21 +150,32 @@ def tx_to_json(tx: Tx) -> dict:
 
 
 class _Writer:
-    """Spells ledger values as canonical JSON text, each distinct entry and
-    transaction once: the mirror of ``_Reader``.
+    """Spells ledger values as canonical JSON text, each distinct entry,
+    transaction and state once: the mirror of ``_Reader``.
 
-    A trace file writes every state in full, and the files of one scenario
-    share their genesis and first state.  ``entries`` maps a ref to the
-    ``Output`` last spelled for it and the text of its ``{"output",
-    "output_ref"}`` object; an entry whose ``Output`` is that very object
-    reuses the text.  ``txs`` maps a transaction to its text, which depends
-    only on its value.  Every such text is spelled by ``_canonical``;
-    ``utxo`` and ``step`` append them to a list that the caller joins once.
+    ``entries`` maps a ref to the ``Output`` last spelled for it and the
+    text of its ``{"output", "output_ref"}`` object; an entry whose
+    ``Output`` is that very object reuses the text.  ``txs`` maps a
+    transaction to its text, which depends only on its value.  ``states``
+    maps the id of a state spelled in full to that state, which it keeps
+    alive, and its entry texts in ref order: a state object that recurs,
+    such as the first state of the traces of one scenario or a state that
+    vertices of Λ share, is looked up once.  Every such text is spelled by
+    ``_canonical``; ``utxo`` and ``step`` append them to a list that the
+    caller joins once.
+
+    A later state of a trace is mostly its parent: ``derived`` spells it
+    from the parent's texts and the step's tx, and only the entries the tx
+    creates are looked up.  ``dump_trace`` keeps in the writer it is given
+    only what the traces of one scenario share, the genesis txs and the
+    first state; the rest of a trace is spelled by a writer of its own,
+    which goes once the file is written.
     """
 
     def __init__(self):
         self.entries = {}
         self.txs = {}
+        self.states = {}
 
     def entry(self, ref: OutputRef, out: Output) -> str:
         seen = self.entries.get(ref)
@@ -174,24 +189,59 @@ class _Writer:
             text = self.txs[tx] = _canonical(tx_to_json(tx))
         return text
 
-    def utxo(self, pieces: List[str], utxo: UtxoSet) -> List[str]:
-        """``pieces`` with the entries of ``utxo`` appended, in ref order.
+    def texts(self, utxo: UtxoSet) -> List[str]:
+        """The entry texts of ``utxo`` in ref order, spelled in full once
+        per state object."""
+        seen = self.states.get(id(utxo))
+        if seen is None:
+            seen = self.states[id(utxo)] = (
+                utxo, [self.entry(ref, out) for ref, out in utxo.items()])
+        return seen[1]
 
-        One slice assignment lays the ``,`` pieces between the entry texts;
-        joining the state's text on its own would copy it once more.
+    def derived(self, parent: UtxoSet, texts: List[str], tx: Tx,
+                utxo: UtxoSet) -> Optional[List[str]]:
+        """The entry texts of ``utxo`` from ``texts``, those of ``parent``:
+        the texts of the refs ``tx`` spends are deleted and those of
+        ``mk_outs(tx)`` inserted at their places in ref order.
+
+        They are returned only if the entries so derived are ``utxo``'s,
+        compared as one tuple; otherwise ``None``, and ``utxo`` must be
+        spelled in full.
         """
-        n = len(utxo)
-        spelled = ["["] + [","] * (2 * n)
-        spelled[1::2] = [self.entry(ref, out) for ref, out in utxo.items()]
-        spelled[-1] = "]" if n else "[]"
-        pieces += spelled
-        return pieces
+        items, texts = list(parent.items()), texts.copy()
+        for ref, _ in tx.inputs:
+            k = bisect_left(items, ref, key=_ref_of)
+            if k < len(items) and items[k][0] == ref:
+                del items[k], texts[k]
+        for ref, out in mk_outs(tx).entries.items():
+            k = bisect_left(items, ref, key=_ref_of)
+            items.insert(k, (ref, out))
+            texts.insert(k, self.entry(ref, out))
+        return texts if tuple(items) == utxo.items() else None
+
+    def utxo(self, pieces: List[str], utxo: UtxoSet) -> List[str]:
+        """``pieces`` with the entries of ``utxo`` appended, in ref order."""
+        return _entry_list(pieces, self.texts(utxo))
 
     def step(self, pieces: List[str], step: Tuple[Slot, Tx]) -> List[str]:
         """``pieces`` with the pair ``[slot, tx]`` appended."""
         slot, tx = step
         pieces += ("[", _canonical(slot), ",", self.tx(tx), "]")
         return pieces
+
+
+def _entry_list(pieces: List[str], texts: List[str]) -> List[str]:
+    """``pieces`` with the JSON array of the entry ``texts`` appended.
+
+    One slice assignment lays the ``,`` pieces between the entry texts;
+    joining the state's text on its own would copy it once more.
+    """
+    n = len(texts)
+    spelled = ["["] + [","] * (2 * n)
+    spelled[1::2] = texts
+    spelled[-1] = "]" if n else "[]"
+    pieces += spelled
+    return pieces
 
 
 class _Reader:
@@ -329,15 +379,31 @@ def dump_trace(
     """Trace file: state list, lift annotations, and generation context.
 
     A writer of several traces of one scenario can pass each the same
-    ``writer``, so that their shared entries and txs are spelled once.
+    ``writer``, so that their shared genesis and first state are spelled
+    once; the writer keeps nothing else of the trace.  Each later state is
+    spelled from its parent's texts and its step where they give its
+    entries (``_Writer.derived``), and in full where they do not.
     """
     w = writer if writer is not None else _Writer()
+    own = _Writer()
+    states, steps = prefix.states, prefix.annotations
+
+    def texts():
+        spelled = w.texts(states[0])
+        yield spelled
+        for k in range(1, len(states)):
+            derived = None
+            if steps is not None:
+                derived = own.derived(states[k - 1], spelled, steps[k - 1][1], states[k])
+            spelled = own.texts(states[k]) if derived is None else derived
+            yield spelled
+
     lifts = [_canonical(None)]
-    if prefix.annotations is not None:
-        lifts = _array([], prefix.annotations, w.step)
+    if steps is not None:
+        lifts = _array([], steps, own.step)
     return _dump(
         "trace",
-        states=_array([], prefix.states, w.utxo),
+        states=_array([], texts(), _entry_list),
         lifts=lifts,
         truncated=[_canonical(prefix.truncated)],
         genesis=_array([], map(w.tx, genesis_txs)),

@@ -71,6 +71,36 @@ class TestTraceGen:
             text = (trace_dir / entry["name"]).read_text()
             assert serialize.digest(text) == entry["digest"]
 
+    def test_digests_are_of_the_bytes_on_disk(self, tmp_path, capsys, monkeypatch):
+        """Every digest printed or listed is the sha256 of its file's bytes,
+        also where text files would end their lines in ``\\r\\n``."""
+        def crlf_write_text(path, text, *args, **kwargs):
+            return path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+
+        monkeypatch.setattr(Path, "write_text", crlf_write_text)
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        out = tmp_path / "traces"
+        code, stdout, _ = run_cli(
+            capsys, "trace", "gen", "--seed", "5", "--depth", "4", "--count", "3",
+            "--out", str(out),
+        )
+        assert code == EXIT_CLEAN
+        assert read_json(stdout)["manifest_digest"] == sha256(out / "manifest.json")
+        manifest = read_json((out / "manifest.json").read_bytes())
+        assert len(manifest["files"]) == 3
+        for entry in manifest["files"]:
+            assert entry["digest"] == sha256(out / entry["name"])
+        graphs = tmp_path / "graphs"
+        code, stdout, _ = run_cli(capsys, "graph", "dump", "--seed", "3", "--depth",
+                                  "3", "--out", str(graphs))
+        assert code == EXIT_CLEAN
+        summary = read_json(stdout)
+        assert summary["lambda_digest"] == sha256(graphs / "lambda.json")
+        assert summary["lambda_prime_digest"] == sha256(graphs / "lambda_prime.json")
+
     def test_byte_identical_under_fixed_seed(self, tmp_path, capsys):
         outs = []
         for name in ("a", "b"):

@@ -160,6 +160,20 @@ class TestWriterReuse:
             }
             assert json.loads(shared) == expected
 
+    def test_shared_writer_keeps_only_what_traces_share(self, scenario):
+        """Across traces the writer keeps the genesis txs and the first
+        state; each trace's lift txs, created entries and derived states go
+        with its file."""
+        traces = gen_traces(scenario, depth=5, count=4, seed=3)
+        u0 = scenario.initial_utxo
+        writer = serialize._Writer()
+        for prefix in traces:
+            assert prefix.states[0] is u0
+            serialize.dump_trace(prefix, scenario.genesis_txs, [0], writer)
+            assert writer.txs.keys() == set(scenario.genesis_txs)
+            assert writer.entries.keys() == u0.keys()
+            assert list(writer.states) == [id(u0)]
+
     def test_run_file_keeps_the_bytes(self, scenario):
         prefix = gen_traces(scenario, depth=5, count=1, seed=8)[0]
         text = serialize.dump_run(

@@ -12,9 +12,11 @@ spelled both by ``json.dumps`` and canonically, so that it also reaches the
 reader of canonical text; the hand-built canonical cases each depart from
 what the writer writes in one way, and pin which reader runs.
 
-The writers spell each distinct entry and transaction once and join a
-file's pieces; the oracle encodes the whole JSON tree of the file with one
-``json.dumps``.  Both must write the same bytes.
+The writers spell each distinct entry and transaction once, spell a
+trace's later states from their parents' texts where the steps make them,
+and join a file's pieces; the oracle encodes the whole JSON tree of the
+file with one ``json.dumps``.  Both must write the same bytes, also for
+traces whose steps do not make their states.
 """
 import contextlib
 import copy
@@ -607,6 +609,49 @@ def _hand_built_values():
 HAND_BUILT_VALUES = _hand_built_values()
 
 
+def replaced_state(draw, prefix, states):
+    """``prefix`` with one state k >= 1 replaced by its parent, by one of
+    ``states``, or by itself with one output altered."""
+    k = draw(st.integers(1, len(prefix) - 1))
+    u = prefix.states[k]
+    how = draw(st.sampled_from(["parent", "other", "altered"]))
+    if how == "parent" or (how == "altered" and not len(u)):
+        u = prefix.states[k - 1]
+    elif how == "other":
+        u = draw(st.sampled_from(states))
+    else:
+        ref = draw(st.sampled_from(sorted(u.keys())))
+        address, value, datum = u.get(ref)
+        u = UtxoSet({**u.entries, ref: Output(address, value, datum + b"!")})
+    return dataclasses.replace(prefix, states=prefix.states[:k] + (u,) + prefix.states[k + 1:])
+
+
+def _guard_cases():
+    """Traces whose steps do not all make their states from their parents."""
+    g = tx_of((), [out("a"), out("b")])
+    u0 = mk_outs(g)
+    [r0, r1] = sorted(u0.keys())
+    spend = tx_of([(r0, out("a"))], [out("c")])
+    u1 = apply_tx(u0, spend)
+    # spends a ref that u1 lacks, and one that it holds
+    stray = tx_of([(r0, out("a")), (r1, out("b"))], [out("d")])
+    unseen = apply_tx(u0, tx_of([(r1, out("b"))], [out("e")]))
+    return {
+        "spends a ref its parent lacks": TracePrefix(
+            (u0, u1, apply_tx(u1, stray)), ((0, spend), (1, stray))),
+        "spends a ref its parent lacks, state unchanged": TracePrefix(
+            (u0, u1, u1), ((0, spend), (1, stray))),
+        "one state object at two positions": TracePrefix(
+            (u0, u1, u0, u1), ((0, spend), (1, spend), (2, spend))),
+        "a parent the writer never spelled": TracePrefix(
+            (u0, apply_tx(unseen, spend)), ((0, spend),)),
+        "no lifts": TracePrefix((u0, u1, unseen, u1), None),
+    }
+
+
+GUARD_CASES = _guard_cases()
+
+
 class TestWriterAgreesWithOracle:
     @settings(max_examples=80, deadline=None)
     @given(files=generated_files(), shared=st.booleans())
@@ -633,6 +678,30 @@ class TestWriterAgreesWithOracle:
         assert shared == [serialize.dump_trace(p, genesis, slots) for p in prefixes]
         assert shared == [oracle.dump_trace(p, genesis, slots) for p in prefixes]
 
+    @settings(max_examples=60, deadline=None)
+    @given(files=generated_files(), data=st.data())
+    def test_replaced_state(self, files, data):
+        """A state k >= 1 that its step does not make of its parent, drawn as
+        that parent, a state of any of the traces, or the state with one
+        output altered, is spelled as the oracle spells it."""
+        prefixes, genesis, slots = files
+        states = [u for p in prefixes for u in p.states]
+        writer = serialize._Writer()
+        for prefix in prefixes:
+            if len(prefix) > 1:
+                prefix = replaced_state(data.draw, prefix, states)
+            assert (serialize.dump_trace(prefix, genesis, slots, writer)
+                    == oracle.dump_trace(prefix, genesis, slots))
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_guard(self, case):
+        prefix = GUARD_CASES[case]
+        expected = oracle.dump_trace(prefix)
+        writer = serialize._Writer()
+        for _ in "ab":
+            assert serialize.dump_trace(prefix, (), (), writer) == expected
+        assert serialize.dump_trace(prefix) == expected
+
     @pytest.mark.parametrize("seed, depth", [(0, 3), (1, 8), (2, 14), (0, 25)])
     def test_ledger_graphs(self, seed, depth):
         sc = make_scenario(seed, n_outputs=2)
@@ -655,3 +724,41 @@ class TestWriterAgreesWithOracle:
     def test_contract_traces(self, prefix):
         new = serialize.dump_contract_trace(prefix)
         assert new == oracle.dump_contract_trace(prefix)
+
+
+class TestWriterCost:
+    """One writer for the traces of a wide scenario spells each entry of the
+    first state and each created entry once: a later state is derived from
+    its parent's texts, not looked up entry by entry."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        sc = make_scenario(11, n_outputs=2000)
+        prefixes = generate_valid_traces(
+            [sc.initial_utxo], [sc.initial_slot], make_proposer(),
+            depth=5, count=10, seed=11,
+        )
+        return prefixes, sc.genesis_txs, [sc.initial_slot]
+
+    @staticmethod
+    def written(monkeypatch, prefixes, genesis, slots):
+        calls, entry = [], serialize._Writer.entry
+        monkeypatch.setattr(serialize._Writer, "entry",
+                            lambda w, ref, o: calls.append(ref) or entry(w, ref, o))
+        writer = serialize._Writer()
+        texts = [serialize.dump_trace(p, genesis, slots, writer) for p in prefixes]
+        return texts, len(calls)
+
+    def test_entries_spelled(self, wide, monkeypatch):
+        prefixes, genesis, slots = wide
+        assert all(len(p) == 5 for p in prefixes)
+        _, calls = self.written(monkeypatch, prefixes, genesis, slots)
+        created = sum(len(t.outputs) for p in prefixes for _, t in p.annotations)
+        assert calls <= len(prefixes[0].states[0]) + created
+
+    def test_refusing_guard_keeps_the_bytes(self, wide, monkeypatch):
+        prefixes, genesis, slots = wide
+        monkeypatch.setattr(serialize._Writer, "derived", lambda *args: None)
+        texts, calls = self.written(monkeypatch, prefixes, genesis, slots)
+        assert calls >= sum(map(len, prefixes[0].states))
+        assert texts == [oracle.dump_trace(p, genesis, slots) for p in prefixes]
