@@ -4,8 +4,8 @@ The ledger state is a finite map from output references ``(tx_hash, index)``
 to outputs.  Applying a transaction removes the entries it spends and adds
 one entry per output, keyed by the transaction hash.  All values here are
 immutable after construction and every public operation is a pure function;
-the one in-place step and its inverse serve ``apply_tx`` and the order walk
-of ``properties.valid_orders``, which owns the state it edits.
+``apply_tx`` is the one place that edits a state's entries, those of the
+state it is building, before it returns.
 """
 from __future__ import annotations
 
@@ -258,8 +258,7 @@ class UtxoSet:
     # the dict's stored hashes and runs no Python-level __hash__.  Hashing the
     # items made the state-repeat scan 20x slower on 2000-entry states.
     # ``entries`` is edited after construction only by apply_tx, on the state
-    # it is building, before it returns, and by properties.valid_orders, on
-    # its private copy, which nothing hashes, orders or returns.
+    # it is building, before it returns.
     _hash = _once(lambda u: hash(frozenset(u.entries)))
     _items = _once(lambda u: _sorted_items(u.entries))
     __getstate__ = _state_without_once
@@ -421,48 +420,30 @@ def check_tx(
     return CHECK_OK
 
 
-def _apply_in_place(entries: dict, tx: Tx) -> dict:
-    """Edit a state's entries into (u \\ r) ∪ c; return the entries it spent.
+def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
+    """State update u' = (u \\ r) ∪ c: drop the spent refs, add the created.
 
-    Spent refs that ``entries`` does not hold are skipped.  Raises
-    KeyCollisionError, with ``entries`` restored, if a created ref survives
-    in the remaining set.  ``_undo_in_place`` reverses a completed call.
+    Spent refs that ``utxo`` does not hold are skipped.  Raises
+    KeyCollisionError if a created ref survives in the remaining set, which
+    cannot happen on valid runs from a well-founded initial state.  When
+    ``utxo``'s canonical order is known, the new state's order is derived
+    from it rather than sorted again.
     """
-    spent = {}
+    new = UtxoSet(utxo.entries)
+    entries = new.entries
+    spent = []
     for ref, _ in tx.inputs:
-        out = entries.pop(ref, None)
-        if out is not None:
-            spent[ref] = out
+        if entries.pop(ref, None) is not None:
+            spent.append(ref)
     created = mk_outs(tx).entries
     if not entries.keys().isdisjoint(created):
         overlap = entries.keys() & created.keys()
-        entries.update(spent)
         raise KeyCollisionError(
             "output refs already present: %r" % (sorted(overlap)[:3],)
         )
     entries.update(created)
-    return spent
-
-
-def _undo_in_place(entries: dict, tx: Tx, spent: dict) -> None:
-    """Reverse ``spent = _apply_in_place(entries, tx)``."""
-    for ref in mk_outs(tx).entries:
-        del entries[ref]
-    entries.update(spent)
-
-
-def apply_tx(utxo: UtxoSet, tx: Tx) -> UtxoSet:
-    """State update u' = (u \\ r) ∪ c: drop the spent refs, add the created.
-
-    Raises KeyCollisionError if a created ref survives in the remaining set,
-    which cannot happen on valid runs from a well-founded initial state.
-    When ``utxo``'s canonical order is known, the new state's order is
-    derived from it rather than sorted again.
-    """
-    new = UtxoSet(utxo.entries)
-    spent = _apply_in_place(new.entries, tx)
     if "_items" in vars(utxo):
-        new.__dict__["_items"] = _derived_order(utxo, spent, mk_outs(tx).entries)
+        new.__dict__["_items"] = _derived_order(utxo, spent, created)
     return new
 
 

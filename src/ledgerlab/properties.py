@@ -17,14 +17,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     CheckResult,
-    KeyCollisionError,
     OutputRef,
     Slot,
     Tx,
     UtxoSet,
-    _apply_in_place,
-    _undo_in_place,
-    check_tx,
     get_orefs,
     hash_tx,
     mk_outs,
@@ -185,8 +181,8 @@ def enumerate_valid_permutations(poset: TxPoset, cap: int) -> PermutationSet:
     of the dependency order.  Output is sorted; ``capped`` flags
     truncation.  Callers replay-validate the sequences with
     ``valid_orders``, since swaps do not account for slot constraints; it
-    steps each (slot, state) node that the sequences reach once, in
-    whatever order they come.
+    steps each edge between the (applied, slot, state) nodes that the
+    sequences reach once, in whatever order they come.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -231,27 +227,6 @@ def replay_sequence(
     return TracePrefix(states, steps)
 
 
-#: A node's difference for a ref of u0 that its state no longer holds.
-_GONE = object()
-
-
-def _move(entries: dict, base: dict, old: dict, new: dict) -> None:
-    """Edit ``entries`` from ``base`` patched by the difference ``old`` to
-    ``base`` patched by ``new``: O(|old| + |new|)."""
-    for ref in old:
-        if ref not in new:
-            if ref in base:
-                entries[ref] = base[ref]
-            else:
-                del entries[ref]
-    for ref, out in new.items():
-        if old.get(ref) is not out:
-            if out is _GONE:
-                del entries[ref]
-            else:
-                entries[ref] = out
-
-
 def valid_orders(
     u0: UtxoSet, txs: Sequence[Tx], sequences: Iterable[Sequence[int]]
 ) -> List[Sequence[int]]:
@@ -264,41 +239,23 @@ def valid_orders(
     past the interval's end, and greedy slots fit exactly when some
     non-decreasing assignment does.
 
-    The sequences are walked level by level over nodes, a node being a
-    (slot, state) pair: at each level every live sequence moves one
-    position.  A node's child for a next index is computed once, however
-    many sequences take it: ``check_tx`` at the greedy slot, then
-    ``_apply_in_place``, whose ``KeyCollisionError`` (a created ref still
-    unspent) refuses the child as a failed check does.  A refused child
-    drops its sequences.  Two children share a node only when their sets
-    of applied indices, their slots and their states (by ``==``) are
-    equal, so no commutativity is assumed: a step that does not commute
-    keeps two nodes.
-
-    A node stores its state as its difference from ``u0``: ref -> output,
-    or ``_GONE`` for a ref of ``u0`` that is spent.  One private copy of
-    ``u0`` is moved between nodes by those differences and undone from a
-    child to its parent by ``_undo_in_place``.  Each step's result is read
-    back from it at the refs the tx spends and creates, so the step must
-    edit no other ref.  A ref that holds ``u0``'s very entry again leaves
-    the difference; an equal copy stays in it, which can keep two equal
-    states apart but never join unequal ones.  The read-back tests
-    identity only and ``==`` on differences tests it first, so a run whose
-    inputs are its states' own entries compares no outputs.  A transition
-    costs O(|tx|) plus the node's difference, never O(|u0|), and memory
-    follows the widest level.
+    The sequences are walked level by level over nodes, a node being the
+    key (applied, slot, state): the bitset of the indices applied, the
+    greedy slot and the ledger state.  At each level every live sequence
+    moves one position.  A node's child for a next index is stepped once by
+    ``step_ledger``, however many sequences take it, and a refused child (a
+    failed check or ``created-collides``) drops its sequences.  Two
+    children share a node only when their keys are equal, states by
+    ``==``, so no commutativity is assumed: a step that does not commute
+    keeps two nodes.  A step copies and hashes its state, O(|state|), and
+    memory follows the widest level.
     """
     sequences = list(sequences)
-    base = u0.entries
-    state = UtxoSet(base)
-    entries = state.entries
-    held, was = entries.get, base.get
-    here: dict = {}  # the difference the working state is at
-    level = [(0, 0, here, range(len(sequences)))]
+    level = {(0, 0, u0): range(len(sequences))}
     valid: List[int] = []
     for column in zip_longest(*sequences):
-        nodes: Dict[Tuple[int, Slot], List[Tuple[dict, List[int]]]] = {}
-        for applied, slot, diff, members in level:
+        children: Dict[Tuple[int, Slot, UtxoSet], List[int]] = {}
+        for (applied, slot, state), members in level.items():
             by_index: Dict[int, List[int]] = {}
             for s in members:
                 i = column[s]
@@ -308,43 +265,15 @@ def valid_orders(
                     by_index[i] = [s]
                 else:
                     group.append(s)
-            if by_index and here is not diff:
-                _move(entries, base, here, diff)
-                here = diff
             for i, group in by_index.items():
-                if here is not diff:
-                    # the state is at the previous child
-                    _undo_in_place(entries, stepped, spent)
-                    here = diff
                 tx = txs[i]
                 start = tx.validity_interval[0]
                 after = start if start > slot else slot
-                if not check_tx(after, state, tx):
-                    continue
-                try:
-                    spent = _apply_in_place(entries, tx)
-                except KeyCollisionError:
-                    continue
-                stepped = tx
-                here = child = diff.copy()
-                for ref in (*spent, *mk_outs(tx).entries):
-                    now = held(ref, _GONE)
-                    if now is was(ref, _GONE):
-                        child.pop(ref, None)
-                    else:
-                        child[ref] = now
-                twins = nodes.setdefault((applied | 1 << i, after), [])
-                for twin, joined in twins:
-                    if twin == child:
-                        joined.extend(group)
-                        break
-                else:
-                    twins.append((child, group))
-        # the state is at the last child found: visit its level backwards
-        level = [(applied, slot, diff, members)
-                 for (applied, slot), twins in nodes.items()
-                 for diff, members in twins][::-1]
-    for _, _, _, members in level:
+                child = step_ledger(after, state, tx)
+                if not isinstance(child, CheckResult):
+                    children.setdefault((applied | 1 << i, after, child), []).extend(group)
+        level = children
+    for members in level.values():
         valid.extend(members)
     valid.sort()
     return [sequences[s] for s in valid]

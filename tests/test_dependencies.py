@@ -3,6 +3,7 @@ imports only its own modules (relatively) and the standard library."""
 import ast
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -86,8 +87,7 @@ def test_derived_values_are_declared_once():
     3.11), and the only constant-key ``__dict__`` store is ``apply_tx``'s
     ``_items``, the order it derives from the parent's.  ``UtxoSet``'s
     cached hash and order are sound because after construction a state is
-    edited only by ``apply_tx``, before it returns, and by ``valid_orders``,
-    whose private state nothing hashes or orders."""
+    edited only by ``apply_tx``, before it returns."""
     declared, none_defaults, cached_properties, stores = set(), [], [], []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -116,6 +116,133 @@ def test_derived_values_are_declared_once():
     assert declared == DERIVED_ONCE
     assert none_defaults == [] and cached_properties == []
     assert stores == [("core.py", "apply_tx", "_items")]
+
+
+#: the dict methods that edit a dict in place
+DICT_EDITS = {"pop", "popitem", "update", "setdefault", "clear"}
+
+
+def entries_edits(trees):
+    """(module, function, line) of every edit of a state's ``entries`` in
+    ``trees``, a map from module name to its parsed source.
+
+    A state's entries are ``<expr>.entries``, except a class's own
+    ``self.entries`` outside ``UtxoSet``; a local bound from them; and a
+    parameter that some call passes them to, matched by the callee's name.
+    An edit is a subscript store or delete, an augmented assignment, or a
+    call of one of ``DICT_EDITS``.
+    """
+    functions = []  # (module, class or None, def), a nested def part of its own
+    for module, tree in trees.items():
+        for cls in [None] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            body = tree.body if cls is None else cls.body
+            functions += [(module, cls and cls.name, f) for f in body
+                          if isinstance(f, ast.FunctionDef)]
+    by_name = {}
+    for _, _, f in functions:
+        by_name.setdefault(f.name, []).append(f)
+    aliases = {id(f): set() for _, _, f in functions}
+
+    def holds_entries(node, cls, f) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in aliases[id(f)]
+        return (isinstance(node, ast.Attribute) and node.attr == "entries"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self"
+                         and cls not in (None, "UtxoSet")))
+
+    changed = True
+    while changed:
+        changed = False
+        for _, cls, f in functions:
+            for node in ast.walk(f):
+                bound = []
+                if isinstance(node, ast.Assign) and holds_entries(node.value, cls, f):
+                    bound = [(f, t.id) for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.NamedExpr) and holds_entries(node.value, cls, f):
+                    bound = [(f, node.target.id)]
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    for callee in by_name.get(name, ()):
+                        params = [a.arg for a in callee.args.posonlyargs + callee.args.args]
+                        if params[:1] in (["self"], ["cls"]):
+                            params = params[1:]
+                        passed = list(zip(params, node.args))
+                        passed += [(k.arg, k.value) for k in node.keywords]
+                        bound += [(callee, param) for param, arg in passed
+                                  if holds_entries(arg, cls, f)]
+                for target, name in bound:
+                    if name not in aliases[id(target)]:
+                        aliases[id(target)].add(name)
+                        changed = True
+    found = []
+    for module, cls, f in functions:
+        for node in ast.walk(f):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                edited = node.value
+            elif isinstance(node, ast.AugAssign):
+                edited = node.target
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in DICT_EDITS):
+                edited = node.func.value
+            else:
+                continue
+            if holds_entries(edited, cls, f):
+                found.append((module, f.name, node.lineno))
+    return found
+
+
+def test_state_entries_are_edited_only_by_apply_tx():
+    """Outside ``core.apply_tx``, which edits the state it is building before
+    it returns, no function under ``src/`` edits a state's ``entries``: the
+    cached hash and order of a ``UtxoSet`` hold only while its entries stay
+    as they were when it was returned."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    found = entries_edits(trees)
+    assert {(module, name) for module, name, _ in found} == {("core.py", "apply_tx")}
+
+
+def test_entries_edits_sees_aliases_and_parameters():
+    """The guard's own cases: each edit below is found, in every shape."""
+    source = textwrap.dedent("""
+        def direct(u, ref):
+            u.entries[ref] = 1
+            del u.entries[ref]
+            u.entries |= {}
+            u.entries.clear()
+
+        def alias(u):
+            entries = u.entries
+            entries.pop(1)
+            if (held := u.entries):
+                held.popitem()
+
+        def caller(u):
+            held = u.entries
+            edit(held)
+            edit_kw(table=u.entries)
+
+        def edit(table):
+            table.setdefault(1, 2)
+
+        def edit_kw(table):
+            table.update({})
+
+        def plain(d, u):
+            d.update(u.entries)
+            d[1] = u.entries.get(1)
+
+        class Writer:
+            def spell(self):
+                self.entries[1] = 2
+
+        class UtxoSet:
+            def spoil(self):
+                self.entries[1] = 2
+    """)
+    found = entries_edits({"m.py": ast.parse(source)})
+    assert sorted({(name, line) for _, name, line in found}) == [
+        ("alias", 10), ("alias", 12), ("direct", 3), ("direct", 4), ("direct", 5),
+        ("direct", 6), ("edit", 20), ("edit_kw", 23), ("spoil", 35)]
 
 
 #: the ledger step, update and check; the successor relation written with them

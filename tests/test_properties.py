@@ -631,15 +631,14 @@ def replayed_orders(u0, txs, sequences):
     return valid
 
 
-def mutant_walk(text, replacement):
+def mutant_walk(text, replacement, **names):
     """``valid_orders`` with ``text``, which its source holds once, replaced.
 
-    Its globals are a copy of ``properties``' taken now, so a step patched
-    in before the call is the step the mutant runs.
+    Its globals are a copy of ``properties``' with ``names`` added.
     """
     source = textwrap.dedent(inspect.getsource(valid_orders))
     assert source.count(text) == 1
-    namespace = dict(vars(properties))
+    namespace = {**vars(properties), **names}
     exec(source.replace(text, replacement), namespace)
     return namespace["valid_orders"]
 
@@ -662,14 +661,30 @@ def walk_calls(monkeypatch):
         calls["UtxoSet"] += 1
         post_init(self)
 
-    for module in (core, properties):
-        monkeypatch.setattr(module, "check_tx", counted_check)
-        monkeypatch.setattr(module, "apply_tx", counted_apply, raising=False)
+    monkeypatch.setattr(core, "check_tx", counted_check)
+    monkeypatch.setattr(core, "apply_tx", counted_apply)
     monkeypatch.setattr(UtxoSet, "__post_init__", counted_post_init)
     return calls
 
 
-_step = core._apply_in_place
+def node_edges(u0, txs, sequences):
+    """The distinct ((applied, slot, state), next index) edges that the
+    prefixes of ``sequences``, which must all replay, take: each order
+    replayed on its own at ``assign_slots``' slots."""
+    edges = set()
+    for seq in sequences:
+        ordered = [txs[i] for i in seq]
+        slots = assign_slots(ordered)
+        run = replay_sequence(u0, list(zip(slots, ordered)))
+        assert isinstance(run, TracePrefix)
+        applied, slot = 0, 0
+        for k, i in enumerate(seq):
+            edges.add(((applied, slot, run.states[k]), i))
+            applied, slot = applied | 1 << i, slots[k]
+    return edges
+
+
+_apply = core.apply_tx
 
 
 def _stamped(output, size: int):
@@ -677,35 +692,29 @@ def _stamped(output, size: int):
     return Output(output.address, output.value, b"%d" % size)
 
 
-def _order_dependent_step(entries: dict, tx) -> dict:
-    """``_apply_in_place`` whose created outputs' datum is the state's size
-    before the step, so that two orders of independent txs can reach
-    different states.
-
-    It edits only the refs ``tx`` spends and creates: ``valid_orders``
-    reads a step's result back from its state at those refs alone.
-    """
-    size = len(entries)
-    spent = _step(entries, tx)
-    for ref, created in mk_outs(tx).entries.items():
-        entries[ref] = _stamped(created, size)
-    return spent
+def _order_dependent_apply(utxo, tx):
+    """``apply_tx`` whose created outputs' datum is the state's size before
+    the step, so that two orders of independent txs can reach different
+    states."""
+    stamped = {ref: _stamped(created, len(utxo))
+               for ref, created in mk_outs(tx).entries.items()}
+    return UtxoSet({**_apply(utxo, tx).entries, **stamped})
 
 
 @contextlib.contextmanager
 def order_dependent_step():
-    """``_order_dependent_step`` as the step of ``valid_orders`` and of
-    ``apply_tx``, which ``replayed_orders`` runs."""
+    """``_order_dependent_apply`` as ``core.apply_tx``, which ``step_ledger``
+    runs for both ``valid_orders`` and ``replayed_orders``."""
     try:
-        core._apply_in_place = properties._apply_in_place = _order_dependent_step
+        core.apply_tx = _order_dependent_apply
         yield
     finally:
-        core._apply_in_place = properties._apply_in_place = _step
+        core.apply_tx = _apply
 
 
 def order_dependent_txs():
     """a, b, c over g0, g1: a and b are independent, b creates two outputs,
-    and c spends a's output as ``_order_dependent_step`` writes it when a
+    and c spends a's output as ``_order_dependent_apply`` writes it when a
     runs first.  After a and b, in either order, the slot and the set of
     applied txs agree, but the states differ, so only (0, 1, 2) replays.
     """
@@ -725,7 +734,7 @@ def interval_runs(draw, max_txs=9, stamped=False):
     Sometimes u0 also holds the first output of one tx, so that the tx is
     refused as ``created-collides`` until a tx that spends that output ran.
     When ``stamped``, a tx claims each created output it spends as
-    ``_order_dependent_step`` writes it when the txs run in list order.
+    ``_order_dependent_apply`` writes it when the txs run in list order.
     """
     genesis = tx_of((), [out("g%d" % k) for k in range(draw(st.integers(1, 6)))])
     u0 = mk_outs(genesis)
@@ -783,13 +792,13 @@ def generated_orders(seed, steps):
 
 
 class TestValidOrders:
-    """The walk over (slot, state) nodes against replaying every order on
-    its own, also under a step whose result depends on the order."""
+    """The walk over (applied, slot, state) nodes against replaying every
+    order on its own, also under a step whose result depends on the order."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_per_order_replay(self, data):
-        """Also under ``_order_dependent_step``, where orders that differ by
+        """Also under ``_order_dependent_apply``, where orders that differ by
         a swap reach states that differ, and only the walk's comparison of
         states keeps them apart."""
         order_dependent = data.draw(st.booleans(), label="order-dependent step")
@@ -815,8 +824,8 @@ class TestValidOrders:
 
     def test_created_collides(self, non_well_founded):
         u0, txs = non_well_founded
-        # refused first, t1 must put back the entry it spent before it
-        # collided, or t1 is refused again after t0 as missing-input
+        # refused first, t1 must leave its parent's state as it was, or t1
+        # is refused again after t0 as missing-input
         for sequences in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
             assert valid_orders(u0, txs, sequences) == [(0, 1)]
             assert replayed_orders(u0, txs, sequences) == [(0, 1)]
@@ -839,24 +848,34 @@ class TestValidOrders:
             assert valid_orders(u0, txs, sequences) == [(0, 1, 2)]
 
     def test_walk_that_merges_without_comparing_states_fails(self):
+        """A node key that leaves out the state: the first state to reach
+        an (applied, slot) pair stands for every later one."""
         u0, txs, sequences = order_dependent_txs()
+        walk = mutant_walk(
+            "(applied | 1 << i, after, child)",
+            "first.setdefault((applied | 1 << i, after), (applied | 1 << i, after, child))",
+            first={})
         with order_dependent_step():
-            walk = mutant_walk("if twin == child:", "if True:")
             assert walk(u0, txs, sequences) != replayed_orders(u0, txs, sequences)
 
     def test_walk_that_keeps_refused_sequences_fails(self):
+        """A step by ``apply_tx`` alone, which skips ``check_tx``."""
         u0, txs, sequences = late_refusal()
-        walk = mutant_walk("if not check_tx(after, state, tx):", "if False:")
+        walk = mutant_walk("step_ledger(after, state, tx)", "apply_tx(state, tx)",
+                           apply_tx=core.apply_tx)
         assert walk(u0, txs, sequences) != replayed_orders(u0, txs, sequences)
 
-    def test_walk_steps_one_state_in_place(self, monkeypatch):
-        """The walk checks 302 steps here; replaying each order from the
-        prefix it shares with the previous one checked 7788."""
+    def test_walk_steps_each_node_edge_once(self, monkeypatch):
+        """The walk checks and applies 302 steps here, one per edge between
+        distinct nodes; replaying each order from the prefix it shares with
+        the previous one checked 7788."""
         u0, txs, sequences = generated_orders(2, 100)
+        edges = node_edges(u0, txs, sequences)
         calls = walk_calls(monkeypatch)
         assert len(valid_orders(u0, txs, sequences)) == len(sequences) == 720
-        assert calls["apply_tx"] == 0 and calls["UtxoSet"] <= 1
-        assert calls["check_tx"] <= 400
+        assert calls == {"check_tx": len(edges), "apply_tx": len(edges),
+                         "UtxoSet": len(edges)}
+        assert len(edges) == 302
 
     def test_walk_over_independent_txs_steps_each_down_set_edge_once(self, monkeypatch):
         """Every order of six independent txs over 10^4 entries: the down-set
@@ -872,8 +891,8 @@ class TestValidOrders:
 
     def test_walk_over_a_read_run_compares_no_outputs(self, monkeypatch):
         """A read run's inputs hold the very outputs its states hold, so
-        check_tx accepts each by identity, and the read-back and the node
-        comparison find equal outputs identical, without ``Output.__eq__``."""
+        check_tx accepts each by identity, and the node comparison finds
+        equal outputs identical, without ``Output.__eq__``."""
         u0, txs, sequences = generated_orders(2, 100)
         u0, steps, _ = serialize.load_run(serialize.dump_run(u0, list(enumerate(txs))))
         calls = output_comparisons(monkeypatch)
