@@ -283,22 +283,8 @@ def cmd_contract_check(args) -> int:
 # --- graph commands ---------------------------------------------------------
 
 def cmd_graph_dump(args) -> int:
-    scenario = gen.make_scenario(args.seed, n_outputs=2)
-    # derive a small transaction universe from one generated run
-    traces = generate_valid_traces(
-        [scenario.initial_utxo],
-        [scenario.initial_slot],
-        gen.make_proposer(max_spend=2, max_create=2),
-        depth=args.depth,
-        count=1,
-        seed=args.seed,
-    )
-    annotations = traces[0].annotations
-    tx_universe = [tx for _, tx in annotations]
-    slot_universe = {scenario.initial_slot} | {s for s, _ in annotations}
-    lam = build_ledger_graph(
-        [scenario.initial_utxo], [scenario.initial_slot], tx_universe, slot_universe
-    )
+    sc, txs, slots = gen.graph_universe(args.seed, args.depth)
+    lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
     lam_prime, _phi = project_ledger_graph(lam)
     out = _out_dir(args.out)
     lam_text, prime_text = serialize.dump_ledger_graphs(lam, lam_prime)

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .core import Output, Tx, UtxoSet, mk_outs
+from .core import Output, Slot, Tx, UtxoSet, mk_outs
+from .traces import generate_valid_traces
 
 COIN = b"coin"
 
@@ -111,3 +112,16 @@ def make_scenario(
         txs.append(tx)
         entries.update(mk_outs(tx).entries)
     return Scenario(tuple(txs), UtxoSet(entries), initial_slot=rng.randint(0, 8))
+
+
+def graph_universe(seed: int, depth: int) -> Tuple[Scenario, List[Tx], List[Slot]]:
+    """The scenario, transactions and slots ``graph dump --seed --depth``
+    builds Λ on: the txs of one ``depth``-state run of a 2-output scenario,
+    in run order, and the run's slots with the scenario's, sorted."""
+    scenario = make_scenario(seed, n_outputs=2)
+    [run] = generate_valid_traces(
+        [scenario.initial_utxo], [scenario.initial_slot],
+        make_proposer(max_spend=2, max_create=2), depth=depth, count=1, seed=seed,
+    )
+    slots = sorted({scenario.initial_slot} | {q for q, _ in run.annotations})
+    return scenario, [tx for _, tx in run.annotations], slots

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from .core import (CheckResult, KeyCollisionError, Slot, Tx, UtxoSet, _once,
                    _state_without_once, apply_tx, check_tx)
@@ -50,12 +50,18 @@ class SimpleGraph:
         return self._succ.get(v, frozenset())
 
 
+def _leaving_edge(graph: SimpleGraph, subset) -> Optional[tuple]:
+    """The first edge of ``graph.edges``, in iteration order, from inside
+    ``subset`` to outside it, or None when ``subset`` is a sieve."""
+    return next(((a, b) for a, b in graph.edges if a in subset and b not in subset), None)
+
+
 def is_sieve(graph: SimpleGraph, subset: Iterable) -> bool:
     """True iff every edge leaving ``subset`` ends inside it."""
     sub = frozenset(subset)
     if not sub <= graph.vertices:
         raise ValueError("subset must be contained in the vertex set")
-    return all(b in sub for a, b in graph.edges if a in sub)
+    return _leaving_edge(graph, sub) is None
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,8 @@ def check_hom(hom: PartialSieveHom) -> CheckResult:
     src, tgt = hom.source, hom.target
     if not hom.domain <= src.vertices:
         return CheckResult(False, "domain-not-in-source", hom.domain - src.vertices)
-    for a, b in src.edges:
-        if a in hom.domain and b not in hom.domain:
-            return CheckResult(False, "domain-not-a-sieve", (a, b))
+    if (edge := _leaving_edge(src, hom.domain)) is not None:
+        return CheckResult(False, "domain-not-a-sieve", edge)
     for v in hom.domain:
         if hom(v) not in tgt.vertices:
             return CheckResult(False, "image-not-in-target", v)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -230,8 +229,8 @@ def replay_sequence(
 def valid_orders(
     u0: UtxoSet, txs: Sequence[Tx], sequences: Iterable[Sequence[int]]
 ) -> List[Sequence[int]]:
-    """The index sequences whose orders of ``txs`` replay from ``u0``, in
-    input order.
+    """The index sequences, all of one length (else ``ValueError``), whose
+    orders of ``txs`` replay from ``u0``, in input order.
 
     A sequence is kept when every step replays at its greedy slot: the
     previous slot (from 0) or the start of the transaction's validity
@@ -252,16 +251,13 @@ def valid_orders(
     """
     sequences = list(sequences)
     level = {(0, 0, u0): range(len(sequences))}
-    valid: List[int] = []
-    for column in zip_longest(*sequences):
+    for column in zip(*sequences, strict=True):
         children: Dict[Tuple[int, Slot, UtxoSet], List[int]] = {}
         for (applied, slot, state), members in level.items():
             by_index: Dict[int, List[int]] = {}
             for s in members:
                 i = column[s]
-                if i is None:
-                    valid.append(s)
-                elif (group := by_index.get(i)) is None:
+                if (group := by_index.get(i)) is None:
                     by_index[i] = [s]
                 else:
                     group.append(s)
@@ -273,7 +269,5 @@ def valid_orders(
                 if not isinstance(child, CheckResult):
                     children.setdefault((applied | 1 << i, after, child), []).extend(group)
         level = children
-    for members in level.values():
-        valid.extend(members)
-    valid.sort()
+    valid = sorted(s for members in level.values() for s in members)
     return [sequences[s] for s in valid]

@@ -102,9 +102,9 @@ def check_non_expanding(
 
     For a pointwise image this only confirms that f is a function: traces
     that agree up to index k have images that agree there too, and only an
-    f giving equal states unequal images can report a violation.  It does
-    not test the contract claim itself, that the projection is a
-    homomorphism out of the ledger's trace graph.
+    f giving equal states unequal images can report a violation.  The
+    contract claim itself, that the projection is a homomorphism out of the
+    ledger's trace graph, is tested by acceptance criterion C10.
     """
     whole = [None if any(s is None for s in fa.states) else fa for fa in images]
     checked = 0

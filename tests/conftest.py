@@ -158,23 +158,6 @@ def forward_closure(graph, seed_set):
     return frozenset(closed)
 
 
-def dump_universe(seed, depth):
-    """The scenario and tx/slot universe ``graph dump --seed --depth`` builds Λ on."""
-    sc = make_scenario(seed, n_outputs=2)
-    traces = generate_valid_traces(
-        [sc.initial_utxo],
-        [sc.initial_slot],
-        make_proposer(max_spend=2, max_create=2),
-        depth=depth,
-        count=1,
-        seed=seed,
-    )
-    ann = traces[0].annotations
-    txs = [tx for _, tx in ann]
-    slots = sorted({sc.initial_slot} | {s for s, _ in ann})
-    return sc, txs, slots
-
-
 def random_hom(rng: random.Random, source):
     """A random sieve-defined hom out of ``source`` onto a fresh target."""
     from ledgerlab.graphs import PartialSieveHom, SimpleGraph

@@ -13,8 +13,16 @@ from contextlib import contextmanager
 
 from conftest import ball, forward_closure, random_graph, random_hom
 from run_oracle import assign_slots
+from test_contracts import variants
 from ledgerlab.cli import EXIT_CLEAN, main
-from ledgerlab.contracts import check_contract_on_traces, induce_trace_map, nft_contract
+from ledgerlab.contracts import (
+    MINT,
+    NOOP,
+    build_contract_graphs,
+    check_contract_on_traces,
+    induce_trace_map,
+    nft_contract,
+)
 from ledgerlab.core import (
     CheckResult,
     Output,
@@ -26,7 +34,13 @@ from ledgerlab.core import (
     step_ledger,
 )
 from ledgerlab.gen import make_proposer, make_scenario
-from ledgerlab.graphs import check_hom, compose_homs, is_sieve
+from ledgerlab.graphs import (
+    PartialSieveHom,
+    build_ledger_graph,
+    check_hom,
+    compose_homs,
+    is_sieve,
+)
 from ledgerlab.properties import (
     build_tx_poset,
     canonical_presentation,
@@ -338,6 +352,8 @@ def test_c7_nft_contract():
             induced = induce_trace_map(sc_contract, t)
             assert all(s in (0, 1) for s in induced.states)
 
+        # for a pointwise π this only confirms that π is a function; C10
+        # tests the contract claim, that π and κ make a sieve-defined hom
         rng = random.Random(7007)
         for _ in range(200):
             a, b = rng.choice(traces), rng.choice(traces)
@@ -394,3 +410,54 @@ def test_c9_byte_identical_generation(tmp_path, capsys):
             blobs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert blobs[0].keys() == blobs[1].keys()
         assert blobs[0] == blobs[1]
+
+
+# --- criterion 10: the contract claim as a homomorphism ---------------------
+
+def contract_hom(sc_contract, lam) -> CheckResult:
+    """``check_hom`` of φ(q, u, t) = (π u, κ t), defined where π u is, from
+    Λ into Γ over the π-image of Λ's states and the κ-image of its txs."""
+    states = {v: sc_contract.pi(v[1]) for v in lam.vertices}
+    gamma, _, _ = build_contract_graphs(
+        sc_contract,
+        {s for s in states.values() if s is not None},
+        {sc_contract.kappa(t) for _, _, t in lam.vertices},
+    )
+    phi = {v: (s, sc_contract.kappa(v[2])) for v, s in states.items() if s is not None}
+    return check_hom(PartialSieveHom(lam, gamma, phi))
+
+
+def test_c10_contract_hom():
+    with criterion("C10 NFT contract as a sieve-defined hom (6 seeds)"):
+        token = b"NFT"
+        nft = nft_contract(token)
+        partial = variants(nft)["partial-nft"]
+        mint_as_noop = dataclasses.replace(
+            nft, kappa=lambda tx: NOOP if nft.kappa(tx) == MINT else nft.kappa(tx))
+        minting_seeds = []
+        for seed in range(6):
+            # the universe holds rigged mints, which only the policy refuses
+            sc = make_scenario(seed, 3, token)
+            traces = generate_valid_traces(
+                [sc.initial_utxo], [sc.initial_slot], adversarial_proposer(token),
+                depth=6, count=4, seed=seed,
+            )
+            txs = [tx for t in traces for _, tx in t.annotations]
+            slots = {sc.initial_slot} | {q for t in traces for q, _ in t.annotations}
+            assert len(txs) == 20
+            lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots,
+                                     nft.additional_checks)
+            assert contract_hom(nft, lam)
+
+            unpoliced = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
+            assert contract_hom(nft, unpoliced).reason == "image-not-in-target"
+            assert contract_hom(partial, lam).reason in (
+                "domain-not-a-sieve", "initial-not-in-domain")
+            # a mint seen as a noop breaks exactly the edges out of a mint
+            minting = any(nft.kappa(a[2]) == MINT for a, _ in lam.edges)
+            verdict = contract_hom(mint_as_noop, lam)
+            assert verdict.reason == ("edge-not-preserved" if minting else None)
+            if minting:
+                assert nft.kappa(verdict.witness[0][2]) == MINT
+                minting_seeds.append(seed)
+        assert minting_seeds

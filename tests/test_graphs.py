@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    dump_universe, forward_closure, gen_traces, out, random_graph, random_hom, tx_of,
-)
+from conftest import forward_closure, gen_traces, out, random_graph, random_hom, tx_of
 from ledgerlab.contracts import nft_contract
 from ledgerlab.core import (
     CheckResult,
@@ -17,7 +15,7 @@ from ledgerlab.core import (
     mk_outs,
     step_ledger,
 )
-from ledgerlab.gen import make_scenario
+from ledgerlab.gen import graph_universe, make_scenario
 from ledgerlab.graphs import (
     PartialSieveHom,
     SimpleGraph,
@@ -191,6 +189,28 @@ class TestHoms:
         assert verdict.reason == "domain-not-a-sieve"
         assert verdict.witness == (1, 2)
 
+    def test_sieve_clause_agrees_with_is_sieve(self):
+        """The partial identity on a subset S holding the initial vertices
+        fails ``check_hom`` as ``domain-not-a-sieve`` exactly when S is not
+        a sieve, with an edge from S out of it, and passes otherwise."""
+        rng = random.Random(8008)
+        seen = set()
+        for _ in range(300):
+            g = random_graph(rng, max_vertices=12)
+            subset = g.initial | {v for v in g.vertices if rng.random() < 0.4}
+            if rng.random() < 0.5:
+                subset = forward_closure(g, subset)
+            verdict = check_hom(PartialSieveHom(g, g, {v: v for v in subset}))
+            sieve = is_sieve(g, subset)
+            seen.add(sieve)
+            if sieve:
+                assert verdict
+            else:
+                assert verdict.reason == "domain-not-a-sieve"
+                a, b = verdict.witness
+                assert (a, b) in g.edges and a in subset and b not in subset
+        assert seen == {True, False}
+
     def test_image_outside_target_detected(self):
         src = SimpleGraph(frozenset([1]), frozenset())
         tgt = SimpleGraph(frozenset([8]), frozenset())
@@ -299,7 +319,7 @@ class TestPaths:
 
 @pytest.fixture
 def ledger_graph():
-    sc, txs, slots = dump_universe(31, 4)
+    sc, txs, slots = graph_universe(31, 4)
     lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
     return sc, txs, slots, lam
 
@@ -404,7 +424,7 @@ class TestLedgerGraphs:
 
     def test_benchmark_graph_matches_brute_force(self):
         # the graph the benchmark's `graph dump --seed 0 --depth 25` writes
-        sc, txs, slots = dump_universe(0, 25)
+        sc, txs, slots = graph_universe(0, 25)
         lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
         assert len(lam.vertices) == 642
         assert_ledger_successors(lam, [sc.initial_utxo], [sc.initial_slot], txs, slots)
@@ -420,7 +440,7 @@ class TestLedgerGraphs:
             return check_tx(q, u, t, hook)
 
         monkeypatch.setattr("ledgerlab.graphs.check_tx", spy)
-        sc, txs, slots = dump_universe(31, 6)
+        sc, txs, slots = graph_universe(31, 6)
         build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
         u0, universe = non_well_founded
         build_ledger_graph([u0], [0], universe, [0, 1])
@@ -442,7 +462,7 @@ class TestLedgerGraphs:
 
         monkeypatch.setattr("ledgerlab.graphs.apply_tx", counted("step", apply_tx))
         monkeypatch.setattr("ledgerlab.graphs.check_tx", counted("check", check_tx))
-        sc, txs, slots = dump_universe(0, 25)
+        sc, txs, slots = graph_universe(0, 25)
         lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
         pairs = {(u, t) for _, u, t in lam.vertices}
         assert len(lam.vertices) == 642 and len(pairs) == 82
@@ -453,7 +473,7 @@ class TestLedgerGraphs:
                                            non_well_founded):
         # a vertex passed check_tx, and the hook, to be one; step_ledger
         # would check it again through core's check_tx
-        sc, txs, slots = dump_universe(0, 25)
+        sc, txs, slots = graph_universe(0, 25)
         u0, universe, hook = narrow_universe
         u1, colliding = non_well_founded
 

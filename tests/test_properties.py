@@ -822,6 +822,13 @@ class TestValidOrders:
         assert all(seq.index(3) < seq.index(2) for seq in valid)
         assert len(valid) == 360
 
+    def test_orders_of_unequal_length_are_refused(self, eight_tx):
+        """Every order has one length: a shorter one is not judged on the
+        steps it shares with the others."""
+        _, u0, txs = eight_tx
+        with pytest.raises(ValueError):
+            valid_orders(u0, txs, [(0, 1), (0,)])
+
     def test_created_collides(self, non_well_founded):
         u0, txs = non_well_founded
         # refused first, t1 must leave its parent's state as it was, or t1

@@ -34,7 +34,7 @@ from ledgerlab import cli, serialize
 from ledgerlab.core import (
     Output, OutputRef, UtxoSet, apply_tx, hash_tx, mk_outs,
 )
-from ledgerlab.gen import make_proposer, make_scenario
+from ledgerlab.gen import graph_universe, make_proposer, make_scenario
 from ledgerlab.graphs import build_ledger_graph, project_ledger_graph
 from ledgerlab.traces import TracePrefix, generate_valid_traces
 
@@ -704,13 +704,7 @@ class TestWriterAgreesWithOracle:
 
     @pytest.mark.parametrize("seed, depth", [(0, 3), (1, 8), (2, 14), (0, 25)])
     def test_ledger_graphs(self, seed, depth):
-        sc = make_scenario(seed, n_outputs=2)
-        [prefix] = generate_valid_traces(
-            [sc.initial_utxo], [sc.initial_slot],
-            make_proposer(max_spend=2, max_create=2), depth=depth, count=1, seed=seed,
-        )
-        txs = [t for _, t in prefix.annotations]
-        slots = {sc.initial_slot} | {q for q, _ in prefix.annotations}
+        sc, txs, slots = graph_universe(seed, depth)
         lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
         lam_prime, _ = project_ledger_graph(lam)
         new = serialize.dump_ledger_graphs(lam, lam_prime)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball, check_monitor_monotone, dump_universe, gen_traces
+from conftest import ball, check_monitor_monotone, gen_traces
 from ledgerlab.core import UtxoSet, apply_tx
-from ledgerlab.gen import make_proposer, make_scenario
+from ledgerlab.gen import graph_universe, make_proposer, make_scenario
 from ledgerlab.graphs import (
     PartialSieveHom,
     SimpleGraph,
@@ -390,7 +390,7 @@ class TestTruncatedLifts:
     def test_failing_search_is_bounded(self, monkeypatch):
         # Λ of `graph dump --seed 0 --depth 25`, and the run's first 16
         # states with the last replaced by the first: no path lifts them
-        sc, txs, slots = dump_universe(0, 25)
+        sc, txs, slots = graph_universe(0, 25)
         lam = build_ledger_graph([sc.initial_utxo], [sc.initial_slot], txs, slots)
         _, phi = project_ledger_graph(lam)
         states = [sc.initial_utxo]
