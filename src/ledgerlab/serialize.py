@@ -149,85 +149,80 @@ def tx_to_json(tx: Tx) -> dict:
     }
 
 
+def _entry(ref: OutputRef, out: Output) -> str:
+    """The text of a state entry: the one speller of entries."""
+    return _canonical(entry_to_json(ref, out))
+
+
+def _tx(tx: Tx) -> str:
+    return _canonical(tx_to_json(tx))
+
+
+def _spelled(utxo: UtxoSet) -> List[str]:
+    """The entry texts of ``utxo`` in ref order, each spelled afresh."""
+    return [_entry(ref, out) for ref, out in utxo.items()]
+
+
+def _step(pieces: List[str], step: Tuple[Slot, Tx]) -> List[str]:
+    """``pieces`` with the pair ``[slot, tx]`` appended."""
+    slot, tx = step
+    pieces += ("[", _canonical(slot), ",", _tx(tx), "]")
+    return pieces
+
+
+def _derived(parent: UtxoSet, texts: List[str], tx: Tx,
+             utxo: UtxoSet) -> Optional[List[str]]:
+    """The entry texts of ``utxo`` from ``texts``, those of ``parent``:
+    the texts of the refs ``tx`` spends are deleted and those of
+    ``mk_outs(tx)`` spelled and inserted at their places in ref order.
+
+    They are returned only if the entries so derived are ``utxo``'s,
+    compared as one tuple; otherwise ``None``, and ``utxo`` must be
+    spelled in full.
+    """
+    items, texts = list(parent.items()), texts.copy()
+    for ref, _ in tx.inputs:
+        k = bisect_left(items, ref, key=_ref_of)
+        if k < len(items) and items[k][0] == ref:
+            del items[k], texts[k]
+    for ref, out in mk_outs(tx).entries.items():
+        k = bisect_left(items, ref, key=_ref_of)
+        items.insert(k, (ref, out))
+        texts.insert(k, _entry(ref, out))
+    return texts if tuple(items) == utxo.items() else None
+
+
 class _Writer:
-    """Spells ledger values as canonical JSON text, each distinct entry,
-    transaction and state once: the mirror of ``_Reader``.
+    """Spells transactions and states as canonical JSON text, each distinct
+    value once: the mirror of ``_Reader``.
 
-    ``entries`` maps a ref to the ``Output`` last spelled for it and the
-    text of its ``{"output", "output_ref"}`` object; an entry whose
-    ``Output`` is that very object reuses the text.  ``txs`` maps a
-    transaction to its text, which depends only on its value.  ``states``
-    maps the id of a state spelled in full to that state, which it keeps
-    alive, and its entry texts in ref order: a state object that recurs,
-    such as the first state of the traces of one scenario or a state that
-    vertices of Λ share, is looked up once.  Every such text is spelled by
-    ``_canonical``; ``utxo`` and ``step`` append them to a list that the
-    caller joins once.
-
-    A later state of a trace is mostly its parent: ``derived`` spells it
-    from the parent's texts and the step's tx, and only the entries the tx
-    creates are looked up.  ``dump_trace`` keeps in the writer it is given
-    only what the traces of one scenario share, the genesis txs and the
-    first state; the rest of a trace is spelled by a writer of its own,
-    which goes once the file is written.
+    ``txs`` maps a transaction to its text, and ``states`` maps a state to
+    its entry texts in ref order.  Both are keyed by value, which alone
+    fixes the text, so an equal value reuses the text and no key has to be
+    kept alive for the memo to stay sound.  ``utxo`` appends a state's
+    texts to a list that the caller joins once.
     """
 
     def __init__(self):
-        self.entries = {}
         self.txs = {}
         self.states = {}
-
-    def entry(self, ref: OutputRef, out: Output) -> str:
-        seen = self.entries.get(ref)
-        if seen is None or seen[0] is not out:
-            seen = self.entries[ref] = (out, _canonical(entry_to_json(ref, out)))
-        return seen[1]
 
     def tx(self, tx: Tx) -> str:
         text = self.txs.get(tx)
         if text is None:
-            text = self.txs[tx] = _canonical(tx_to_json(tx))
+            text = self.txs[tx] = _tx(tx)
         return text
 
     def texts(self, utxo: UtxoSet) -> List[str]:
-        """The entry texts of ``utxo`` in ref order, spelled in full once
-        per state object."""
-        seen = self.states.get(id(utxo))
-        if seen is None:
-            seen = self.states[id(utxo)] = (
-                utxo, [self.entry(ref, out) for ref, out in utxo.items()])
-        return seen[1]
-
-    def derived(self, parent: UtxoSet, texts: List[str], tx: Tx,
-                utxo: UtxoSet) -> Optional[List[str]]:
-        """The entry texts of ``utxo`` from ``texts``, those of ``parent``:
-        the texts of the refs ``tx`` spends are deleted and those of
-        ``mk_outs(tx)`` inserted at their places in ref order.
-
-        They are returned only if the entries so derived are ``utxo``'s,
-        compared as one tuple; otherwise ``None``, and ``utxo`` must be
-        spelled in full.
-        """
-        items, texts = list(parent.items()), texts.copy()
-        for ref, _ in tx.inputs:
-            k = bisect_left(items, ref, key=_ref_of)
-            if k < len(items) and items[k][0] == ref:
-                del items[k], texts[k]
-        for ref, out in mk_outs(tx).entries.items():
-            k = bisect_left(items, ref, key=_ref_of)
-            items.insert(k, (ref, out))
-            texts.insert(k, self.entry(ref, out))
-        return texts if tuple(items) == utxo.items() else None
+        """The entry texts of ``utxo`` in ref order, spelled once per value."""
+        texts = self.states.get(utxo)
+        if texts is None:
+            texts = self.states[utxo] = _spelled(utxo)
+        return texts
 
     def utxo(self, pieces: List[str], utxo: UtxoSet) -> List[str]:
         """``pieces`` with the entries of ``utxo`` appended, in ref order."""
         return _entry_list(pieces, self.texts(utxo))
-
-    def step(self, pieces: List[str], step: Tuple[Slot, Tx]) -> List[str]:
-        """``pieces`` with the pair ``[slot, tx]`` appended."""
-        slot, tx = step
-        pieces += ("[", _canonical(slot), ",", self.tx(tx), "]")
-        return pieces
 
 
 def _entry_list(pieces: List[str], texts: List[str]) -> List[str]:
@@ -378,33 +373,24 @@ def dump_trace(
 ) -> str:
     """Trace file: state list, lift annotations, and generation context.
 
-    A writer of several traces of one scenario can pass each the same
-    ``writer``, so that their shared genesis and first state are spelled
-    once; the writer keeps nothing else of the trace.  Each later state is
-    spelled from its parent's texts and its step where they give its
-    entries (``_Writer.derived``), and in full where they do not.
+    ``writer`` spells the genesis txs and the first state, and nothing
+    else: a writer of several traces of one scenario can pass each the
+    same one, so that what they share is spelled once.  Each later state
+    is spelled from its parent's texts and its step where they give its
+    entries (``_derived``), and in full where they do not.
     """
     w = writer if writer is not None else _Writer()
-    own = _Writer()
     states, steps = prefix.states, prefix.annotations
-
-    def texts():
-        spelled = w.texts(states[0])
-        yield spelled
-        for k in range(1, len(states)):
-            derived = None
-            if steps is not None:
-                derived = own.derived(states[k - 1], spelled, steps[k - 1][1], states[k])
-            spelled = own.texts(states[k]) if derived is None else derived
-            yield spelled
-
-    lifts = [_canonical(None)]
-    if steps is not None:
-        lifts = _array([], steps, own.step)
+    spelled = [w.texts(states[0])]
+    for k in range(1, len(states)):
+        derived = None
+        if steps is not None:
+            derived = _derived(states[k - 1], spelled[-1], steps[k - 1][1], states[k])
+        spelled.append(_spelled(states[k]) if derived is None else derived)
     return _dump(
         "trace",
-        states=_array([], texts(), _entry_list),
-        lifts=lifts,
+        states=_array([], spelled, _entry_list),
+        lifts=[_canonical(None)] if steps is None else _array([], steps, _step),
         truncated=[_canonical(prefix.truncated)],
         genesis=_array([], map(w.tx, genesis_txs)),
         initial_slots=[_canonical(sorted(initial_slots))],
@@ -513,12 +499,11 @@ def dump_run(
     genesis_txs: Sequence[Tx] = (),
 ) -> str:
     """Run file: an initial state and the (slot, tx) list to replay."""
-    w = _Writer()
     return _dump(
         "run",
-        initial=w.utxo([], initial),
-        steps=_array([], steps, w.step),
-        genesis=_array([], map(w.tx, genesis_txs)),
+        initial=_entry_list([], _spelled(initial)),
+        steps=_array([], steps, _step),
+        genesis=_array([], map(_tx, genesis_txs)),
     )
 
 
@@ -572,7 +557,7 @@ def dump_ledger_graphs(lam: SimpleGraph, lam_prime: SimpleGraph) -> Tuple[str, s
 
     A vertex's id is the first 16 hex digits of the digest of its canonical
     JSON: ``[q, utxo, tx]`` for a vertex of Λ, the entry list for a state
-    of Λ′.  The vertices share their entries, so both files spell each once.
+    of Λ′.  The vertices share their states, so both files spell each once.
     """
     w = _Writer()
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import gen_traces, out, tx_of
 import serialize_oracle as oracle
 from ledgerlab import serialize
-from ledgerlab.core import OutputRef, mk_outs
+from ledgerlab.core import OutputRef, UtxoSet, mk_outs
 from ledgerlab.graphs import SimpleGraph, build_ledger_graph, project_ledger_graph
 
 
@@ -161,18 +161,27 @@ class TestWriterReuse:
             assert json.loads(shared) == expected
 
     def test_shared_writer_keeps_only_what_traces_share(self, scenario):
-        """Across traces the writer keeps the genesis txs and the first
-        state; each trace's lift txs, created entries and derived states go
-        with its file."""
+        """A writer shared by traces ends up holding exactly the genesis txs
+        and the first state: lift txs and later states are spelled without
+        it, so it keeps nothing of one trace alone."""
         traces = gen_traces(scenario, depth=5, count=4, seed=3)
         u0 = scenario.initial_utxo
         writer = serialize._Writer()
         for prefix in traces:
-            assert prefix.states[0] is u0
+            assert prefix.states[0] == u0
             serialize.dump_trace(prefix, scenario.genesis_txs, [0], writer)
-            assert writer.txs.keys() == set(scenario.genesis_txs)
-            assert writer.entries.keys() == u0.keys()
-            assert list(writer.states) == [id(u0)]
+        assert writer.txs.keys() == set(scenario.genesis_txs)
+        assert writer.states.keys() == {u0}
+
+    def test_equal_states_are_spelled_once(self, scenario):
+        """The state memo is keyed by value: an equal but distinct state
+        gets the very texts of the first."""
+        u0 = scenario.initial_utxo
+        twin = UtxoSet(dict(u0.entries))
+        writer = serialize._Writer()
+        assert twin is not u0 and twin == u0
+        assert writer.texts(twin) is writer.texts(u0)
+        assert list(writer.states) == [twin]
 
     def test_run_file_keeps_the_bytes(self, scenario):
         prefix = gen_traces(scenario, depth=5, count=1, seed=8)[0]
@@ -195,16 +204,6 @@ class TestWriterReuse:
             twin = dataclasses.replace(tx)
             assert twin is not tx and writer.tx(twin) is spelled
         assert len(writer.txs) == len(set(scenario.genesis_txs))
-
-    def test_another_output_under_a_written_ref_is_spelled_afresh(self, sample_tx):
-        [(ref, claimed)] = sample_tx.inputs
-        forged = out("forged")
-        writer = serialize._Writer()
-        writer.entries[ref] = (forged, json.dumps(oracle.entry_to_json(ref, forged)))
-        spelled = writer.entry(ref, claimed)
-        assert json.loads(spelled) == oracle.entry_to_json(ref, claimed)
-        memo_out, memo_text = writer.entries[ref]
-        assert memo_out is claimed and memo_text is spelled
 
 
 class TestRunFiles:

@@ -12,7 +12,7 @@ spelled both by ``json.dumps`` and canonically, so that it also reaches the
 reader of canonical text; the hand-built canonical cases each depart from
 what the writer writes in one way, and pin which reader runs.
 
-The writers spell each distinct entry and transaction once, spell a
+The writers spell each distinct state and transaction once, spell a
 trace's later states from their parents' texts where the steps make them,
 and join a file's pieces; the oracle encodes the whole JSON tree of the
 file with one ``json.dumps``.  Both must write the same bytes, also for
@@ -448,17 +448,6 @@ class TestSharing:
         pairs = zip(first[0].states[0].items(), second[0].states[0].items())
         assert all(r is not s and o is not p for (r, o), (s, p) in pairs)
 
-    def test_writer_reuses_entry_of_the_same_output(self):
-        prefix, _, _ = serialize.load_trace(HAND_BUILT["trace"])
-        u0, u1, _ = prefix.states
-        writer = serialize._Writer()
-        first = [writer.entry(r, o) for r, o in u0.items()]
-        second = [writer.entry(r, o) for r, o in u1.items()]
-        shared = [e for e in second if any(e is f for f in first)]
-        assert len(shared) == len(u0.keys() & u1.keys()) == 1
-        for u in (u0, u1):
-            assert state_text(writer, u) == oracle.canonical(oracle.utxo_to_json(u))
-
     def test_writer_converts_another_output_of_a_ref(self):
         [ref] = mk_outs(tx_of((), [out("a")])).keys()
         writer = serialize._Writer()
@@ -723,7 +712,7 @@ class TestWriterAgreesWithOracle:
 class TestWriterCost:
     """One writer for the traces of a wide scenario spells each entry of the
     first state and each created entry once: a later state is derived from
-    its parent's texts, not looked up entry by entry."""
+    its parent's texts, not spelled in full."""
 
     @pytest.fixture(scope="class")
     def wide(self):
@@ -736,9 +725,9 @@ class TestWriterCost:
 
     @staticmethod
     def written(monkeypatch, prefixes, genesis, slots):
-        calls, entry = [], serialize._Writer.entry
-        monkeypatch.setattr(serialize._Writer, "entry",
-                            lambda w, ref, o: calls.append(ref) or entry(w, ref, o))
+        calls, entry = [], serialize._entry
+        monkeypatch.setattr(serialize, "_entry",
+                            lambda ref, o: calls.append(ref) or entry(ref, o))
         writer = serialize._Writer()
         texts = [serialize.dump_trace(p, genesis, slots, writer) for p in prefixes]
         return texts, len(calls)
@@ -752,7 +741,7 @@ class TestWriterCost:
 
     def test_refusing_guard_keeps_the_bytes(self, wide, monkeypatch):
         prefixes, genesis, slots = wide
-        monkeypatch.setattr(serialize._Writer, "derived", lambda *args: None)
+        monkeypatch.setattr(serialize, "_derived", lambda *args: None)
         texts, calls = self.written(monkeypatch, prefixes, genesis, slots)
         assert calls >= sum(map(len, prefixes[0].states))
         assert texts == [oracle.dump_trace(p, genesis, slots) for p in prefixes]
