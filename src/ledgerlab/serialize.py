@@ -7,6 +7,7 @@ the bit-exact byte serialization used for transaction hashing (core.tx_bytes).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from bisect import bisect_left
@@ -54,8 +55,7 @@ def _dump(kind: str, **fields: List[str]) -> str:
     ``_canonical(payload) + "\\n"`` of the payload they spell.
     """
     fields.update(kind=[_canonical(kind)], version=[_canonical(FORMAT_VERSION)])
-    pieces = []
-    sep = "{"
+    pieces, sep = [], "{"
     for key in sorted(fields):
         pieces += (sep, _canonical(key), ":")
         pieces += fields[key]
@@ -196,33 +196,15 @@ class _Writer:
     """Spells transactions and states as canonical JSON text, each distinct
     value once: the mirror of ``_Reader``.
 
-    ``txs`` maps a transaction to its text, and ``states`` maps a state to
-    its entry texts in ref order.  Both are keyed by value, which alone
-    fixes the text, so an equal value reuses the text and no key has to be
-    kept alive for the memo to stay sound.  ``utxo`` appends a state's
-    texts to a list that the caller joins once.
+    ``tx`` gives a transaction's text, and ``texts`` a state's entry texts
+    in ref order.  Each is a ``functools.cache`` of a module function, so
+    a writer is no reference cycle, and is keyed by value, which alone
+    fixes the text: no key has to be kept alive for it to stay sound.
     """
 
     def __init__(self):
-        self.txs = {}
-        self.states = {}
-
-    def tx(self, tx: Tx) -> str:
-        text = self.txs.get(tx)
-        if text is None:
-            text = self.txs[tx] = _tx(tx)
-        return text
-
-    def texts(self, utxo: UtxoSet) -> List[str]:
-        """The entry texts of ``utxo`` in ref order, spelled once per value."""
-        texts = self.states.get(utxo)
-        if texts is None:
-            texts = self.states[utxo] = _spelled(utxo)
-        return texts
-
-    def utxo(self, pieces: List[str], utxo: UtxoSet) -> List[str]:
-        """``pieces`` with the entries of ``utxo`` appended, in ref order."""
-        return _entry_list(pieces, self.texts(utxo))
+        self.tx = functools.cache(_tx)
+        self.texts = functools.cache(_spelled)
 
 
 def _entry_list(pieces: List[str], texts: List[str]) -> List[str]:
@@ -254,7 +236,9 @@ class _Reader:
     cannot be keyed, runs the plain reader with all its checks.  The plain
     reader builds a ref per entry.  ``geneses`` maps the text of a
     canonical file's genesis array to the txs built from it, so the files
-    of one scenario build their shared genesis once.
+    of one scenario build their shared genesis once.  The memos stay dicts:
+    a ``functools.cache`` of a bound method would make each reader a
+    reference cycle, which ``cli.main``'s paused collector would not free.
     """
 
     def __init__(self):
@@ -475,11 +459,7 @@ def _canonical_states(read: _Reader, text: str
         # the states are "[" + body + "]" joined by ","; each body is cut
         # out of the text alone, so no copy of the whole member is made
         first, last = start + len(_STATES_HEAD), end - 1
-        if text[last] != "]":
-            return None
-        if first == last:
-            return obj, (), genesis_text
-        if not (text[first] == "[" and text[last - 1] == "]"):
+        if text[first] != "[" or text[last - 1:last + 1] != "]]":
             return None
         states, first = [], first + 1
         while (cut := text.find("],[", first, last - 1)) >= 0:
@@ -566,10 +546,11 @@ def dump_ledger_graphs(lam: SimpleGraph, lam_prime: SimpleGraph) -> Tuple[str, s
 
     def vertex_label(v) -> str:
         q, u, t = v
-        return label(w.utxo(["[", _canonical(q), ","], u) + [",", w.tx(t), "]"])
+        pieces = _entry_list(["[", _canonical(q), ","], w.texts(u))
+        return label(pieces + [",", w.tx(t), "]"])
 
     return (dump_graph(lam, vertex_label),
-            dump_graph(lam_prime, lambda u: label(w.utxo([], u))))
+            dump_graph(lam_prime, lambda u: label(_entry_list([], w.texts(u)))))
 
 
 def digest(text: str) -> str:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import CheckResult, Slot, Tx, UtxoSet, step_ledger
-from .graphs import PartialSieveHom
 
 
 @dataclass(frozen=True)
@@ -227,29 +226,3 @@ def generate_valid_traces(
                 break
         traces.append(TracePrefix(tuple(states), tuple(annotations), truncated))
     return traces
-
-
-# --- truncated lifts --------------------------------------------------------
-
-def has_truncated_lift(
-    target_prefix: TracePrefix, hom: PartialSieveHom, n: int
-) -> Tuple[bool, Optional[Tuple]]:
-    """Search for a source path of n+1 states mapping onto the target head.
-
-    The search goes goal state by goal state and keeps one lifting path per
-    last vertex, as paths that end alike extend alike.  The witness, when
-    found, is one lifting path starting at an initial vertex.
-    """
-    if n < 0:
-        raise ValueError("n must be at least 0")
-    if len(target_prefix) < n + 1:
-        raise ValueError("target prefix must have at least n+1 states")
-    goal = target_prefix.states[: n + 1]
-    lifts = {v: (v,) for v in hom.source.initial
-             if hom.defined_at(v) and hom(v) == goal[0]}
-    for state in goal[1:]:
-        lifts = {w: path + (w,) for v, path in lifts.items()
-                 for w in hom.source.successors(v)
-                 if hom.defined_at(w) and hom(w) == state}
-    witness = next(iter(lifts.values()), None)
-    return (witness is not None), witness

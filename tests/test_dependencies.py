@@ -40,6 +40,24 @@ def test_imports_are_relative_or_stdlib(path):
     assert outside == [], path.name
 
 
+def package_imports(path):
+    """The package modules that ``path`` imports, relatively."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+    return found
+
+
+@pytest.mark.parametrize("name", ["traces.py", "graphs.py"])
+def test_traces_and_graphs_import_only_core(name):
+    """Traces and graphs sit directly on the ledger rule: neither imports
+    the other, nor any package module but ``core``."""
+    [path] = [p for p in MODULES if p.name == name]
+    assert package_imports(path) == {"core"}
+
+
 #: modules that reach the file system; only ``cli`` may use them, so every
 #: read and write, and its exit-2 mapping, stays at one boundary
 FILE_MODULES = {"os", "pathlib", "io", "shutil", "tempfile"}

@@ -36,7 +36,7 @@ class TestValueRoundTrips:
 
     def test_utxo(self, sample_tx):
         u = mk_outs(sample_tx)
-        text = "".join(serialize._Writer().utxo([], u))
+        text = "".join(serialize._entry_list([], serialize._Writer().texts(u)))
         assert serialize._Reader().utxo(json.loads(text)) == u
 
     def test_bad_output_rejected(self):
@@ -170,8 +170,14 @@ class TestWriterReuse:
         for prefix in traces:
             assert prefix.states[0] == u0
             serialize.dump_trace(prefix, scenario.genesis_txs, [0], writer)
-        assert writer.txs.keys() == set(scenario.genesis_txs)
-        assert writer.states.keys() == {u0}
+        for cached, held in ((writer.tx, scenario.genesis_txs), (writer.texts, [u0])):
+            before = cached.cache_info()
+            assert before.currsize == len(set(held))
+            for value in held:
+                cached(value)
+            after = cached.cache_info()
+            assert after.hits - before.hits == len(held)
+            assert after.misses == before.misses
 
     def test_equal_states_are_spelled_once(self, scenario):
         """The state memo is keyed by value: an equal but distinct state
@@ -181,7 +187,7 @@ class TestWriterReuse:
         writer = serialize._Writer()
         assert twin is not u0 and twin == u0
         assert writer.texts(twin) is writer.texts(u0)
-        assert list(writer.states) == [twin]
+        assert writer.texts.cache_info().currsize == 1
 
     def test_run_file_keeps_the_bytes(self, scenario):
         prefix = gen_traces(scenario, depth=5, count=1, seed=8)[0]
@@ -197,13 +203,13 @@ class TestWriterReuse:
 
     def test_each_tx_is_spelled_once(self, scenario):
         writer = serialize._Writer()
-        writer.utxo([], scenario.initial_utxo)
+        writer.texts(scenario.initial_utxo)
         for tx in scenario.genesis_txs:
             spelled = writer.tx(tx)
             assert json.loads(spelled) == oracle.tx_to_json(tx)
             twin = dataclasses.replace(tx)
             assert twin is not tx and writer.tx(twin) is spelled
-        assert len(writer.txs) == len(set(scenario.genesis_txs))
+        assert writer.tx.cache_info().misses == len(set(scenario.genesis_txs))
 
 
 class TestRunFiles:

@@ -14,13 +14,13 @@ from ledgerlab.graphs import (
     SimpleGraph,
     build_ledger_graph,
     enumerate_paths,
+    has_truncated_lift,
     project_ledger_graph,
 )
 from ledgerlab.traces import (
     TracePrefix,
     check_non_expanding,
     generate_valid_traces,
-    has_truncated_lift,
     monitor_trace,
     ultra_distance,
     validate_trace_prefix,

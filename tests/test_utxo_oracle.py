@@ -20,7 +20,9 @@ from ledgerlab.core import (
     mk_outs,
     _sorted_items,
 )
-from ledgerlab.serialize import FormatError, _Reader, _Writer, output_to_json, ref_to_json
+from ledgerlab.serialize import (
+    FormatError, _entry_list, _Reader, _Writer, output_to_json, ref_to_json,
+)
 from utxo_oracle import UtxoSet as OracleUtxoSet
 
 refs = st.builds(
@@ -65,7 +67,7 @@ def assert_same_state(new, old):
     assert new.items() == old.items()
     assert len(new) == len(old)
     assert new.keys() == old.keys()
-    assert _Writer().utxo([], new) == _Writer().utxo([], old)
+    assert _entry_list([], _Writer().texts(new)) == _entry_list([], _Writer().texts(old))
 
 
 def read(pairs):
